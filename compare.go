@@ -3,18 +3,9 @@ package imtrans
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
-	"time"
 
-	"imtrans/internal/checkpoint"
-	"imtrans/internal/core"
-	"imtrans/internal/replay"
-	"imtrans/internal/runsafe"
 	"imtrans/internal/scheme"
 	"imtrans/internal/stats"
 )
@@ -236,312 +227,52 @@ func CompareMeasureCtx(ctx context.Context, benchmarks []Benchmark, specs []Sche
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("imtrans: compare needs at least one scheme spec")
 	}
-	schemes := make([]scheme.Scheme, len(specs))
-	params := make([]scheme.Params, len(specs))
+	cols := make([]gridColumn[SchemeMeasurement], len(specs))
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
-		s, _ := scheme.Get(sp.Name)
-		schemes[i], params[i] = s, sp.params()
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+		cols[i] = schemeColumn(sp)
 	}
 	nb, ns := len(benchmarks), len(specs)
-
-	type cellState struct {
-		m            SchemeMeasurement
-		wallNs       int64
-		memoHits     uint64
-		streamShared bool
-		done         bool
-		restored     bool
-		err          error
-		attempts     int
-		ckErr        error
-	}
-	cells := make([]cellState, nb*ns)
-
 	grid, benchNames, specNames := compareGrid(benchmarks, specs)
-	var journal *checkpoint.Journal
-	restored := 0
-	if opts.Checkpoint != "" {
-		j, prev, err := checkpoint.Open(opts.Checkpoint, grid, benchNames, specNames)
-		if err != nil {
-			return nil, fmt.Errorf("imtrans: %w", err)
-		}
-		j.SetDurable(opts.CheckpointSync)
-		journal = j
-		for _, c := range prev {
-			s := &cells[c.Bench*ns+c.Config]
-			if err := json.Unmarshal(c.Payload, &s.m); err != nil {
-				return nil, fmt.Errorf("imtrans: checkpoint cell (%s, %s): %w",
-					benchNames[c.Bench], specNames[c.Config], err)
-			}
-			s.done, s.restored = true, true
-			restored++
-		}
+	run, err := runGrid(ctx, &gridSpec[SchemeMeasurement]{
+		rows:     nb,
+		capture:  benchCapture(benchmarks),
+		cols:     cols,
+		identity: func() (string, []string, []string) { return grid, benchNames, specNames },
+	}, opts)
+	if err != nil {
+		return nil, err
 	}
-
-	var progressDone atomic.Int64
-	progressDone.Store(int64(restored))
-	if opts.Progress != nil {
-		opts.Progress(restored, nb*ns)
-	}
-
-	pol := opts.Retry.policy()
-	brk := runsafe.NewBreaker(opts.BreakerThreshold)
-
-	// Capture phase: one supervised profiling run per benchmark with
-	// pending cells — every scheme of a benchmark shares the capture.
-	type benchState struct {
-		cap      *replay.Capture
-		err      error
-		attempts int
-	}
-	states := make([]benchState, nb)
-	pending := make([]bool, nb)
-	for bi := 0; bi < nb; bi++ {
-		for si := 0; si < ns; si++ {
-			if !cells[bi*ns+si].done {
-				pending[bi] = true
-				break
-			}
-		}
-	}
-	runPoolCtx(ctx, par, nb, func(bi int) {
-		if !pending[bi] {
-			return
-		}
-		b := benchmarks[bi]
-		states[bi].attempts, states[bi].err = runsafe.Do(ctx, pol, brk, func(context.Context) error {
-			p, err := b.Program()
-			if err != nil {
-				return err
-			}
-			cap, err := captureProgram(p, b.setup, b.captureSalt())
-			if err != nil {
-				return err
-			}
-			states[bi].cap = cap
-			return nil
-		})
-	})
-
-	// Measure phase, work-stealing as in SweepMeasureCtx. Paper cells
-	// whose specs share a per-block signature get a shared memo store per
-	// benchmark; every worker carries a scratch arena.
-	clamp := core.Parallelism()
-	gridPar := min(par, clamp, nb*ns)
-	if gridPar < 1 {
-		gridPar = 1
-	}
-	inner := max(1, clamp/gridPar)
-	arenas := make([]measureArena, gridPar)
-	stores := make([]*replay.MemoStore, nb*ns)
-	sigGroups := make(map[string][]int, ns)
-	for si, sp := range specs {
-		if sp.Name != "paper" {
-			continue
-		}
-		sig := memoSig(sp.Config)
-		sigGroups[sig] = append(sigGroups[sig], si)
-	}
-	for _, idxs := range sigGroups {
-		if len(idxs) < 2 {
-			continue
-		}
-		for bi := 0; bi < nb; bi++ {
-			store := replay.NewMemoStore()
-			for _, si := range idxs {
-				stores[bi*ns+si] = store
-			}
-		}
-	}
-	// Fleet cells of one benchmark share that benchmark's transition
-	// stream, and equal-(scheme, spec) fleet columns additionally share a
-	// repeat-outcome store per benchmark — the batch-kernel mirror of the
-	// paper cells' memo-signature groups above.
-	fleetCells := false
-	fleetGroups := make(map[string][]int, ns)
-	for si, sp := range specs {
-		if sp.Name == "paper" {
-			continue
-		}
-		fleetCells = true
-		fleetGroups[sp.Label()] = append(fleetGroups[sp.Label()], si)
-	}
-	streams := make([]*scheme.Stream, nb)
-	if fleetCells {
-		for bi := 0; bi < nb; bi++ {
-			if pending[bi] && states[bi].cap != nil {
-				streams[bi] = scheme.NewStream(states[bi].cap)
-			}
-		}
-	}
-	fleetStores := make([]*scheme.FleetMemo, nb*ns)
-	for _, idxs := range fleetGroups {
-		if len(idxs) < 2 {
-			continue
-		}
-		for bi := 0; bi < nb; bi++ {
-			store := scheme.NewFleetMemo()
-			for _, si := range idxs {
-				fleetStores[bi*ns+si] = store
-			}
-		}
-	}
-	runStealCtx(ctx, gridPar, nb*ns, func(worker, t int) {
-		bi, si := t/ns, t%ns
-		s := &cells[t]
-		if s.done || !pending[bi] || states[bi].err != nil {
-			return
-		}
-		env := replayEnv{
-			encWorkers:  inner,
-			shared:      stores[t],
-			arena:       &arenas[worker],
-			stream:      streams[bi],
-			fleetShared: fleetStores[t],
-		}
-		attempt := 0
-		s.attempts, s.err = runsafe.Do(ctx, pol, brk, func(tctx context.Context) error {
-			attempt++
-			if opts.FaultInject != nil {
-				if err := opts.FaultInject(bi, si, attempt); err != nil {
-					return err
-				}
-			}
-			start := time.Now()
-			w := schemeWorkload(states[bi].cap, env)
-			r, err := schemes[si].Measure(tctx, w, params[si])
-			if err != nil {
-				return err
-			}
-			s.m = schemeMeasurement(r)
-			s.wallNs = time.Since(start).Nanoseconds()
-			s.memoHits, s.streamShared = r.MemoHits, r.StreamShared
-			return nil
-		})
-		if s.err != nil {
-			return
-		}
-		s.done = true
-		if journal != nil {
-			payload, err := json.Marshal(s.m)
-			if err == nil {
-				err = journal.Record(bi, si, payload)
-			}
-			s.ckErr = err
-		}
-		if opts.Progress != nil {
-			opts.Progress(int(progressDone.Add(1)), nb*ns)
-		}
-	})
-
-	// Assemble in grid order.
 	res := &CompareResult{
 		Benchmarks: benchNames,
 		Schemes:    specNames,
-		Results:    make([][]SchemeMeasurement, nb),
-		Done:       make([][]bool, nb),
+		Results:    run.vals,
+		Done:       run.done,
 		Rankings:   make([][]int, nb),
-		CellNs:     make([][]int64, nb),
+		CellNs:     run.cellNs,
+		Restored:   run.restored,
+		Completed:  run.completed,
+		Cancelled:  run.cancelled,
 	}
-	cancelled := ctx.Err() != nil
-	var retries, panics, tripped, failed, skipped, recorded, ckErrs int
-	var memoHits, streamShared uint64
-	perScheme := make([]int, ns)
-	perSchemeMemo := make([]uint64, ns)
-	perSchemeStream := make([]uint64, ns)
-	noteErr := func(err error) {
-		var pe *runsafe.PanicError
-		if errors.As(err, &pe) {
-			panics++
+	for _, e := range run.errs {
+		ce := CompareError{
+			Benchmark:   benchmarks[e.row].Name,
+			BenchIndex:  e.row,
+			SchemeIndex: e.col,
+			Stage:       e.stage,
+			Attempts:    e.attempts,
+			Err:         e.err,
 		}
-		if errors.Is(err, runsafe.ErrTripped) {
-			tripped++
+		if e.col >= 0 {
+			ce.Scheme = specNames[e.col]
 		}
+		res.Errors = append(res.Errors, ce)
 	}
-	for bi := 0; bi < nb; bi++ {
-		res.Results[bi] = make([]SchemeMeasurement, ns)
-		res.Done[bi] = make([]bool, ns)
-		res.CellNs[bi] = make([]int64, ns)
-		st := &states[bi]
-		if st.attempts > 1 {
-			retries += st.attempts - 1
-		}
-		capFailed := st.err != nil && !isCtxErr(st.err)
-		if capFailed {
-			noteErr(st.err)
-			res.Errors = append(res.Errors, CompareError{
-				Benchmark:   benchmarks[bi].Name,
-				BenchIndex:  bi,
-				SchemeIndex: -1,
-				Stage:       "capture",
-				Attempts:    st.attempts,
-				Err:         st.err,
-			})
-		}
-		for si := 0; si < ns; si++ {
-			s := &cells[bi*ns+si]
-			if s.attempts > 1 {
-				retries += s.attempts - 1
-			}
-			switch {
-			case s.done:
-				res.Results[bi][si] = s.m
-				res.Done[bi][si] = true
-				res.CellNs[bi][si] = s.wallNs
-				if s.restored {
-					res.Restored++
-				} else {
-					res.Completed++
-					perScheme[si]++
-					memoHits += s.memoHits
-					perSchemeMemo[si] += s.memoHits
-					if s.streamShared {
-						streamShared++
-						perSchemeStream[si]++
-					}
-					if journal != nil && s.ckErr == nil {
-						recorded++
-					}
-				}
-				if s.ckErr != nil {
-					ckErrs++
-					res.Errors = append(res.Errors, CompareError{
-						Benchmark:   benchmarks[bi].Name,
-						Scheme:      specNames[si],
-						BenchIndex:  bi,
-						SchemeIndex: si,
-						Stage:       "checkpoint",
-						Attempts:    s.attempts,
-						Err:         s.ckErr,
-					})
-				}
-			case capFailed:
-				skipped++
-			case s.err != nil && !isCtxErr(s.err):
-				failed++
-				noteErr(s.err)
-				res.Errors = append(res.Errors, CompareError{
-					Benchmark:   benchmarks[bi].Name,
-					Scheme:      specNames[si],
-					BenchIndex:  bi,
-					SchemeIndex: si,
-					Stage:       "measure",
-					Attempts:    s.attempts,
-					Err:         s.err,
-				})
-			default:
-				res.Cancelled++
-			}
-		}
-		// Per-workload ranking: completed schemes by ascending transition
-		// count, spec order breaking ties.
+	// Per-workload ranking: completed schemes by ascending transition
+	// count, spec order breaking ties.
+	for bi := range res.Rankings {
 		var rank []int
 		for si := 0; si < ns; si++ {
 			if res.Done[bi][si] {
@@ -553,31 +284,44 @@ func CompareMeasureCtx(ctx context.Context, benchmarks []Benchmark, specs []Sche
 		})
 		res.Rankings[bi] = rank
 	}
+	var memoHits, streamShared uint64
+	for _, t := range run.colTally {
+		memoHits += t.memo.hits
+		streamShared += uint64(t.streamShared)
+	}
 	c := &res.Counters
-	c.Add("compare_cells", uint64(nb*ns))
-	c.Add("compare_completed", uint64(res.Completed))
-	c.Add("compare_failed", uint64(failed))
-	c.Add("compare_skipped", uint64(skipped))
-	c.Add("compare_cancelled", uint64(res.Cancelled))
-	c.Add("compare_retries", uint64(retries))
-	c.Add("compare_panics", uint64(panics))
-	c.Add("compare_breaker_tripped", uint64(tripped))
-	c.Add("compare_grid_workers", uint64(gridPar))
-	c.Add("compare_inner_workers", uint64(inner))
+	run.addSupervision(c, "compare")
 	c.Add("compare_memo_hits", memoHits)
 	c.Add("compare_stream_shared", streamShared)
 	for si, sp := range specs {
+		t := run.colTally[si]
 		c.Add(fmt.Sprintf("compare_cells{scheme=%q}", sp.Name), uint64(nb))
-		c.Add(fmt.Sprintf("compare_completed{scheme=%q}", sp.Name), uint64(perScheme[si]))
-		c.Add(fmt.Sprintf("compare_memo_hits{scheme=%q}", sp.Name), perSchemeMemo[si])
-		c.Add(fmt.Sprintf("compare_stream_shared{scheme=%q}", sp.Name), perSchemeStream[si])
+		c.Add(fmt.Sprintf("compare_completed{scheme=%q}", sp.Name), uint64(t.completed))
+		c.Add(fmt.Sprintf("compare_memo_hits{scheme=%q}", sp.Name), t.memo.hits)
+		c.Add(fmt.Sprintf("compare_stream_shared{scheme=%q}", sp.Name), uint64(t.streamShared))
 	}
-	c.Add("checkpoint_restored", uint64(res.Restored))
-	c.Add("checkpoint_recorded", uint64(recorded))
-	c.Add("checkpoint_errors", uint64(ckErrs))
-	if cancelled {
-		done := res.Restored + res.Completed
-		return res, fmt.Errorf("imtrans: compare cancelled with %d/%d cells done: %w", done, nb*ns, ctx.Err())
+	run.addCheckpoint(c)
+	return res, run.interrupted("compare")
+}
+
+// schemeColumn is the grid column of a validated scheme spec. Paper
+// columns share block memos by memo signature, exactly as sweep columns
+// do; fleet columns share repeat outcomes with equal-label columns.
+func schemeColumn(sp SchemeSpec) gridColumn[SchemeMeasurement] {
+	sc, _ := scheme.Get(sp.Name)
+	params := sp.params()
+	share := gridShare{key: memoSig(sp.Config)}
+	if sp.Name != "paper" {
+		share = gridShare{key: sp.Label(), fleet: true}
 	}
-	return res, nil
+	return gridColumn[SchemeMeasurement]{
+		measure: func(ctx context.Context, w *scheme.Workload) (SchemeMeasurement, cellMemo, error) {
+			r, err := sc.Measure(ctx, w, params)
+			if err != nil {
+				return SchemeMeasurement{}, cellMemo{}, err
+			}
+			return schemeMeasurement(r), cellMemo{hits: r.MemoHits}, nil
+		},
+		share: share,
+	}
 }

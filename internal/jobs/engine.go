@@ -639,14 +639,6 @@ func classify(err error) *ErrorInfo {
 	}
 }
 
-// execute dispatches one job attempt to its kind's execution path.
-func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-	if sp.Kind == KindCompare {
-		return e.runCompare(ctx, sp, journalPath, progress)
-	}
-	return e.runSweep(ctx, sp, journalPath, progress)
-}
-
 // resolveBenchmarks maps the spec's benchmark refs to rescaled kernels.
 func resolveBenchmarks(refs []BenchmarkRef) ([]imtrans.Benchmark, []string, error) {
 	benches := make([]imtrans.Benchmark, len(refs))
@@ -662,76 +654,52 @@ func resolveBenchmarks(refs []BenchmarkRef) ([]imtrans.Benchmark, []string, erro
 	return benches, names, nil
 }
 
-// runSweep is the real execution path: the supervised, checkpointed,
-// cancellable sweep the synchronous /v1/measure path uses, pointed at the
-// job's journal.
-func (e *Engine) runSweep(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+// execute runs one job attempt: the supervised, checkpointed, cancellable
+// grid that POST /v1/measure (a sweep) or POST /v1/compare runs
+// synchronously, chosen by the spec's kind and pointed at the job's
+// journal.
+func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
 	benches, names, err := resolveBenchmarks(sp.Benchmarks)
 	if err != nil {
 		return nil, runStats{}, err
 	}
-	cfgs := sp.configs()
-	cfgNames := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		cfgNames[i] = c.String()
-	}
-	res, err := imtrans.SweepMeasureCtx(ctx, benches, cfgs, imtrans.SweepOptions{
+	opts := imtrans.SweepOptions{
 		Parallelism:    e.cfg.Parallelism,
 		Retry:          imtrans.RetryPolicy{MaxAttempts: sp.Retries, BaseDelay: 10 * time.Millisecond, Jitter: 0.5},
 		Checkpoint:     journalPath,
 		CheckpointSync: e.cfg.Fsync,
 		Progress:       progress,
-	})
-	if err != nil {
-		if res != nil {
-			return nil, runStats{restored: res.Restored, retries: int(res.Counters.Get("sweep_retries"))}, err
+	}
+	out := &Result{Benchmarks: names}
+	var rs runStats
+	if sp.Kind == KindCompare {
+		var res *imtrans.CompareResult
+		if res, err = imtrans.CompareMeasureCtx(ctx, benches, sp.schemeSpecs(), opts); res != nil {
+			rs = runStats{restored: res.Restored, retries: int(res.Counters.Get("compare_retries"))}
+			out.Schemes, out.Compare, out.Rankings, out.Done = res.Schemes, res.Results, res.Rankings, res.Done
+			for i := range res.Errors {
+				out.Errors = append(out.Errors, res.Errors[i].Error())
+			}
 		}
-		return nil, runStats{}, err
-	}
-	out := &Result{
-		Benchmarks:   names,
-		Configs:      cfgNames,
-		Measurements: res.Measurements,
-		Done:         res.Done,
-	}
-	for _, se := range res.Errors {
-		out.Errors = append(out.Errors, se.Error())
-	}
-	return out, runStats{restored: res.Restored, retries: int(res.Counters.Get("sweep_retries"))}, nil
-}
-
-// runCompare is the compare-kind execution path: the same supervised,
-// checkpointed cross-scheme sweep POST /v1/compare runs synchronously,
-// pointed at the job's journal.
-func (e *Engine) runCompare(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-	benches, names, err := resolveBenchmarks(sp.Benchmarks)
-	if err != nil {
-		return nil, runStats{}, err
-	}
-	res, err := imtrans.CompareMeasureCtx(ctx, benches, sp.schemeSpecs(), imtrans.SweepOptions{
-		Parallelism:    e.cfg.Parallelism,
-		Retry:          imtrans.RetryPolicy{MaxAttempts: sp.Retries, BaseDelay: 10 * time.Millisecond, Jitter: 0.5},
-		Checkpoint:     journalPath,
-		CheckpointSync: e.cfg.Fsync,
-		Progress:       progress,
-	})
-	if err != nil {
-		if res != nil {
-			return nil, runStats{restored: res.Restored, retries: int(res.Counters.Get("compare_retries"))}, err
+	} else {
+		cfgs := sp.configs()
+		var res *imtrans.SweepResult
+		if res, err = imtrans.SweepMeasureCtx(ctx, benches, cfgs, opts); res != nil {
+			rs = runStats{restored: res.Restored, retries: int(res.Counters.Get("sweep_retries"))}
+			out.Configs = make([]string, len(cfgs))
+			for i, c := range cfgs {
+				out.Configs[i] = c.String()
+			}
+			out.Measurements, out.Done = res.Measurements, res.Done
+			for i := range res.Errors {
+				out.Errors = append(out.Errors, res.Errors[i].Error())
+			}
 		}
-		return nil, runStats{}, err
 	}
-	out := &Result{
-		Benchmarks: names,
-		Schemes:    res.Schemes,
-		Compare:    res.Results,
-		Rankings:   res.Rankings,
-		Done:       res.Done,
+	if err != nil {
+		return nil, rs, err
 	}
-	for i := range res.Errors {
-		out.Errors = append(out.Errors, res.Errors[i].Error())
-	}
-	return out, runStats{restored: res.Restored, retries: int(res.Counters.Get("compare_retries"))}, nil
+	return out, rs, nil
 }
 
 func isCtxErr(err error) bool {

@@ -153,11 +153,10 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 		binary, picked uint64
 		diag           fleetDiag
 		derivedHit     bool
-		streamShared   bool
 		batch          = BatchReplay()
 	)
 	if batch {
-		st, shared := fleetStream(w)
+		st := fleetStream(w)
 		tab, hit := st.addrTablesFor(width)
 		c := &addrCoder{base: cap.Base, mask: widthMask(width), tab: tab}
 		d, err := runFleet(ctx, cap, c, w.FleetShared)
@@ -165,7 +164,7 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 			return nil, err
 		}
 		binary, picked = c.acc[0], c.acc[s.sel]
-		diag, derivedHit, streamShared = d, hit, shared
+		diag, derivedHit = d, hit
 	} else {
 		bus := baseline.NewAddrBus(width, 4)
 		if err := replayIndices(ctx, cap, func(idx int32) {
@@ -191,7 +190,7 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 		},
 	}
 	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
+		fleetFinish(r, diag, derivedHit)
 	} else {
 		r.finish()
 	}

@@ -172,14 +172,13 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 	}
 	cap := w.Cap
 	var (
-		data, inv    uint64
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
+		data, inv  uint64
+		diag       fleetDiag
+		derivedHit bool
+		batch      = BatchReplay()
 	)
 	if batch {
-		st, shared := fleetStream(w)
+		st := fleetStream(w)
 		tab, hit := st.biTablesFor(width)
 		c := &biCoder{words: cap.Words, mask: widthMask(width), width: int64(width), tab: tab}
 		d, err := runFleet(ctx, cap, c, w.FleetShared)
@@ -187,7 +186,7 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 			return nil, err
 		}
 		data, inv = c.acc[0], c.acc[1]
-		diag, derivedHit, streamShared = d, hit, shared
+		diag, derivedHit = d, hit
 	} else {
 		bi := baseline.NewBusInvert(width)
 		if err := replayWords(ctx, cap, func(word uint32) {
@@ -210,7 +209,7 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 		},
 	}
 	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
+		fleetFinish(r, diag, derivedHit)
 	} else {
 		r.finish()
 	}

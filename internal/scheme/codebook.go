@@ -241,16 +241,15 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 	}
 	cap := w.Cap
 	var (
-		entries      int
-		capped       bool
-		trans, hits  uint64
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
+		entries     int
+		capped      bool
+		trans, hits uint64
+		diag        fleetDiag
+		derivedHit  bool
+		batch       = BatchReplay()
 	)
 	if batch {
-		st, shared := fleetStream(w)
+		st := fleetStream(w)
 		tab, hit := st.cbTablesFor(p.Entries)
 		c := &cbCoder{t: tab}
 		d, err := runFleet(ctx, cap, c, w.FleetShared)
@@ -258,7 +257,7 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 			return nil, err
 		}
 		entries, capped, trans, hits = tab.entries, tab.capped, c.acc[0], c.acc[1]
-		diag, derivedHit, streamShared = d, hit, shared
+		diag, derivedHit = d, hit
 	} else {
 		ranked := rankWords(cap)
 		entries = p.Entries
@@ -326,7 +325,7 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 		},
 	}
 	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
+		fleetFinish(r, diag, derivedHit)
 	} else {
 		r.finish()
 	}

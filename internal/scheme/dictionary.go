@@ -155,15 +155,14 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 	}
 	cap := w.Cap
 	var (
-		trans, hits  uint64
-		dict         *baseline.Dictionary
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
+		trans, hits uint64
+		dict        *baseline.Dictionary
+		diag        fleetDiag
+		derivedHit  bool
+		batch       = BatchReplay()
 	)
 	if batch {
-		st, shared := fleetStream(w)
+		st := fleetStream(w)
 		tab, hit := st.dictTablesFor(entries)
 		c := &dictCoder{t: tab}
 		d, err := runFleet(ctx, cap, c, w.FleetShared)
@@ -171,7 +170,7 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 			return nil, err
 		}
 		trans, hits, dict = c.acc[0], c.acc[1], tab.dict
-		diag, derivedHit, streamShared = d, hit, shared
+		diag, derivedHit = d, hit
 	} else {
 		dict = baseline.BuildDictionary(cap.Words, cap.Profile, entries)
 		if err := replayWords(ctx, cap, func(word uint32) {
@@ -200,7 +199,7 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 		},
 	}
 	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
+		fleetFinish(r, diag, derivedHit)
 	} else {
 		r.finish()
 	}

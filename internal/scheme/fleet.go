@@ -354,21 +354,19 @@ func (e *fleetEngine) runRepeat(op *replay.Op) {
 }
 
 // fleetStream returns the workload's shared transition stream, building
-// a private one when the grid machinery did not attach one; shared
-// reports whether another measurement attached to the same stream first.
-func fleetStream(w *Workload) (st *Stream, shared bool) {
+// a private one when the grid machinery did not attach one.
+func fleetStream(w *Workload) *Stream {
 	if w.Stream != nil && w.Stream.cap == w.Cap {
-		return w.Stream, w.Stream.acquire()
+		return w.Stream
 	}
-	return NewStream(w.Cap), false
+	return NewStream(w.Cap)
 }
 
 // fleetFinish stamps the replay diagnostics onto a fleet result.
-func fleetFinish(r *Result, d fleetDiag, derivedHit, streamShared bool) {
+func fleetFinish(r *Result, d fleetDiag, derivedHit bool) {
 	r.MemoHits = d.ffIters + d.memoHits
 	if derivedHit {
 		r.MemoHits++
 	}
-	r.StreamShared = streamShared
 	r.finish()
 }

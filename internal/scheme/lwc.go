@@ -268,19 +268,18 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 	lines := 32 + extraLines
 	cap := w.Cap
 	var (
-		entries      int
-		capped       bool
-		trans        uint64
-		weightSum    uint64
-		maxWeight    uint64
-		escapes      uint64
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
+		entries    int
+		capped     bool
+		trans      uint64
+		weightSum  uint64
+		maxWeight  uint64
+		escapes    uint64
+		diag       fleetDiag
+		derivedHit bool
+		batch      = BatchReplay()
 	)
 	if batch {
-		st, shared := fleetStream(w)
+		st := fleetStream(w)
 		tab, hit := st.lwcTablesFor(p.Entries, lines)
 		if tab.err != nil {
 			return nil, tab.err
@@ -292,7 +291,7 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 		}
 		entries, capped = tab.entries, tab.capped
 		trans, weightSum, escapes, maxWeight = c.acc[0], c.acc[1], c.acc[2], c.peak
-		diag, derivedHit, streamShared = d, hit, shared
+		diag, derivedHit = d, hit
 	} else {
 		ranked := rankWords(cap)
 		entries = p.Entries
@@ -376,7 +375,7 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 		},
 	}
 	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
+		fleetFinish(r, diag, derivedHit)
 	} else {
 		r.finish()
 	}

@@ -100,13 +100,11 @@ type Result struct {
 	// code weights). Keys are stable per scheme.
 	Detail map[string]float64 `json:"detail,omitempty"`
 
-	// MemoHits and StreamShared are fleet replay-path diagnostics: loop
-	// iterations and repeat groups charged from a memo (plus derived
-	// tables served from the stream cache), and whether the measurement
-	// attached to an already-used shared stream. They feed the compare
-	// grid's counters and are deliberately excluded from the wire format.
-	MemoHits     uint64 `json:"-"`
-	StreamShared bool   `json:"-"`
+	// MemoHits is a fleet replay-path diagnostic: loop iterations and
+	// repeat groups charged from a memo, plus derived tables served from
+	// the stream cache. It feeds the compare grid's counters and is
+	// deliberately excluded from the wire format.
+	MemoHits uint64 `json:"-"`
 }
 
 // finish derives the reduction percentage and modelled energy savings

@@ -50,7 +50,6 @@ type Stream struct {
 	mu          sync.Mutex
 	derived     map[string]any
 	derivedHits atomic.Uint64
-	uses        atomic.Uint64
 }
 
 // NewStream materialises the transition-stream layer of a capture.
@@ -122,14 +121,6 @@ func (st *Stream) SpanCostMasked(lo, hi int32, mask uint32) uint64 {
 	}
 	return total
 }
-
-// acquire marks one measurement attaching to the stream and reports
-// whether another measurement attached before it — the signal behind the
-// compare grid's stream_shared counter.
-func (st *Stream) acquire() bool { return st.uses.Add(1) > 1 }
-
-// Uses reports how many measurements have attached to the stream.
-func (st *Stream) Uses() uint64 { return st.uses.Load() }
 
 // DerivedHits reports how many derived-table requests were served from
 // the cache instead of built.

@@ -3,7 +3,6 @@ package imtrans
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"imtrans/internal/baseline"
@@ -104,34 +103,21 @@ func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error,
 	if len(cfgs) == 0 {
 		cfgs = []Config{{}}
 	}
-	cap, err := captureProgram(p, setup, salt)
+	run, err := runGrid(ctx, &gridSpec[Measurement]{
+		rows:    1,
+		capture: func(int) (*replay.Capture, error) { return captureProgram(p, setup, salt) },
+		cols:    paperColumns(cfgs),
+	}, SweepOptions{Parallelism: core.Parallelism()})
 	if err != nil {
 		return nil, err
 	}
-	g := cap.Graph // built once at capture time, shared by every config
-	out := make([]Measurement, len(cfgs))
-	errs := make([]error, len(cfgs))
-	// Split the clamp between the two nesting levels: with several
-	// configurations in flight, each one's encoder narrows its bit-line
-	// fan-out so config-workers x encode-workers never exceeds the
-	// SetParallelism bound.
-	clamp := core.Parallelism()
-	workers := min(clamp, len(cfgs))
-	inner := max(1, clamp/workers)
-	stores := memoStores(cfgs)
-	runPoolCtx(ctx, workers, len(cfgs), func(i int) {
-		env := replayEnv{encWorkers: inner, shared: stores[i]}
-		out[i], _, errs[i] = replayOneCtx(ctx, cap, g, cfgs[i], env)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if run.ctxErr != nil {
+		return nil, run.ctxErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if len(run.errs) > 0 {
+		return nil, run.errs[0].err
 	}
-	return out, nil
+	return run.vals[0], nil
 }
 
 // SweepMeasure evaluates every (benchmark, configuration) pair of a grid,
@@ -152,48 +138,6 @@ func SweepMeasure(benchmarks []Benchmark, cfgs []Config, parallelism int) ([][]M
 		return nil, &res.Errors[0]
 	}
 	return res.Measurements, nil
-}
-
-// runPool runs f(0..n-1) over at most `workers` goroutines with strided
-// assignment. Each index is processed exactly once; callers that need
-// determinism write into index-addressed slots and resolve errors in
-// index order afterwards.
-func runPool(workers, n int, f func(i int)) {
-	runPoolCtx(context.Background(), workers, n, f)
-}
-
-// runPoolCtx is runPool with cooperative cancellation: once ctx is done,
-// workers stop picking up new indices. Indices already being processed
-// finish (or observe the context themselves); skipped indices keep their
-// zero-value slots, so callers must consult ctx.Err() before trusting
-// the output.
-func runPoolCtx(ctx context.Context, workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(first int) {
-			defer wg.Done()
-			for i := first; i < n; i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				f(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // captureProgram returns the (possibly cached) capture for a program,
@@ -273,78 +217,34 @@ func memoSig(c Config) string {
 	return string(b)
 }
 
-// memoStores groups a configuration list by memo signature and allocates
-// one shared MemoStore per group of two or more; singleton groups get nil
-// — there is nothing to share, so they skip the store locking entirely.
-func memoStores(cfgs []Config) []*replay.MemoStore {
-	groups := make(map[string][]int, len(cfgs))
+// paperColumns returns one paper-pipeline grid column per configuration;
+// columns with equal memo signatures share block-outcome memos.
+func paperColumns(cfgs []Config) []gridColumn[Measurement] {
+	cols := make([]gridColumn[Measurement], len(cfgs))
 	for i, c := range cfgs {
-		sig := memoSig(c)
-		groups[sig] = append(groups[sig], i)
-	}
-	out := make([]*replay.MemoStore, len(cfgs))
-	for _, idxs := range groups {
-		if len(idxs) < 2 {
-			continue
-		}
-		s := replay.NewMemoStore()
-		for _, i := range idxs {
-			out[i] = s
+		cols[i] = gridColumn[Measurement]{
+			measure: func(ctx context.Context, w *scheme.Workload) (Measurement, cellMemo, error) {
+				return replayOneCtx(ctx, w, c)
+			},
+			share: gridShare{key: memoSig(c)},
 		}
 	}
-	return out
+	return cols
 }
 
-// replayEnv is the per-worker execution environment of one replay cell:
-// the encoder's bit-line fan-out bound, the shared memo store of the
-// cell's signature group, and the worker's scratch arena. The zero value
-// is the standalone default — package-wide parallelism, no sharing,
-// pooled scratch.
-type replayEnv struct {
-	encWorkers  int
-	shared      *replay.MemoStore
-	arena       *measureArena
-	stream      *scheme.Stream    // per-benchmark shared transition stream
-	fleetShared *scheme.FleetMemo // equal-(scheme, spec) repeat-outcome store
-}
-
-// measureArena is one sweep worker's reusable scratch, carried across
-// every grid cell the worker measures.
-type measureArena struct {
-	enc core.Arena
-	rep replay.Scratch
-}
-
-// schemeWorkload packs a capture and a cell's execution environment into
-// the internal/scheme Workload every registered backend measures against.
-func schemeWorkload(cap *replay.Capture, env replayEnv) *scheme.Workload {
-	w := &scheme.Workload{
-		Cap:         cap,
-		Streaming:   StreamingReplay(),
-		EncWorkers:  env.encWorkers,
-		Shared:      env.shared,
-		Stream:      env.stream,
-		FleetShared: env.fleetShared,
-	}
-	if env.arena != nil {
-		w.EncArena = &env.arena.enc
-		w.Scratch = &env.arena.rep
-	}
-	return w
-}
-
-// replayOneCtx evaluates one configuration against a capture by running
-// the paper pipeline through internal/scheme — plan the encoding from the
-// cached profile, statically verify it, then replay the trace through a
-// fresh strict decoder. Cancellation is polled inside both the encoder's
-// bit-line pool and the replay fetch loop; a cancelled cell returns
-// ctx.Err() wrapped with the configuration. The replay.Result accompanies
-// the Measurement so sweeps can aggregate the memo diagnostics.
-func replayOneCtx(ctx context.Context, cap *replay.Capture, g *cfg.Graph, c Config, env replayEnv) (Measurement, replay.Result, error) {
-	out, err := scheme.MeasurePaper(ctx, schemeWorkload(cap, env), c.coreConfig())
+// replayOneCtx evaluates one configuration against a workload's capture
+// by running the paper pipeline through internal/scheme — plan the
+// encoding from the cached profile, statically verify it, then replay the
+// trace through a fresh strict decoder. Cancellation is polled inside both
+// the encoder's bit-line pool and the replay fetch loop; a cancelled cell
+// returns ctx.Err() wrapped with the configuration. The memo diagnostics
+// accompany the Measurement for the grid counters.
+func replayOneCtx(ctx context.Context, w *scheme.Workload, c Config) (Measurement, cellMemo, error) {
+	out, err := scheme.MeasurePaper(ctx, w, c.coreConfig())
 	if err != nil {
-		return Measurement{}, replay.Result{}, fmt.Errorf("imtrans: %v: %w", c, err)
+		return Measurement{}, cellMemo{}, fmt.Errorf("imtrans: %v: %w", c, err)
 	}
+	cap := w.Cap
 	enc, dec, res := out.Enc, out.Dec, out.Rep
 	m := Measurement{
 		Config:          c,
@@ -367,5 +267,5 @@ func replayOneCtx(ctx context.Context, cap *replay.Capture, g *cfg.Graph, c Conf
 	m.DictionaryPercent = power.Reduction(m.Baseline, m.Dictionary)
 	m.EnergySavedOnChipJ, _ = power.OnChip.Saved(m.Baseline, m.Encoded)
 	m.EnergySavedOffChipJ, _ = power.OffChip.Saved(m.Baseline, m.Encoded)
-	return m, res, nil
+	return m, cellMemo{blocks: res.MemoBlocks, shared: res.MemoShared, hits: res.MemoHits}, nil
 }

@@ -3,23 +3,13 @@ package imtrans
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"imtrans/internal/cfg"
-	"imtrans/internal/checkpoint"
-	"imtrans/internal/core"
-	"imtrans/internal/replay"
 	"imtrans/internal/runsafe"
 	"imtrans/internal/stats"
-	"imtrans/internal/wsq"
 )
 
 // RetryPolicy bounds the per-cell retry loop of a supervised sweep. The
@@ -173,50 +163,6 @@ func sweepGrid(benchmarks []Benchmark, cfgs []Config) (grid string, benchNames, 
 	return fmt.Sprintf("%x", h.Sum(nil)), benchNames, cfgNames
 }
 
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// runStealCtx runs f(worker, 0..n-1) over a work-stealing worker pool:
-// each worker owns a contiguous interval of the index space (neighbouring
-// grid cells share captures, chain tables and memo stores, so locality is
-// worth keeping) and steals the back half of the fullest remaining
-// interval once its own drains — skewed per-cell costs cannot strand a
-// core the way strided assignment can. Each index runs exactly once;
-// callers needing determinism write into index-addressed slots, the same
-// contract as runPoolCtx. The worker id is passed through so callers can
-// bind per-worker state such as scratch arenas.
-func runStealCtx(ctx context.Context, workers, n int, f func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			f(0, i)
-		}
-		return
-	}
-	q := wsq.New(n, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i, ok := q.Next(w)
-				if !ok {
-					return
-				}
-				f(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // SweepMeasureCtx evaluates every (benchmark, configuration) pair of a
 // grid under supervision: each capture and each cell runs with a
 // recover() guard, the retry policy, and the circuit breaker from opts,
@@ -238,288 +184,48 @@ func SweepMeasureCtx(ctx context.Context, benchmarks []Benchmark, cfgs []Config,
 	if len(cfgs) == 0 {
 		cfgs = []Config{{}}
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	run, err := runGrid(ctx, &gridSpec[Measurement]{
+		rows:     len(benchmarks),
+		capture:  benchCapture(benchmarks),
+		cols:     paperColumns(cfgs),
+		identity: func() (string, []string, []string) { return sweepGrid(benchmarks, cfgs) },
+	}, opts)
+	if err != nil {
+		return nil, err
 	}
-	nb, nc := len(benchmarks), len(cfgs)
-
-	type cellState struct {
-		m        Measurement
-		rr       replay.Result
-		wallNs   int64
-		done     bool
-		restored bool
-		err      error
-		attempts int
-		ckErr    error
-	}
-	cells := make([]cellState, nb*nc)
-
-	var journal *checkpoint.Journal
-	restored := 0
-	if opts.Checkpoint != "" {
-		grid, benchNames, cfgNames := sweepGrid(benchmarks, cfgs)
-		j, prev, err := checkpoint.Open(opts.Checkpoint, grid, benchNames, cfgNames)
-		if err != nil {
-			return nil, fmt.Errorf("imtrans: %w", err)
-		}
-		j.SetDurable(opts.CheckpointSync)
-		journal = j
-		for _, c := range prev {
-			s := &cells[c.Bench*nc+c.Config]
-			if err := json.Unmarshal(c.Payload, &s.m); err != nil {
-				return nil, fmt.Errorf("imtrans: checkpoint cell (%s, %s): %w",
-					benchNames[c.Bench], cfgNames[c.Config], err)
-			}
-			s.done, s.restored = true, true
-			restored++
-		}
-	}
-
-	var progressDone atomic.Int64
-	progressDone.Store(int64(restored))
-	if opts.Progress != nil {
-		opts.Progress(restored, nb*nc)
-	}
-
-	pol := opts.Retry.policy()
-	brk := runsafe.NewBreaker(opts.BreakerThreshold)
-
-	// Capture phase: one supervised profiling run per benchmark that still
-	// has pending cells. A benchmark restored entirely from the journal is
-	// not re-simulated.
-	type benchState struct {
-		cap      *replay.Capture
-		g        *cfg.Graph
-		err      error
-		attempts int
-	}
-	states := make([]benchState, nb)
-	pending := make([]bool, nb)
-	for bi := 0; bi < nb; bi++ {
-		for ci := 0; ci < nc; ci++ {
-			if !cells[bi*nc+ci].done {
-				pending[bi] = true
-				break
-			}
-		}
-	}
-	runPoolCtx(ctx, par, nb, func(bi int) {
-		if !pending[bi] {
-			return
-		}
-		b := benchmarks[bi]
-		states[bi].attempts, states[bi].err = runsafe.Do(ctx, pol, brk, func(context.Context) error {
-			p, err := b.Program()
-			if err != nil {
-				return err
-			}
-			cap, err := captureProgram(p, b.setup, b.captureSalt())
-			if err != nil {
-				return err
-			}
-			states[bi].cap, states[bi].g = cap, cap.Graph
-			return nil
-		})
-	})
-
-	// Measure phase: one supervised task per pending cell, distributed by
-	// a work-stealing queue so a few expensive cells cannot strand the
-	// other workers. Failures stay in the cell — the pool keeps draining
-	// the rest of the grid.
-	//
-	// The SetParallelism clamp is split across the two nesting levels:
-	// grid workers get min(requested, clamp) and each cell's encoder
-	// narrows its bit-line fan-out to the quotient, so grid-workers x
-	// encode-workers never exceeds the clamp. Wide grids therefore run
-	// one cell per core with serial encoders; narrow grids keep the
-	// encoder fan-out instead.
-	clamp := core.Parallelism()
-	gridPar := min(par, clamp, nb*nc)
-	if gridPar < 1 {
-		gridPar = 1
-	}
-	inner := max(1, clamp/gridPar)
-	// One scratch arena per worker (encode matrices + replay working
-	// set), reused across every cell the worker measures; one shared memo
-	// store per (benchmark, per-block signature) group with two or more
-	// configurations, so grid cells that encode blocks identically pay
-	// each block's first verified walk once.
-	arenas := make([]measureArena, gridPar)
-	stores := make([]*replay.MemoStore, nb*nc)
-	sigGroups := make(map[string][]int, nc)
-	for ci, c := range cfgs {
-		sig := memoSig(c)
-		sigGroups[sig] = append(sigGroups[sig], ci)
-	}
-	for _, idxs := range sigGroups {
-		if len(idxs) < 2 {
-			continue // nothing to share; skip the store locking entirely
-		}
-		for bi := 0; bi < nb; bi++ {
-			store := replay.NewMemoStore() // memos never cross programs
-			for _, ci := range idxs {
-				stores[bi*nc+ci] = store
-			}
-		}
-	}
-	runStealCtx(ctx, gridPar, nb*nc, func(worker, t int) {
-		bi, ci := t/nc, t%nc
-		s := &cells[t]
-		if s.done || !pending[bi] || states[bi].err != nil {
-			return
-		}
-		env := replayEnv{encWorkers: inner, shared: stores[t], arena: &arenas[worker]}
-		attempt := 0
-		s.attempts, s.err = runsafe.Do(ctx, pol, brk, func(tctx context.Context) error {
-			attempt++
-			if opts.FaultInject != nil {
-				if err := opts.FaultInject(bi, ci, attempt); err != nil {
-					return err
-				}
-			}
-			start := time.Now()
-			m, rr, err := replayOneCtx(tctx, states[bi].cap, states[bi].g, cfgs[ci], env)
-			if err != nil {
-				return err
-			}
-			s.m, s.rr = m, rr
-			s.wallNs = time.Since(start).Nanoseconds()
-			return nil
-		})
-		if s.err != nil {
-			return
-		}
-		s.done = true
-		if journal != nil {
-			payload, err := json.Marshal(s.m)
-			if err == nil {
-				err = journal.Record(bi, ci, payload)
-			}
-			s.ckErr = err
-		}
-		if opts.Progress != nil {
-			opts.Progress(int(progressDone.Add(1)), nb*nc)
-		}
-	})
-
-	// Assemble the result in grid order: deterministic error ordering and
-	// counters at any parallelism.
 	res := &SweepResult{
-		Measurements: make([][]Measurement, nb),
-		Done:         make([][]bool, nb),
-		CellNs:       make([][]int64, nb),
+		Measurements: run.vals,
+		Done:         run.done,
+		CellNs:       run.cellNs,
+		Restored:     run.restored,
+		Completed:    run.completed,
+		Cancelled:    run.cancelled,
 	}
-	cancelled := ctx.Err() != nil
-	var retries, panics, tripped, failed, skipped, recorded, ckErrs int
-	var memoBlocks, memoShared int
-	var memoHits uint64
-	noteErr := func(err error) {
-		var pe *runsafe.PanicError
-		if errors.As(err, &pe) {
-			panics++
+	for _, e := range run.errs {
+		se := SweepError{
+			Benchmark:   benchmarks[e.row].Name,
+			BenchIndex:  e.row,
+			ConfigIndex: e.col,
+			Stage:       e.stage,
+			Attempts:    e.attempts,
+			Err:         e.err,
 		}
-		if errors.Is(err, runsafe.ErrTripped) {
-			tripped++
+		if e.col >= 0 {
+			se.Config = cfgs[e.col]
 		}
+		res.Errors = append(res.Errors, se)
 	}
-	for bi := 0; bi < nb; bi++ {
-		res.Measurements[bi] = make([]Measurement, nc)
-		res.Done[bi] = make([]bool, nc)
-		res.CellNs[bi] = make([]int64, nc)
-		st := &states[bi]
-		if st.attempts > 1 {
-			retries += st.attempts - 1
-		}
-		capFailed := st.err != nil && !isCtxErr(st.err)
-		if capFailed {
-			noteErr(st.err)
-			res.Errors = append(res.Errors, SweepError{
-				Benchmark:   benchmarks[bi].Name,
-				BenchIndex:  bi,
-				ConfigIndex: -1,
-				Stage:       "capture",
-				Attempts:    st.attempts,
-				Err:         st.err,
-			})
-		}
-		for ci := 0; ci < nc; ci++ {
-			s := &cells[bi*nc+ci]
-			if s.attempts > 1 {
-				retries += s.attempts - 1
-			}
-			switch {
-			case s.done:
-				res.Measurements[bi][ci] = s.m
-				res.Done[bi][ci] = true
-				res.CellNs[bi][ci] = s.wallNs
-				if s.restored {
-					res.Restored++
-				} else {
-					res.Completed++
-					memoBlocks += s.rr.MemoBlocks
-					memoHits += s.rr.MemoHits
-					memoShared += s.rr.MemoShared
-					if journal != nil && s.ckErr == nil {
-						recorded++
-					}
-				}
-				if s.ckErr != nil {
-					ckErrs++
-					res.Errors = append(res.Errors, SweepError{
-						Benchmark:   benchmarks[bi].Name,
-						Config:      cfgs[ci],
-						BenchIndex:  bi,
-						ConfigIndex: ci,
-						Stage:       "checkpoint",
-						Attempts:    s.attempts,
-						Err:         s.ckErr,
-					})
-				}
-			case capFailed:
-				skipped++
-			case s.err != nil && !isCtxErr(s.err):
-				failed++
-				noteErr(s.err)
-				res.Errors = append(res.Errors, SweepError{
-					Benchmark:   benchmarks[bi].Name,
-					Config:      cfgs[ci],
-					BenchIndex:  bi,
-					ConfigIndex: ci,
-					Stage:       "measure",
-					Attempts:    s.attempts,
-					Err:         s.err,
-				})
-			default:
-				// No result, no recorded failure: the cell was abandoned
-				// mid-flight or never started because the context ended.
-				res.Cancelled++
-			}
-		}
+	var memo cellMemo
+	for _, t := range run.colTally {
+		memo.add(t.memo)
 	}
 	c := &res.Counters
-	c.Add("sweep_cells", uint64(nb*nc))
-	c.Add("sweep_completed", uint64(res.Completed))
-	c.Add("sweep_failed", uint64(failed))
-	c.Add("sweep_skipped", uint64(skipped))
-	c.Add("sweep_cancelled", uint64(res.Cancelled))
-	c.Add("sweep_retries", uint64(retries))
-	c.Add("sweep_panics", uint64(panics))
-	c.Add("sweep_breaker_tripped", uint64(tripped))
-	c.Add("sweep_grid_workers", uint64(gridPar))
-	c.Add("sweep_inner_workers", uint64(inner))
-	c.Add("replay_memo_blocks", uint64(memoBlocks))
-	c.Add("replay_memo_hits", memoHits)
-	c.Add("replay_memo_shared", uint64(memoShared))
-	c.Add("checkpoint_restored", uint64(res.Restored))
-	c.Add("checkpoint_recorded", uint64(recorded))
-	c.Add("checkpoint_errors", uint64(ckErrs))
-	if cancelled {
-		done := res.Restored + res.Completed
-		return res, fmt.Errorf("imtrans: sweep cancelled with %d/%d cells done: %w", done, nb*nc, ctx.Err())
-	}
-	return res, nil
+	run.addSupervision(c, "sweep")
+	c.Add("replay_memo_blocks", uint64(memo.blocks))
+	c.Add("replay_memo_hits", memo.hits)
+	c.Add("replay_memo_shared", uint64(memo.shared))
+	run.addCheckpoint(c)
+	return res, run.interrupted("sweep")
 }
 
 // SweepFaultPlan is a deterministic fault campaign against sweep workers:
