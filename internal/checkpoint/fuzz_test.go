@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -10,29 +13,37 @@ import (
 // bytes must produce an error or a fully validated checkpoint, never a
 // panic — the same property internal/objfile's loaders guarantee.
 func FuzzRead(f *testing.F) {
-	var buf bytes.Buffer
-	file := &File{
-		Grid:       "cafef00dcafef00d",
-		Benchmarks: []string{"mmul", "sor"},
-		Configs:    []string{"k=4 TT=16", "k=5 TT=16"},
-		Cells: []Cell{
-			{Bench: 0, Config: 0, Payload: json.RawMessage(`{"Encoded":123}`)},
-			{Bench: 1, Config: 1, Payload: json.RawMessage(`{"Encoded":456}`)},
-		},
-	}
-	file.Magic, file.Version = Magic, Version
-	file.Checksum = Checksum(file)
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(file); err != nil {
+	path := filepath.Join(f.TempDir(), "ck.jsonl")
+	j, _, err := Open(path, "cafef00dcafef00d", []string{"mmul", "sor"}, []string{"k=4 TT=16", "k=5 TT=16"})
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	for i, c := range [][2]int{{0, 0}, {1, 1}, {0, 1}} {
+		if err := j.Record(c[0], c[1], json.RawMessage(fmt.Sprintf(`{"Encoded":%d}`, 123+i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(valid, []byte{'\n'}) // header, 3 cells, ""
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	corrupt := append([]byte(nil), valid...)
-	corrupt[len(corrupt)/3] ^= 0x10
-	f.Add(corrupt)
-	f.Add([]byte(`{"magic":"imtrans-checkpoint","version":1,"grid":"x","benchmarks":["a"],"configs":["c"],"cells":[{"bench":9,"config":0,"measurement":{}}]}`))
+	f.Add(valid[:len(valid)-5]) // torn tail
+	flipped := append([]byte(nil), valid...)
+	flipped[len(lines[0])+len(lines[1])+len(lines[2])/2] ^= 0x10 // inside the middle cell line
+	f.Add(flipped)
+	f.Add(bytes.Join([][]byte{lines[0], lines[2], lines[1], lines[3]}, nil)) // spliced lines
+	f.Add([]byte(`{
+ "magic": "imtrans-checkpoint",
+ "version": 1,
+ "grid": "x",
+ "benchmarks": ["a"],
+ "configs": ["c"],
+ "cells": [{"bench": 0, "config": 0, "measurement": {}}],
+ "crc32": 0
+}
+`)) // a version-1 whole document
 	f.Add([]byte(`{"magic":"wrong"}`))
 	f.Add([]byte("{"))
 	f.Add([]byte("null"))

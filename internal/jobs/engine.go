@@ -40,8 +40,10 @@ type Config struct {
 	// it owes only the remaining cells.
 	DefaultDeadline time.Duration
 
-	// Fsync makes every record write and checkpoint snapshot power-fail
-	// durable (temp-file fsync + directory fsync around the rename).
+	// Fsync makes every record write and checkpoint append power-fail
+	// durable: records, results and a journal's creation fsync the temp
+	// file and the directory around the rename, and each journal append
+	// fsyncs the journal.
 	Fsync bool
 
 	// Counters receives the engine's telemetry (jobs_submitted_total,

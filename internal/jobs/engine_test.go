@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"imtrans/internal/checkpoint"
 	"imtrans/internal/runsafe"
 )
 
@@ -781,5 +783,109 @@ func TestRealSweepJobEndToEnd(t *testing.T) {
 	last := seen[len(seen)-1]
 	if last != 4 {
 		t.Fatalf("final progress = %d, want 4", last)
+	}
+}
+
+// TestResumeResetsUnreadableJournal plants a journal that fails
+// verification under a job whose record says running: the clean run's
+// journal with one byte of a middle line flipped, and the same cells as a
+// version-1 whole document. Boot recovery must remove the journal, count
+// the reset, and re-run the job from zero cells to a result byte-identical
+// to an uninterrupted run.
+func TestResumeResetsUnreadableJournal(t *testing.T) {
+	sp, err := ParseSpec([]byte(`{"benchmarks":[{"name":"mmul","n":16},{"name":"sor","n":12}],"configs":[{},{"block_size":4}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sp.ID()
+	clean := openTestEngine(t, Config{Parallelism: 2})
+	if _, _, err := clean.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, clean, id, StateDone)
+	wantPayload, _, err := clean.ResultBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(clean.journalPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := checkpoint.Load(clean.journalPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Cells) != 4 {
+		t.Fatalf("clean journal holds %d cells, want 4", len(ck.Cells))
+	}
+
+	corrupted := append([]byte(nil), journal...)
+	lines := bytes.SplitAfter(journal, []byte{'\n'})
+	corrupted[len(lines[0])+len(lines[1])+len(lines[2])/2] ^= 0x01
+	version1, err := json.MarshalIndent(map[string]any{
+		"magic": checkpoint.Magic, "version": 1, "grid": ck.Grid,
+		"benchmarks": ck.Benchmarks, "configs": ck.Configs, "cells": ck.Cells, "crc32": 0,
+	}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		planted []byte
+	}{{"corrupted", corrupted}, {"version-1", version1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := checkpoint.Read(bytes.NewReader(tc.planted)); err == nil {
+				t.Fatal("planted journal verifies")
+			}
+			// Leave the job running on disk, with no journal of its own.
+			dir := t.TempDir()
+			e, err := Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			running := make(chan struct{})
+			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+				close(running)
+				<-ctx.Done()
+				return nil, runStats{}, ctx.Err()
+			}
+			if _, _, err := e.Submit(sp); err != nil {
+				t.Fatal(err)
+			}
+			<-running
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := e.Stop(ctx); err != nil {
+				t.Fatal(err)
+			}
+			writeOver(t, e.journalPath(id), tc.planted)
+
+			e2 := openTestEngine(t, Config{Dir: dir, Parallelism: 2})
+			atStart := make(chan error, 1)
+			e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+				_, err := os.Stat(journalPath)
+				atStart <- err
+				return e2.execute(ctx, sp, journalPath, progress)
+			}
+			e2.Resume()
+			got := waitState(t, e2, id, StateDone)
+			if err := <-atStart; !os.IsNotExist(err) {
+				t.Fatalf("journal at the resumed run's start: stat err = %v, want it removed", err)
+			}
+			if n := e2.Counters().Get("job_journals_reset_total"); n != 1 {
+				t.Fatalf("job_journals_reset_total = %d, want 1", n)
+			}
+			if got.Resumes != 1 || got.Restored != 0 {
+				t.Fatalf("resumes = %d, restored = %d, want 1 and 0", got.Resumes, got.Restored)
+			}
+			gotPayload, _, err := e2.ResultBytes(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotPayload, wantPayload) {
+				t.Fatalf("result after the reset differs from the uninterrupted run:\nreset: %d bytes\nclean: %d bytes", len(gotPayload), len(wantPayload))
+			}
+		})
 	}
 }

@@ -54,16 +54,18 @@ type SweepOptions struct {
 	BreakerThreshold int
 
 	// Checkpoint names the journal file for checkpoint-resume: every
-	// completed cell is recorded atomically, and a journal left by an
-	// interrupted run restores its cells instead of re-measuring them.
+	// completed cell is appended as one checksummed line, and a journal
+	// left by an interrupted run restores its cells instead of
+	// re-measuring them.
 	// Empty disables journaling. A journal written for a different grid
 	// (other benchmarks, configs, or scales) is refused, never mixed in.
 	Checkpoint string
 
-	// CheckpointSync makes every journal snapshot power-fail durable: the
-	// temp file and the journal's directory are fsynced around the rename.
-	// Off by default so tests and interactive sweeps stay fast; the job
-	// engine turns it on for daemon-owned sweeps.
+	// CheckpointSync makes every journal append power-fail durable: each
+	// append is fsynced, and the first one also fsyncs the directory so
+	// the journal's creation (a temp file renamed into place) is durable
+	// too. Off by default so tests and interactive sweeps stay fast; the
+	// job engine turns it on for daemon-owned sweeps.
 	CheckpointSync bool
 
 	// Progress, when non-nil, is called with monotonically increasing
