@@ -178,11 +178,10 @@ func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasur
 //
 // Measure goes through the capture/replay engine: the benchmark is
 // simulated once per (kernel, scale) across the whole process and every
-// configuration is replayed from the cached fetch trace — streaming by
-// default, in memory proportional to the covered-block count rather
-// than the program (see SetStreamingReplay) — bit-identical to
-// MeasureProgram (see ReplayMeasure). Use SimulateMeasure to force the
-// two-run reference pipeline.
+// configuration is replayed from the cached fetch trace, in memory
+// proportional to the covered-block count rather than the program —
+// bit-identical to MeasureProgram (see ReplayMeasure). Use
+// SimulateMeasure to force the two-run reference pipeline.
 func (b Benchmark) Measure(cfgs ...Config) ([]Measurement, error) {
 	return b.MeasureCtx(context.Background(), cfgs...)
 }

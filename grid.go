@@ -246,10 +246,9 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		}
 	}
 
-	// One scratch arena per worker (encode matrices + replay working set),
-	// reused across every cell the worker measures.
-	arenas := make([]measureArena, gridPar)
-	streaming := StreamingReplay()
+	// One encoder arena per worker, reused across every cell the worker
+	// measures.
+	arenas := make([]core.Arena, gridPar)
 	runStealCtx(ctx, gridPar, nr*nc, func(worker, t int) {
 		ri, ci := t/nc, t%nc
 		s := &cells[t]
@@ -259,11 +258,9 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		col := &g.cols[ci]
 		w := &scheme.Workload{
 			Cap:         rows[ri].cap,
-			Streaming:   streaming,
 			EncWorkers:  inner,
 			Shared:      memos[t],
-			EncArena:    &arenas[worker].enc,
-			Scratch:     &arenas[worker].rep,
+			EncArena:    &arenas[worker],
 			FleetShared: fleetMemos[t],
 		}
 		if col.share.fleet {
@@ -425,13 +422,6 @@ func benchCapture(benchmarks []Benchmark) func(row int) (*replay.Capture, error)
 		}
 		return captureProgram(p, b.setup, b.captureSalt())
 	}
-}
-
-// measureArena is one grid worker's reusable scratch, carried across
-// every cell the worker measures.
-type measureArena struct {
-	enc core.Arena
-	rep replay.Scratch
 }
 
 func isCtxErr(err error) bool {

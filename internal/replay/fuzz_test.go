@@ -1,8 +1,14 @@
 package replay
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"imtrans/internal/code"
+	"imtrans/internal/core"
+	"imtrans/internal/transform"
 )
 
 // buildTrace compresses an index stream through the Builder, the same
@@ -126,6 +132,97 @@ func FuzzParseTrace(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tr, back) {
 			t.Fatal("canonical form unstable")
+		}
+	})
+}
+
+// loopBodyOps is the instruction pool fuzzed loop bodies draw from, in
+// order, wrapping around.
+var loopBodyOps = []string{
+	"addu $t2, $t2, $t1",
+	"sll  $t3, $t2, 1",
+	"xor  $t2, $t2, $t3",
+	"srl  $t3, $t2, 3",
+	"addu $t4, $t4, $t3",
+	"or   $t5, $t4, $t2",
+	"subu $t6, $t5, $t1",
+	"andi $t3, $t6, 255",
+}
+
+// loopSource renders a two-level loop nest: outer trips of an inner loop
+// of inner trips over a body of body instructions. With skip > 0 the body
+// opens with a forward branch that jumps over its next skip instructions
+// on even inner counts, so the fetch stream alternates between two paths.
+func loopSource(outer, inner, body, skip int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\tli $t0, %d\n\tli $t4, 0\nouter:\n\tli $t1, %d\n\tli $t2, 1\ninner:\n", outer, inner)
+	if skip > 0 {
+		b.WriteString("\tandi $t7, $t1, 1\n\tbeq  $t7, $zero, skip\n")
+	}
+	for i := 0; i < body; i++ {
+		if skip > 0 && i == skip {
+			b.WriteString("skip:\n")
+		}
+		fmt.Fprintf(&b, "\t%s\n", loopBodyOps[i%len(loopBodyOps)])
+	}
+	if skip == body {
+		b.WriteString("skip:\n")
+	}
+	b.WriteString("\taddiu $t1, $t1, -1\n\tbgtz $t1, inner\n\taddiu $t0, $t0, -1\n\tbgtz $t0, outer\n\tli $v0, 10\n\tsyscall\n")
+	return b.String()
+}
+
+// FuzzReplayMatchesNaive replays small generated loop programs under
+// generated encoder configurations and requires MeasureOpts — alone and
+// through a MemoStore shared with a same-signature sibling configuration
+// — to match the per-fetch walk in total and per line. The arguments pick
+// the loop trip counts, the body length and an optional forward branch
+// over part of the body, then the block size k (2..8), the TT and BBIT
+// capacities (1..16 each), and flag bits for all 16 functions, exact
+// chaining and knapsack selection.
+func FuzzReplayMatchesNaive(f *testing.F) {
+	f.Add(uint8(3), uint8(20), uint8(7), uint8(0), uint8(3), uint8(0xff), uint8(0))
+	f.Add(uint8(2), uint8(9), uint8(12), uint8(4), uint8(2), uint8(0x33), uint8(7))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add(uint8(4), uint8(37), uint8(15), uint8(15), uint8(6), uint8(0x0f), uint8(6))
+	f.Add(uint8(5), uint8(3), uint8(5), uint8(2), uint8(1), uint8(0xf0), uint8(2))
+	f.Fuzz(func(t *testing.T, outer, inner, body, skip, k, capacity, flags uint8) {
+		nBody := 1 + int(body%16)
+		src := loopSource(1+int(outer%6), 1+int(inner%40), nBody, int(skip)%(nBody+1))
+		cp := captureSource(t, src)
+		cfg := core.Config{
+			BlockSize:   2 + int(k%7),
+			TTEntries:   1 + int(capacity&15),
+			BBITEntries: 1 + int(capacity>>4),
+		}
+		if flags&1 != 0 {
+			cfg.Funcs = transform.Preferred()
+		}
+		if flags&2 != 0 {
+			cfg.Strategy = code.Exact
+		}
+		if flags&4 != 0 {
+			cfg.Selection = core.Knapsack
+		}
+		// The sibling shares cfg's per-block signature but not its
+		// capacities or selection policy, so its memos are valid for cfg.
+		sibling := cfg
+		sibling.TTEntries, sibling.BBITEntries = 0, 0
+		sibling.Selection = core.Knapsack
+		if cfg.Selection == core.Knapsack {
+			sibling.Selection = core.HeatGreedy
+		}
+		store := NewMemoStore()
+		for _, c := range []core.Config{sibling, cfg} {
+			want := naiveMeasure(t, cp, c)
+			if got := measureWith(t, cp, c, Options{}); !sameTotals(got, want) {
+				t.Fatalf("config %+v: replay %d %v != naive %d %v\n%s",
+					c, got.Encoded, got.PerLineEncoded, want.Encoded, want.PerLineEncoded, src)
+			}
+			if got := measureWith(t, cp, c, Options{Shared: store}); !sameTotals(got, want) {
+				t.Fatalf("config %+v: shared-store replay %d %v != naive %d %v\n%s",
+					c, got.Encoded, got.PerLineEncoded, want.Encoded, want.PerLineEncoded, src)
+			}
 		}
 	})
 }

@@ -7,27 +7,26 @@ import (
 	"imtrans/internal/core"
 )
 
-// covSpan is one covered block's image-index range [start, start+words) in
-// the streaming coverage table.
+// covSpan is one covered block in the coverage table: its image-index
+// range [start, start+words) and, once recorded or adopted, its memo.
 type covSpan struct {
 	start, words int32
+	memo         *blockMemo
 }
 
-// streamScratch is the streaming-mode working set: the sorted span table
-// and the block-memo map, both sized by the covered-block count, never by
-// the image or the trace. Pooled (or arena-owned) so warm streaming
-// replays allocate nothing for coverage.
+// streamScratch is a replay's working set: the sorted span table, sized
+// by the covered-block count, never by the image or the trace. Pooled so
+// warm replays allocate nothing for coverage.
 type streamScratch struct {
 	spans []covSpan
-	memo  map[int32]*blockMemo
 }
 
 var streamPool = sync.Pool{New: func() any { return new(streamScratch) }}
 
-// buildSpans derives the streaming coverage table from the encoding
-// plans: one sorted span per covered block. This is the whole image model
-// in streaming mode — O(covered blocks) state standing in for the O(image
-// words) kind/nextCov/prefix arrays of the materialised path.
+// buildSpans derives the coverage table from the encoding plans: one
+// sorted span per covered block, with no memo yet. This is the whole
+// image model — O(covered blocks) state, whatever the size of the image
+// or the length of the trace.
 func (r *replayer) buildSpans(ss *streamScratch, enc *core.Encoding) {
 	if cap(ss.spans) < len(enc.Plans) {
 		ss.spans = make([]covSpan, 0, len(enc.Plans))
@@ -41,12 +40,37 @@ func (r *replayer) buildSpans(ss *streamScratch, enc *core.Encoding) {
 	slices.SortFunc(spans, func(a, b covSpan) int { return int(a.start) - int(b.start) })
 	ss.spans = spans
 	r.spans = spans
-	if ss.memo == nil {
-		ss.memo = make(map[int32]*blockMemo, len(enc.Plans))
-	} else {
-		clear(ss.memo) // stale memos belong to another encoding
+}
+
+// kindAt classifies an image index: 1 for a covered-block start, 2 for a
+// covered interior, 0 for uncovered text.
+func (r *replayer) kindAt(idx int32) uint8 {
+	if s := r.spanSeek(idx); s < len(r.spans) && r.spans[s].start <= idx {
+		if idx == r.spans[s].start {
+			return 1
+		}
+		return 2
 	}
-	r.memoM = ss.memo
+	return 0
+}
+
+// blockWords returns the word count of the covered block starting at idx;
+// valid only where kindAt(idx) == 1.
+func (r *replayer) blockWords(idx int32) int32 {
+	return r.spans[r.spanSeek(idx)].words
+}
+
+// nextCovered returns the smallest covered index at or after idx, or the
+// image length when none follows.
+func (r *replayer) nextCovered(idx int32) int32 {
+	s := r.spanSeek(idx)
+	if s == len(r.spans) {
+		return int32(len(r.encW))
+	}
+	if r.spans[s].start <= idx {
+		return idx
+	}
+	return r.spans[s].start
 }
 
 // spanSeek returns the smallest span index s such that spans[s] ends past

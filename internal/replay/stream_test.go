@@ -3,6 +3,7 @@ package replay
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"imtrans/internal/core"
 	"imtrans/internal/cpu"
 	"imtrans/internal/hw"
+	"imtrans/internal/trace"
 	"imtrans/internal/transform"
 )
 
@@ -42,7 +44,7 @@ inner:
 // captureSource assembles and runs src, returning a replay capture of its
 // fetch stream — the internal-package equivalent of the facade's capture
 // path, without the baseline comparators.
-func captureSource(t *testing.T, src string) *Capture {
+func captureSource(t testing.TB, src string) *Capture {
 	t.Helper()
 	obj, err := asm.Assemble(src)
 	if err != nil {
@@ -71,31 +73,81 @@ func captureSource(t *testing.T, src string) *Capture {
 	}
 }
 
-// measureWith encodes cp under cfg and replays it with the given options
-// on a fresh strict decoder.
-func measureWith(t *testing.T, cp *Capture, cfg core.Config, opts Options) Result {
+// encodeFor plans cp's encoding under cfg.
+func encodeFor(t testing.TB, cp *Capture, cfg core.Config) *core.Encoding {
 	t.Helper()
 	enc, err := core.Encode(cp.Graph, cp.Profile, cfg)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
+	return enc
+}
+
+// strictDecoder builds the fresh strict decoder a replay drives.
+func strictDecoder(t testing.TB, enc *core.Encoding) *hw.Decoder {
+	t.Helper()
 	dec, err := hw.NewDecoder(enc)
 	if err != nil {
 		t.Fatalf("decoder: %v", err)
 	}
 	dec.Strict = true
-	res, err := MeasureOpts(nil, cp, enc, dec, opts)
+	return dec
+}
+
+// measureWith encodes cp under cfg and replays it with the given options
+// on a fresh strict decoder.
+func measureWith(t testing.TB, cp *Capture, cfg core.Config, opts Options) Result {
+	t.Helper()
+	enc := encodeFor(t, cp, cfg)
+	res, err := MeasureOpts(nil, cp, enc, strictDecoder(t, enc), opts)
 	if err != nil {
 		t.Fatalf("measure: %v", err)
 	}
 	return res
 }
 
-// TestStreamingMatchesMaterialised checks the streaming path is
-// bit-identical to the materialised reference — totals, per-line counts
-// and even the memo diagnostics, since both modes make the same coverage
-// and memo decisions.
-func TestStreamingMatchesMaterialised(t *testing.T) {
+// naiveMeasure is the per-fetch reference for MeasureOpts. It expands the
+// trace and drives a fresh strict decoder on every fetched index, checks
+// every restored word, and sums the XOR popcounts of the encoded bus in
+// total and per line. It has no coverage table, no memo and no
+// fast-forward, so each replay shortcut is checked against plain
+// iteration.
+func naiveMeasure(t testing.TB, cp *Capture, cfg core.Config) Result {
+	t.Helper()
+	enc := encodeFor(t, cp, cfg)
+	dec := strictDecoder(t, enc)
+	bus := trace.NewBus(32)
+	var err error
+	cp.Trace.Indices(func(idx int32) {
+		if err != nil {
+			return
+		}
+		w := enc.EncodedWords[idx]
+		bus.Transfer(w)
+		pc := cp.Base + uint32(idx)<<2
+		var restored uint32
+		if restored, err = dec.OnFetch(pc, w); err == nil && restored != cp.Words[idx] {
+			err = fmt.Errorf("decoder restored %#08x at pc %#x, want %#08x", restored, pc, cp.Words[idx])
+		}
+	})
+	if err != nil {
+		t.Fatalf("naive walk: %v", err)
+	}
+	return Result{Encoded: bus.Total(), PerLineEncoded: bus.PerLine()}
+}
+
+// sameTotals reports whether two results agree on the measured totals;
+// the memo diagnostics are not part of the measurement.
+func sameTotals(a, b Result) bool {
+	return a.Encoded == b.Encoded && reflect.DeepEqual(a.PerLineEncoded, b.PerLineEncoded)
+}
+
+// TestReplayMatchesNaive checks the replay against the per-fetch walk,
+// total and per line, under configurations that vary block size, table
+// capacity, selection and the function set. Each configuration must also
+// record and serve block memos, so the memo paths are part of what is
+// checked.
+func TestReplayMatchesNaive(t *testing.T) {
 	cp := captureSource(t, streamLoopSrc)
 	cfgs := []core.Config{
 		{},
@@ -106,44 +158,41 @@ func TestStreamingMatchesMaterialised(t *testing.T) {
 		{Funcs: transform.Canonical8[:4]},
 	}
 	for _, cfg := range cfgs {
-		want := measureWith(t, cp, cfg, Options{})
-		got := measureWith(t, cp, cfg, Options{Streaming: true})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("config %+v: streaming %+v != materialised %+v", cfg, got, want)
+		want := naiveMeasure(t, cp, cfg)
+		got := measureWith(t, cp, cfg, Options{})
+		if !sameTotals(got, want) {
+			t.Errorf("config %+v: replay %d %v != naive %d %v",
+				cfg, got.Encoded, got.PerLineEncoded, want.Encoded, want.PerLineEncoded)
 		}
-		if want.MemoBlocks == 0 || want.MemoHits == 0 {
+		if got.MemoBlocks == 0 || got.MemoHits == 0 {
 			t.Errorf("config %+v: memo idle (blocks %d, hits %d); test is not exercising the memo paths",
-				cfg, want.MemoBlocks, want.MemoHits)
+				cfg, got.MemoBlocks, got.MemoHits)
 		}
 	}
 }
 
-// TestStreamingStateIsBlockBounded whitebox-checks the streaming working
-// set: the arena must hold per-block state only, never the per-word
-// arrays of the materialised path.
+// TestStreamingStateIsBlockBounded whitebox-checks the replay working
+// set: the span table holds one entry per covered block, never more, and
+// every memo the replay recorded sits in its block's span.
 func TestStreamingStateIsBlockBounded(t *testing.T) {
 	cp := captureSource(t, streamLoopSrc)
-	enc, err := core.Encode(cp.Graph, cp.Profile, core.Config{})
+	enc := encodeFor(t, cp, core.Config{})
+	ss := new(streamScratch)
+	res, err := measure(nil, cp, enc, strictDecoder(t, enc), Options{}, ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := hw.NewDecoder(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec.Strict = true
-	arena := NewScratch()
-	if _, err := MeasureOpts(nil, cp, enc, dec, Options{Streaming: true, Scratch: arena}); err != nil {
-		t.Fatal(err)
-	}
-	if arena.m.prefix != nil || arena.m.kind != nil || arena.m.nextCov != nil {
-		t.Error("streaming measure materialised per-word arrays")
-	}
-	if got, max := cap(arena.s.spans), len(enc.Plans); got > max {
+	if got, max := cap(ss.spans), len(enc.Plans); got > max {
 		t.Errorf("span table capacity %d exceeds covered-block count %d", got, max)
 	}
-	if got, max := len(arena.s.memo), len(enc.Plans); got > max {
-		t.Errorf("memo map holds %d entries, more than the %d covered blocks", got, max)
+	memos := 0
+	for _, sp := range ss.spans {
+		if sp.memo != nil {
+			memos++
+		}
+	}
+	if memos == 0 || memos != res.MemoBlocks {
+		t.Errorf("span table holds %d memos, replay recorded %d", memos, res.MemoBlocks)
 	}
 }
 
@@ -163,10 +212,9 @@ func TestMemoStoreSharing(t *testing.T) {
 	store := NewMemoStore()
 	var recorded, adopted int
 	for i, cfg := range cfgs {
-		solo := measureWith(t, cp, cfg, Options{Streaming: true})
-		shared := measureWith(t, cp, cfg, Options{Streaming: true, Shared: store})
-		if solo.Encoded != shared.Encoded ||
-			!reflect.DeepEqual(solo.PerLineEncoded, shared.PerLineEncoded) {
+		solo := measureWith(t, cp, cfg, Options{})
+		shared := measureWith(t, cp, cfg, Options{Shared: store})
+		if !sameTotals(solo, shared) {
 			t.Fatalf("config %d: shared-store totals diverge: %d != %d", i, shared.Encoded, solo.Encoded)
 		}
 		recorded += shared.MemoBlocks
@@ -190,10 +238,10 @@ func TestMemoStoreSharing(t *testing.T) {
 
 // TestMemoStoreConcurrent races many measures of the same signature group
 // against one store; -race proves the publication protocol, equality
-// proves results stay exact under interleaving.
+// with the per-fetch walk proves results stay exact under interleaving.
 func TestMemoStoreConcurrent(t *testing.T) {
 	cp := captureSource(t, streamLoopSrc)
-	want := measureWith(t, cp, core.Config{}, Options{})
+	want := naiveMeasure(t, cp, core.Config{})
 	store := NewMemoStore()
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -213,13 +261,13 @@ func TestMemoStoreConcurrent(t *testing.T) {
 				return
 			}
 			dec.Strict = true
-			res, err := MeasureOpts(nil, cp, enc, dec, Options{Streaming: g%2 == 0, Shared: store})
+			res, err := MeasureOpts(nil, cp, enc, dec, Options{Shared: store})
 			if err != nil {
 				errs[g] = err
 				return
 			}
-			if res.Encoded != want.Encoded {
-				errs[g] = &mismatchError{got: res.Encoded, want: want.Encoded}
+			if !sameTotals(res, want) {
+				errs[g] = fmt.Errorf("total %d, want %d", res.Encoded, want.Encoded)
 			}
 		}(g)
 	}
@@ -230,10 +278,6 @@ func TestMemoStoreConcurrent(t *testing.T) {
 		}
 	}
 }
-
-type mismatchError struct{ got, want uint64 }
-
-func (e *mismatchError) Error() string { return "total mismatch" }
 
 // countdownCtx counts Err() polls and reports cancellation from the
 // fire-th poll on — a deterministic probe for the replay loops' poll
@@ -251,49 +295,32 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestCancellationPollParity pins the cancellation contract of both
-// replay engines. The poll schedule — one context check per trace op
-// plus one every CancelCheckStride fetch steps inside runs — must be
-// identical in streaming and materialised mode (they make the same
-// stepping and memo decisions), and a context that fires at a mid-replay
-// poll must abort both with ctx.Err().
+// TestCancellationPollParity pins the replay's cancellation contract:
+// the context is polled once per trace op plus once every
+// CancelCheckStride fetch steps inside runs, so a trace of this size is
+// polled more than once, and a context that fires at a mid-replay poll
+// aborts the replay with ctx.Err().
 func TestCancellationPollParity(t *testing.T) {
 	cp := captureSource(t, streamLoopSrc)
-	measure := func(ctx context.Context, streaming bool) error {
-		enc, err := core.Encode(cp.Graph, cp.Profile, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := hw.NewDecoder(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec.Strict = true
-		_, err = MeasureOpts(ctx, cp, enc, dec, Options{Streaming: streaming})
+	run := func(ctx context.Context) error {
+		enc := encodeFor(t, cp, core.Config{})
+		_, err := MeasureOpts(ctx, cp, enc, strictDecoder(t, enc), Options{})
 		return err
 	}
 
-	polls := make([]int64, 2)
-	for i, streaming := range []bool{false, true} {
-		ctr := &countdownCtx{Context: context.Background()}
-		if err := measure(ctr, streaming); err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
-		}
-		polls[i] = ctr.polls.Load()
+	ctr := &countdownCtx{Context: context.Background()}
+	if err := run(ctr); err != nil {
+		t.Fatal(err)
 	}
-	if polls[0] != polls[1] {
-		t.Errorf("poll schedules diverge: materialised polled %d times, streaming %d", polls[0], polls[1])
-	}
-	if polls[0] < 2 {
-		t.Fatalf("only %d polls over the whole trace; mid-replay cancellation has no coverage", polls[0])
+	polls := ctr.polls.Load()
+	if polls < 2 {
+		t.Fatalf("only %d polls over the whole trace; mid-replay cancellation has no coverage", polls)
 	}
 
-	// Fire at a poll in the middle of the replay: both engines must stop
+	// Fire at a poll in the middle of the replay: the replay must stop
 	// there and surface the context error.
-	for _, streaming := range []bool{false, true} {
-		ctr := &countdownCtx{Context: context.Background(), fire: polls[0] / 2}
-		if err := measure(ctr, streaming); !errors.Is(err, context.Canceled) {
-			t.Errorf("streaming=%v: mid-replay cancellation returned %v, want context.Canceled", streaming, err)
-		}
+	ctr = &countdownCtx{Context: context.Background(), fire: polls / 2}
+	if err := run(ctr); !errors.Is(err, context.Canceled) {
+		t.Errorf("mid-replay cancellation returned %v, want context.Canceled", err)
 	}
 }

@@ -367,6 +367,9 @@ func TestFleetFastForward(t *testing.T) {
 // measurement's allocation count must not grow with trace length — the
 // engine walks ops, never per-fetch heap state. The long trace repeats
 // the short trace's loop 100x more, so equal counts prove independence.
+// Under -race the measurements still run but the counts are not compared:
+// sync.Pool there drops items at random, and the fmt.Sprintf behind each
+// scheme's Spec draws from such a pool.
 func TestFleetWarmAllocsTraceIndependent(t *testing.T) {
 	build := func(iters int) *replay.Capture {
 		const n = 256
@@ -411,6 +414,10 @@ func TestFleetWarmAllocsTraceIndependent(t *testing.T) {
 				})
 			}
 			a, b := allocsOn(short), allocsOn(long)
+			if raceEnabled {
+				t.Logf("race build: %.0f (short) vs %.0f (100x trace) allocs not compared", a, b)
+				return
+			}
 			if a != b {
 				t.Errorf("allocs grew with trace length: %.0f (short) vs %.0f (100x trace)", a, b)
 			}

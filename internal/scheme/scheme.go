@@ -51,17 +51,20 @@ type Knob struct {
 }
 
 // Workload is one captured benchmark plus the execution environment a
-// measurement runs in: the streaming switch, the encoder fan-out bound,
-// and the optional shared memo store and scratch arenas the sweep
-// machinery threads through. Only the paper scheme uses the environment
-// fields; trace-replay schemes read just the capture.
+// measurement runs in: the encoder fan-out bound, and the optional shared
+// memo store and encoder arena the sweep machinery threads through. Only
+// the paper scheme uses the environment fields; trace-replay schemes read
+// just the capture.
 type Workload struct {
-	Cap        *replay.Capture
-	Streaming  bool
+	Cap *replay.Capture
+
+	// Deprecated: Streaming is ignored. The paper replay has one image
+	// model; the field stays for source compatibility.
+	Streaming bool
+
 	EncWorkers int
 	Shared     *replay.MemoStore
 	EncArena   *core.Arena
-	Scratch    *replay.Scratch
 
 	// Stream is the capture's shared transition stream. Grid machinery
 	// materialises it once per benchmark and attaches it to every fleet

@@ -3,7 +3,6 @@ package imtrans
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"imtrans/internal/baseline"
 	"imtrans/internal/cfg"
@@ -14,30 +13,17 @@ import (
 	"imtrans/internal/trace"
 )
 
-// streamingReplay selects the replay engine's image model. On (the
-// default), replays hold O(covered blocks) state and drive the decoder
-// straight off the compressed trace; off restores the materialised
-// per-word reference path, kept as the differential oracle.
-var streamingReplay atomic.Bool
-
-func init() { streamingReplay.Store(true) }
-
-// SetStreamingReplay switches the replay engine between the streaming
-// image model (on, the default: per-measure state proportional to the
-// covered-block count, so a 100x larger program replays in the same
-// memory) and the materialised per-word reference model (off), returning
-// the previous setting. Measurements are bit-identical in both modes;
-// only memory footprint and wall time change.
-func SetStreamingReplay(on bool) bool { return streamingReplay.Swap(on) }
-
 // StreamingReplay reports whether the streaming replay model is active.
-func StreamingReplay() bool { return streamingReplay.Load() }
+//
+// Deprecated: the streaming image model is the only replay model, so
+// StreamingReplay always returns true.
+func StreamingReplay() bool { return true }
 
 // SetFleetBatchReplay switches the related-work scheme fleet between the
 // word-parallel batch kernels over the shared transition stream (on, the
 // default) and the per-word reference coders (off), returning the
-// previous setting — the fleet counterpart of SetStreamingReplay.
-// Measurements are bit-identical in both modes; only wall time changes.
+// previous setting. Measurements are bit-identical in both modes; only
+// wall time changes.
 func SetFleetBatchReplay(on bool) bool { return scheme.SetBatchReplay(on) }
 
 // FleetBatchReplay reports whether the fleet batch kernels are active.

@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestReplayMemoExercised(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec.Strict = true
-		res, err := replay.Measure(cap, enc, dec)
+		res, err := replay.MeasureOpts(context.Background(), cap, enc, dec, replay.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,52 +2,10 @@ package imtrans
 
 import (
 	"context"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
 )
-
-// withReplayMode runs f with the streaming-replay switch forced to on,
-// restoring the previous mode afterwards.
-func withReplayMode(t *testing.T, streaming bool, f func()) {
-	t.Helper()
-	prev := SetStreamingReplay(streaming)
-	defer SetStreamingReplay(prev)
-	f()
-}
-
-// TestStreamingMatchesMaterialisedFacade is the facade-level differential
-// oracle: for every paper kernel and every configuration variant, the
-// streaming replay engine must produce Measurements identical — every
-// field, bit for bit — to the materialised per-word reference path.
-func TestStreamingMatchesMaterialisedFacade(t *testing.T) {
-	for _, b := range Benchmarks() {
-		b := testScale(b)
-		t.Run(b.Name, func(t *testing.T) {
-			var ref, got []Measurement
-			var err error
-			withReplayMode(t, false, func() {
-				ref, err = b.Measure(replayTestConfigs...)
-			})
-			if err != nil {
-				t.Fatalf("materialised Measure: %v", err)
-			}
-			withReplayMode(t, true, func() {
-				got, err = b.Measure(replayTestConfigs...)
-			})
-			if err != nil {
-				t.Fatalf("streaming Measure: %v", err)
-			}
-			for i := range ref {
-				if !reflect.DeepEqual(ref[i], got[i]) {
-					t.Errorf("config %v: streaming differs from materialised\nmaterialised: %+v\nstreaming:    %+v",
-						replayTestConfigs[i], ref[i], got[i])
-				}
-			}
-		})
-	}
-}
 
 // TestSweepWorkerClamp pins the two-level parallelism contract: the
 // sweep's grid fan-out times each cell's encoder fan-out never exceeds
@@ -181,82 +139,5 @@ func TestStreamingReplayWarmAllocs(t *testing.T) {
 	// absorb pool misses under GC pressure.
 	if math.Abs(a1-a2) > 2 {
 		t.Errorf("warm streaming allocs scale with trace length: %.0f at iters=4, %.0f at iters=40", a1, a2)
-	}
-}
-
-// TestStreamingSweepFaultParity runs one fault campaign through both
-// replay engines and requires the supervision outcome — every isolated
-// SweepError, the completion grid and the surviving measurements — to be
-// identical. The streaming engine must not change what fails, how often
-// it is retried, or what the rest of the grid reports.
-func TestStreamingSweepFaultParity(t *testing.T) {
-	benches := []Benchmark{testScale(mustBench(t, "tri")), testScale(mustBench(t, "sor"))}
-	cfgs := []Config{{BlockSize: 5}, {BlockSize: 6}}
-	plan := SweepFaultPlan{
-		PanicCells: [][2]int{{0, 0}},
-		ErrorCells: [][2]int{{1, 1}},
-	}
-	opts := SweepOptions{
-		Parallelism: 1,
-		Retry:       RetryPolicy{MaxAttempts: 2},
-		FaultInject: plan.Injector(),
-	}
-	run := func(streaming bool) *SweepResult {
-		var res *SweepResult
-		var err error
-		withReplayMode(t, streaming, func() {
-			res, err = SweepMeasureCtx(context.Background(), benches, cfgs, opts)
-		})
-		if err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
-		}
-		return res
-	}
-	mat := run(false)
-	str := run(true)
-
-	if len(mat.Errors) != 2 || len(str.Errors) != len(mat.Errors) {
-		t.Fatalf("error counts differ: materialised %d, streaming %d (want 2)",
-			len(mat.Errors), len(str.Errors))
-	}
-	for i := range mat.Errors {
-		me, se := mat.Errors[i], str.Errors[i]
-		if me.Benchmark != se.Benchmark || me.BenchIndex != se.BenchIndex ||
-			me.ConfigIndex != se.ConfigIndex || me.Stage != se.Stage ||
-			me.Attempts != se.Attempts || me.Error() != se.Error() {
-			t.Errorf("error %d differs:\nmaterialised: %v\nstreaming:    %v", i, me.Error(), se.Error())
-		}
-	}
-	if !reflect.DeepEqual(mat.Done, str.Done) {
-		t.Error("completion grids differ between replay engines")
-	}
-	if !reflect.DeepEqual(mat.Measurements, str.Measurements) {
-		t.Error("surviving measurements differ between replay engines")
-	}
-}
-
-// TestStreamingSweepCancellationParity pre-cancels the context under
-// both replay engines: each must stop without measuring, report every
-// cell cancelled, and surface a wrapped context.Canceled — the
-// streaming fetch loop honours the same poll points as the materialised
-// one.
-func TestStreamingSweepCancellationParity(t *testing.T) {
-	benches := []Benchmark{testScale(mustBench(t, "tri"))}
-	cfgs := []Config{{BlockSize: 5}, {BlockSize: 6}}
-	for _, streaming := range []bool{false, true} {
-		withReplayMode(t, streaming, func() {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			res, err := SweepMeasureCtx(ctx, benches, cfgs, SweepOptions{Parallelism: 1})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("streaming=%v: err = %v, want wrapped context.Canceled", streaming, err)
-			}
-			if res.Cancelled != len(cfgs) {
-				t.Errorf("streaming=%v: Cancelled = %d, want %d", streaming, res.Cancelled, len(cfgs))
-			}
-			if len(res.Errors) != 0 {
-				t.Errorf("streaming=%v: cancellation produced sweep errors: %v", streaming, res.Errors)
-			}
-		})
 	}
 }
