@@ -20,12 +20,6 @@
 // every read, scrubbed in the background, and shared across restarts —
 // and across replicas pointing at the same directory.
 //
-// With -route set (a comma-separated list of replica base URLs) the
-// process runs as a routing gateway instead of a replica: requests are
-// rendezvous-hashed across the replicas, backends are health-checked via
-// /readyz, and a failed replica is retried on the next one with jittered
-// backoff behind a per-backend circuit breaker.
-//
 // Usage:
 //
 //	imtransd [-addr :8080] [-workers N] [-queue N] [-timeout 120s]
@@ -33,9 +27,7 @@
 //	         [-parallelism N] [-jobs.dir DIR] [-jobs.max N]
 //	         [-jobs.deadline 1h] [-jobs.fsync] [-store.dir DIR]
 //	         [-store.max-bytes N] [-store.fsync] [-store.scrub 10m]
-//	         [-route URL,URL,...] [-route.health 1s] [-route.backoff 25ms]
-//	         [-route.breaker N] [-chaos.killafter D]
-//	         [-chaos.seed N] [-chaos.jitter F]
+//	         [-chaos.killafter D] [-chaos.seed N] [-chaos.jitter F]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-version]
 package main
 
@@ -50,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -81,10 +72,6 @@ func main() {
 	storeMaxBytes := fs.Int64("store.max-bytes", 0, "store byte budget before LRU eviction (0 = unbounded)")
 	storeFsync := fs.Bool("store.fsync", false, "fsync store writes (power-fail durability)")
 	storeScrub := fs.Duration("store.scrub", 0, "background store-scrub interval (0 = 10m)")
-	route := fs.String("route", "", "run as a routing gateway over these comma-separated replica URLs instead of serving")
-	routeHealth := fs.Duration("route.health", 0, "router backend health-probe interval (0 = 1s)")
-	routeBackoff := fs.Duration("route.backoff", 0, "router failover backoff base (0 = 25ms)")
-	routeBreaker := fs.Int("route.breaker", 0, "router per-backend breaker threshold (0 = 3)")
 	chaosKill := fs.Duration("chaos.killafter", 0, "chaos harness: SIGKILL this process after roughly this long (0 = off)")
 	chaosSeed := fs.Int64("chaos.seed", 1, "chaos harness seed (same seed, same kill time)")
 	chaosJitter := fs.Float64("chaos.jitter", 0.5, "chaos kill-time jitter fraction in [0,1]")
@@ -107,54 +94,6 @@ func main() {
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *route != "" {
-		// Routing gateway mode: this process proxies, it does not measure.
-		var backends []string
-		for _, b := range strings.Split(*route, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				backends = append(backends, b)
-			}
-		}
-		rt, err := server.NewRouter(server.RouterConfig{
-			Backends:         backends,
-			HealthInterval:   *routeHealth,
-			RetryBackoff:     *routeBackoff,
-			BreakerThreshold: *routeBreaker,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		l, err := net.Listen("tcp", *addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%s", buildinfo.String("imtransd"))
-		log.Printf("routing on %s across %d replicas: %s", l.Addr(), len(backends), strings.Join(backends, ", "))
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		errc := make(chan error, 1)
-		go func() { errc <- rt.Serve(l) }()
-		select {
-		case err := <-errc:
-			log.Fatalf("serve: %v", err)
-		case <-ctx.Done():
-		}
-		stop()
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := rt.Shutdown(dctx); err != nil {
-			log.Fatalf("drain: %v", err)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("serve: %v", err)
-		}
-		if err := stopProf(); err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		log.Printf("router drained cleanly")
-		return
 	}
 
 	if *parallelism > 0 {

@@ -7,6 +7,7 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -83,6 +84,28 @@ func (a *assembler) evalInt(s string) (int32, error) {
 func (a *assembler) isValue(s string) bool {
 	_, err := a.evalInt(s)
 	return err == nil
+}
+
+// dataInt evaluates a data-directive operand that is an integer literal
+// or an .equ constant, and checks it against [lo, hi] before it is
+// truncated to the directive's width: a literal as written, a constant as
+// its 32-bit value. ok is false when op is neither, which leaves .word a
+// symbol reference.
+func (a *assembler) dataInt(op string, lo, hi int64) (v int64, ok bool, err error) {
+	s := strings.TrimSpace(op)
+	v, err = strconv.ParseInt(s, 0, 64)
+	if errors.Is(err, strconv.ErrSyntax) {
+		c, isConst := a.consts[s]
+		if !isConst {
+			return 0, false, fmt.Errorf("bad integer or unknown constant %q", s)
+		}
+		v, err = int64(c), nil
+		s = fmt.Sprintf("%s (%d)", s, c)
+	}
+	if err != nil || v < lo || v > hi {
+		return 0, true, fmt.Errorf("value %s out of range [%d, %d]", s, lo, hi)
+	}
+	return v, true, nil
 }
 
 // Assemble translates MR32 assembly source into an Object. The text
@@ -245,10 +268,10 @@ func (a *assembler) directive(ln line) error {
 			return fmt.Errorf("line %d: .word outside .data", ln.num)
 		}
 		for _, op := range ln.operands {
-			if a.isValue(op) {
-				v, err := a.evalInt(op)
+			v, ok, err := a.dataInt(op, math.MinInt32, math.MaxUint32)
+			if ok {
 				if err != nil {
-					return fmt.Errorf("line %d: %v", ln.num, err)
+					return fmt.Errorf("line %d: .word %v", ln.num, err)
 				}
 				a.emitWord(uint32(v))
 			} else {
@@ -265,9 +288,9 @@ func (a *assembler) directive(ln line) error {
 			return fmt.Errorf("line %d: .half outside .data", ln.num)
 		}
 		for _, op := range ln.operands {
-			v, err := a.evalInt(op)
+			v, _, err := a.dataInt(op, math.MinInt16, math.MaxUint16)
 			if err != nil {
-				return fmt.Errorf("line %d: %v", ln.num, err)
+				return fmt.Errorf("line %d: .half %v", ln.num, err)
 			}
 			a.data = append(a.data, byte(v), byte(v>>8))
 		}
@@ -276,9 +299,9 @@ func (a *assembler) directive(ln line) error {
 			return fmt.Errorf("line %d: .byte outside .data", ln.num)
 		}
 		for _, op := range ln.operands {
-			v, err := a.evalInt(op)
+			v, _, err := a.dataInt(op, math.MinInt8, math.MaxUint8)
 			if err != nil {
-				return fmt.Errorf("line %d: %v", ln.num, err)
+				return fmt.Errorf("line %d: .byte %v", ln.num, err)
 			}
 			a.data = append(a.data, byte(v))
 		}

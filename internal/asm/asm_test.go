@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -321,6 +322,16 @@ func TestAssembleErrors(t *testing.T) {
 		{"bad shift", "sll $t0, $t1, 32", "bad shift amount"},
 		{"unterminated string", ".data\n.asciiz \"abc", "unterminated string"},
 		{"symbol load needs base", "lw $t0, val", "needs a base register"},
+		{"byte too large", ".data\n.byte 1, 256", "line 2: .byte value 256 out of range [-128, 255]"},
+		{"byte too small", ".data\n.byte -129", "line 2: .byte value -129 out of range [-128, 255]"},
+		{"byte wraps 32 bits", ".data\n.byte 0xffffffff", "line 2: .byte value 0xffffffff out of range"},
+		{"byte constant", ".equ C, 300\n.data\n.byte C", "line 3: .byte value C (300) out of range [-128, 255]"},
+		{"half too large", ".data\n.half 65536", "line 2: .half value 65536 out of range [-32768, 65535]"},
+		{"half too small", ".data\n.half -32769", "line 2: .half value -32769 out of range [-32768, 65535]"},
+		{"word too large", ".data\n.word 4294967296", "line 2: .word value 4294967296 out of range [-2147483648, 4294967295]"},
+		{"word too small", ".data\n.word -2147483649", "line 2: .word value -2147483649 out of range"},
+		{"word beyond 64 bits", ".data\n.word 99999999999999999999", "line 2: .word value 99999999999999999999 out of range"},
+		{"byte not an integer", ".data\n.byte x", "line 2: .byte bad integer or unknown constant \"x\""},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)
@@ -331,6 +342,20 @@ func TestAssembleErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// The data directives accept both ends of their signed-to-unsigned range.
+func TestDataDirectiveLimits(t *testing.T) {
+	obj := mustAssemble(t, `
+		.data
+		.word -2147483648, 4294967295
+		.half -32768, 65535
+		.byte -128, 255
+	`)
+	want := []byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0, 0x80, 0xff, 0xff, 0x80, 0xff}
+	if !bytes.Equal(obj.Data, want) {
+		t.Errorf("data % x, want % x", obj.Data, want)
 	}
 }
 

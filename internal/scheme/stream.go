@@ -3,7 +3,6 @@ package scheme
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"imtrans/internal/baseline"
 	"imtrans/internal/bitline"
@@ -47,9 +46,8 @@ type Stream struct {
 	lanesOnce sync.Once
 	lanes     [32][]uint32
 
-	mu          sync.Mutex
-	derived     map[string]any
-	derivedHits atomic.Uint64
+	mu      sync.Mutex
+	derived map[string]any
 }
 
 // NewStream materialises the transition-stream layer of a capture.
@@ -67,15 +65,6 @@ func NewStream(cap *replay.Capture) *Stream {
 	bitline.PrefixSums64(st.prefix, st.pairPop)
 	return st
 }
-
-// Capture returns the capture this stream was built from.
-func (st *Stream) Capture() *replay.Capture { return st.cap }
-
-// PairPop returns the full-width per-adjacent-pair popcount array.
-func (st *Stream) PairPop() []uint8 { return st.pairPop }
-
-// Prefix returns the full-width pair-popcount prefix sums.
-func (st *Stream) Prefix() []uint64 { return st.prefix }
 
 // SpanCost returns the data-bus transitions of driving Words[lo..hi]
 // sequentially with Words[lo] already on the bus.
@@ -122,10 +111,6 @@ func (st *Stream) SpanCostMasked(lo, hi int32, mask uint32) uint64 {
 	return total
 }
 
-// DerivedHits reports how many derived-table requests were served from
-// the cache instead of built.
-func (st *Stream) DerivedHits() uint64 { return st.derivedHits.Load() }
-
 // derive returns the cached derived table under key, building it exactly
 // once per stream; hit reports whether the table was served from the
 // cache. This is the cross-cell memoisation of everything a scheme
@@ -135,7 +120,6 @@ func (st *Stream) derive(key string, build func() any) (v any, hit bool) {
 	st.mu.Lock()
 	if v, ok := st.derived[key]; ok {
 		st.mu.Unlock()
-		st.derivedHits.Add(1)
 		return v, true
 	}
 	st.mu.Unlock()

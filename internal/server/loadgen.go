@@ -83,13 +83,17 @@ type LoadReport struct {
 	NotAccepted int
 	Resets      int
 	DrainDrops  int // reset/EOF-shaped drops, expected during a clean drain
-	Dropped     int // ticks skipped because every client worker was busy
 
 	StatusCounts map[int]int
 	Elapsed      time.Duration
 	Throughput   float64 // accepted responses per second
 
+	// Latency percentiles of accepted requests, each timed from when it
+	// was due, so time spent queued behind busy workers counts.
 	P50, P90, P99, Max time.Duration
+	// Generator lateness over every sent request: how long after its due
+	// time a worker started it.
+	LateP99, LateMax time.Duration
 }
 
 // Responses5xx counts accepted responses with a 5xx status.
@@ -113,7 +117,6 @@ func (r *LoadReport) String() string {
 	t.AddRowf("not accepted", r.NotAccepted)
 	t.AddRowf("resets", r.Resets)
 	t.AddRowf("drain drops (reset/EOF)", r.DrainDrops)
-	t.AddRowf("client-side drops", r.Dropped)
 	codes := make([]int, 0, len(r.StatusCounts))
 	for c := range r.StatusCounts {
 		codes = append(codes, c)
@@ -127,6 +130,8 @@ func (r *LoadReport) String() string {
 	t.AddRowf("latency p90", r.P90.Round(10*time.Microsecond))
 	t.AddRowf("latency p99", r.P99.Round(10*time.Microsecond))
 	t.AddRowf("latency max", r.Max.Round(10*time.Microsecond))
+	t.AddRowf("generator late p99", r.LateP99.Round(10*time.Microsecond))
+	t.AddRowf("generator late max", r.LateMax.Round(10*time.Microsecond))
 	var b strings.Builder
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "responses_5xx %d\n", r.Responses5xx())
@@ -155,11 +160,16 @@ func isDrainDrop(err error) bool {
 	return false
 }
 
-// RunLoadgen drives the target at opts.RPS until opts.Duration elapses
-// (or ctx ends), then drains in-flight requests and aggregates. Each
-// request uses its own connection (no keep-alive): loadgen's job includes
-// judging drains, and connection reuse across a closing listener would
-// blur the accepted/not-accepted line it reports.
+// RunLoadgen drives the target open loop: request i is due i/opts.RPS
+// seconds after the start, for every due time before opts.Duration,
+// whether or not earlier requests have finished. A due request that finds
+// every worker busy waits for one. Each request is timed from its due
+// time, so that wait counts against it, and the report gives how late the
+// generator started requests. Dispatch stops early only when ctx ends;
+// then in-flight requests drain and the run is aggregated. Each request
+// uses its own connection (no keep-alive): loadgen's job includes judging
+// drains, and connection reuse across a closing listener would blur the
+// accepted/not-accepted line it reports.
 func RunLoadgen(ctx context.Context, opts LoadgenOptions) (*LoadReport, error) {
 	opts = opts.withDefaults()
 	if opts.BaseURL == "" {
@@ -176,25 +186,24 @@ func RunLoadgen(ctx context.Context, opts LoadgenOptions) (*LoadReport, error) {
 		status    int  // 0 when no response arrived
 		reset     bool // error after response headers
 		drainDrop bool // the error was reset/EOF-shaped (clean-drain artifact)
-		latency   time.Duration
 		accepted  bool
+		latency   time.Duration // due time to response end
+		late      time.Duration // due time to request start
 	}
 	var (
 		mu      sync.Mutex
 		samples []sample
-		sent    int
-		dropped int
 	)
 
-	jobs := make(chan struct{}, opts.Concurrency)
+	// Unbuffered: a request is sent when a worker takes its due time.
+	queue := make(chan time.Time)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range jobs {
-				var sm sample
-				start := time.Now()
+			for due := range queue {
+				sm := sample{late: time.Since(due)}
 				req, err := http.NewRequestWithContext(ctx, opts.Method, url, bytes.NewReader(opts.Body))
 				if err == nil {
 					if len(opts.Body) > 0 {
@@ -216,7 +225,7 @@ func RunLoadgen(ctx context.Context, opts LoadgenOptions) (*LoadReport, error) {
 						sm.drainDrop = true
 					}
 				}
-				sm.latency = time.Since(start)
+				sm.latency = time.Since(due)
 				mu.Lock()
 				samples = append(samples, sm)
 				mu.Unlock()
@@ -224,40 +233,41 @@ func RunLoadgen(ctx context.Context, opts LoadgenOptions) (*LoadReport, error) {
 		}()
 	}
 
-	interval := time.Duration(float64(time.Second) / opts.RPS)
-	ticker := time.NewTicker(interval)
-	deadline := time.NewTimer(opts.Duration)
 	start := time.Now()
-loop:
+	sent := 0
+dispatch:
 	for {
+		off := time.Duration(float64(sent) * float64(time.Second) / opts.RPS)
+		if off >= opts.Duration {
+			break
+		}
+		due := start.Add(off)
+		wait := time.NewTimer(time.Until(due))
 		select {
-		case <-ticker.C:
-			sent++
-			select {
-			case jobs <- struct{}{}:
-			default:
-				dropped++ // all workers busy: count, don't queue unboundedly
-			}
-		case <-deadline.C:
-			break loop
+		case <-wait.C:
 		case <-ctx.Done():
-			break loop
+			wait.Stop()
+			break dispatch
+		}
+		select {
+		case queue <- due:
+			sent++
+		case <-ctx.Done():
+			break dispatch
 		}
 	}
-	ticker.Stop()
-	deadline.Stop()
-	close(jobs)
+	close(queue)
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	rep := &LoadReport{
 		Sent:         sent,
-		Dropped:      dropped,
 		StatusCounts: map[int]int{},
 		Elapsed:      elapsed,
 	}
-	var lat []time.Duration
+	var lat, late []time.Duration
 	for _, sm := range samples {
+		late = append(late, sm.late)
 		switch {
 		case sm.drainDrop:
 			rep.DrainDrops++
@@ -272,14 +282,15 @@ loop:
 		}
 	}
 	rep.Throughput = float64(rep.Accepted) / elapsed.Seconds()
+	// pct reads the p-quantile of a sorted slice; p = 1 is its maximum.
+	pct := func(d []time.Duration, p float64) time.Duration { return d[int(p*float64(len(d)-1))] }
 	if len(lat) > 0 {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		pct := func(p float64) time.Duration {
-			i := int(p * float64(len(lat)-1))
-			return lat[i]
-		}
-		rep.P50, rep.P90, rep.P99 = pct(0.50), pct(0.90), pct(0.99)
-		rep.Max = lat[len(lat)-1]
+		rep.P50, rep.P90, rep.P99, rep.Max = pct(lat, 0.50), pct(lat, 0.90), pct(lat, 0.99), pct(lat, 1)
+	}
+	if len(late) > 0 {
+		sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+		rep.LateP99, rep.LateMax = pct(late, 0.99), pct(late, 1)
 	}
 	return rep, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"syscall"
 	"testing"
 	"time"
@@ -96,5 +97,37 @@ func TestLoadgenClassifiesDrainDrops(t *testing.T) {
 	}
 	if rep.Responses5xx() != 0 {
 		t.Errorf("responses5xx = %d, want 0", rep.Responses5xx())
+	}
+}
+
+// TestLoadgenQueuesBacklog drives a 20 ms handler at 100 rps with one
+// worker for 1 s. The open loop must send all 100 due requests, and the
+// ~1 s backlog they queue behind must show in the latency tail and in the
+// generator's lateness instead of being skipped.
+func TestLoadgenQueuesBacklog(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(20 * time.Millisecond)
+	}))
+	defer srv.Close()
+	rep, err := RunLoadgen(context.Background(), LoadgenOptions{
+		BaseURL:     srv.URL,
+		RPS:         100,
+		Duration:    time.Second,
+		Concurrency: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent != 100 || rep.Accepted != 100 || rep.StatusCounts[http.StatusOK] != 100 {
+		t.Fatalf("sent %d, accepted %d, 200s %d; want 100 each\n%s",
+			rep.Sent, rep.Accepted, rep.StatusCounts[http.StatusOK], rep)
+	}
+	// 100 requests of at least 20 ms each take at least 2 s on one worker;
+	// the last is due at 0.99 s, so it waits about a second.
+	if rep.Max < 900*time.Millisecond || rep.LateMax < 800*time.Millisecond {
+		t.Errorf("max latency %v, max lateness %v; want the ~1 s backlog\n%s", rep.Max, rep.LateMax, rep)
+	}
+	if rep.P99 < 800*time.Millisecond || rep.LateP99 < 700*time.Millisecond {
+		t.Errorf("p99 latency %v, p99 lateness %v; want the ~1 s backlog\n%s", rep.P99, rep.LateP99, rep)
 	}
 }

@@ -26,9 +26,6 @@ func StreamingReplay() bool { return true }
 // wall time changes.
 func SetFleetBatchReplay(on bool) bool { return scheme.SetBatchReplay(on) }
 
-// FleetBatchReplay reports whether the fleet batch kernels are active.
-func FleetBatchReplay() bool { return scheme.BatchReplay() }
-
 // ReplayMeasure produces the same measurements as MeasureProgram — bit for
 // bit — from a single profiling run per program. The run's fetch stream is
 // captured as a compressed text-index trace (cached in-process by program
