@@ -112,10 +112,17 @@ func (b Benchmark) params() workloads.Params {
 
 // Program renders and assembles the benchmark kernel. The result is
 // memoised per (kernel, scale): repeated measurements of one benchmark
-// assemble once and share the *Program.
+// assemble once and share the *Program. A scale outside the kernel's
+// domain is an error before anything is assembled: each kernel has a
+// smallest problem size (fft takes only powers of two), at least one
+// iteration, and a largest scale whose run fits the simulator's default
+// instruction cap.
 func (b Benchmark) Program() (*Program, error) {
 	if b.w == nil {
 		return nil, fmt.Errorf("imtrans: use Benchmarks or BenchmarkByName to obtain benchmarks")
+	}
+	if err := b.w.Validate(b.params()); err != nil {
+		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
 	if b.prog == nil {
 		return Assemble(b.w.Source(b.params()))
@@ -193,7 +200,7 @@ func (b Benchmark) Measure(cfgs ...Config) ([]Measurement, error) {
 func (b Benchmark) MeasureCtx(ctx context.Context, cfgs ...Config) ([]Measurement, error) {
 	p, err := b.Program()
 	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
+		return nil, err
 	}
 	ms, err := replayMeasureCtx(ctx, p, b.setup, b.captureSalt(), cfgs...)
 	if err != nil {

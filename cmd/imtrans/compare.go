@@ -39,18 +39,6 @@ type compareReport struct {
 	Restored int             `json:"checkpoint_restored,omitempty"`
 	Errors   []string        `json:"errors,omitempty"`
 	Counters *stats.Counters `json:"counters"`
-
-	// Fleet-replay benchmark section, populated by compare -bench: the
-	// same grid timed under the scalar per-word coders and then under the
-	// word-parallel fleet batch kernels, verified bit-identical cell by
-	// cell before the report is written. The timings sum the per-cell
-	// measure intervals (capture and stream construction excluded), so
-	// Speedup is the replay-kernel ratio the CI perf gate checks.
-	ScalarReplayNs int64   `json:"scalar_replay_ns,omitempty"`
-	BatchReplayNs  int64   `json:"batch_replay_ns,omitempty"`
-	Speedup        float64 `json:"speedup,omitempty"`
-	MemoHits       uint64  `json:"compare_memo_hits,omitempty"`
-	StreamShared   uint64  `json:"compare_stream_shared,omitempty"`
 }
 
 type compareBench struct {
@@ -130,7 +118,6 @@ func cmdCompare(args []string) error {
 	timeout := fs.Duration("timeout", 0, "cancel the comparison after this long (0 = no deadline)")
 	retries := fs.Int("retries", 1, "supervised attempts per grid cell")
 	inject := fs.String("inject", "", "fault campaign against grid cells (panic@B,S;error@B,S;attempts=N)")
-	bench := fs.Bool("bench", false, "time the grid scalar vs fleet batch kernels and record the speedup (implies -json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -152,11 +139,6 @@ func cmdCompare(args []string) error {
 		}
 	}
 	for i := range benches {
-		if *bench && *n == 0 && *iters == 0 {
-			// -bench defaults to the reduced suite scales so the doubled
-			// grid finishes in seconds, as bench -json does.
-			benches[i] = sweepScale(benches[i])
-		}
 		benches[i] = benches[i].WithScale(*n, *iters)
 	}
 
@@ -180,10 +162,6 @@ func cmdCompare(args []string) error {
 			return err
 		}
 		sweepOpts.FaultInject = plan.Injector()
-	}
-
-	if *bench {
-		return compareBenchJSON(ctx, benches, specs, sweepOpts, *out)
 	}
 
 	start := time.Now()

@@ -75,45 +75,3 @@ func TestCompareInjectIsolatesAndRetries(t *testing.T) {
 		}
 	})
 }
-
-// TestCompareBenchReport drives compare -bench on a small grid and
-// checks the dual-run report: both replay timings present, a positive
-// speedup, live fleet telemetry, and one wall-timed row per grid cell.
-func TestCompareBenchReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	err := cmdCompare([]string{
-		"-schemes", "businvert,dictionary,gray,t0", "-n", "24",
-		"-bench", "-o", path, "mmul", "sor",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep compareReport
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if rerr := json.Unmarshal(data, &rep); rerr != nil {
-		t.Fatal(rerr)
-	}
-	if rep.ScalarReplayNs <= 0 || rep.BatchReplayNs <= 0 {
-		t.Fatalf("missing replay timings: scalar %d, batch %d", rep.ScalarReplayNs, rep.BatchReplayNs)
-	}
-	if rep.Speedup <= 0 {
-		t.Fatalf("speedup %v not positive", rep.Speedup)
-	}
-	if rep.MemoHits == 0 {
-		t.Error("compare_memo_hits is zero in the bench report")
-	}
-	if rep.StreamShared == 0 {
-		t.Error("compare_stream_shared is zero in the bench report")
-	}
-	if want := 2 * 4; len(rep.Grid) != want {
-		t.Fatalf("bench grid has %d cells, want %d", len(rep.Grid), want)
-	}
-	for _, c := range rep.Grid {
-		if c.WallNs <= 0 {
-			t.Errorf("cell (%s, %s) has no wall time", c.Bench, c.Scheme)
-		}
-	}
-}

@@ -86,24 +86,21 @@ commands:
   plan <file.s>       profile and print the encoding plan
   measure <file.s>    measure encoded vs baseline transitions
   bench <name>        run the pipeline on a built-in benchmark
-                      (mmul, sor, ej, fft, tri, lu)
-  bench -json [name...]  time the serial simulate-per-call baseline against
-                      the capture/replay parallel sweep on a config grid
-                      and write BENCH_sweep.json (-o path, -j parallelism).
-                      The sweep runs supervised: -checkpoint journals each
-                      completed cell so an interrupted run resumes where it
-                      stopped, -timeout bounds the wall clock, -retries
-                      retries faulty cells with backoff, and -inject
-                      "panic@B,C;error@B,C;attempts=N" runs a fault
-                      campaign proving failures stay isolated
+                      (mmul, sor, ej, fft, tri, lu; -n/-iters rescale it,
+                      -cpuprofile/-memprofile profile the run)
   compare [name...]   measure every registered encoding scheme (paper
                       pipeline, bus-invert, dictionary, gray, T0, codebook,
                       limited-weight) on the same captured instruction
                       streams and rank them per benchmark (-schemes
                       name[:entries[:extra_lines]],... selects and knobs
                       the fleet; paper takes -k/-tt/...; -json/-o write a
-                      report; -checkpoint/-timeout/-retries/-j supervise
-                      the grid like bench -json)
+                      report). The grid runs supervised: -checkpoint
+                      journals each completed cell so an interrupted run
+                      resumes where it stopped, -timeout bounds the wall
+                      clock, -retries retries faulty cells with backoff,
+                      -j sets the parallelism, and -inject
+                      "panic@B,S;error@B,S;attempts=N" runs a fault
+                      campaign proving failures stay isolated
   schemes             list the registered encoding schemes and their
                       tunable knobs (-json)
   encode <file.s>     profile, encode and write a deployment artifact
@@ -297,13 +294,6 @@ func cmdBench(args []string) error {
 	cfg := configFlags(fs)
 	n := fs.Int("n", 0, "problem size (0 = paper default)")
 	iters := fs.Int("iters", 0, "iterations/sweeps (0 = default)")
-	jsonFlag := fs.Bool("json", false, "benchmark the sweep pipeline and write a JSON report instead")
-	out := fs.String("o", "BENCH_sweep.json", "report path for -json")
-	jobs := fs.Int("j", 0, "sweep parallelism for -json (0 = GOMAXPROCS)")
-	checkpoint := fs.String("checkpoint", "", "journal the -json sweep grid here; an interrupted run resumes from it")
-	timeout := fs.Duration("timeout", 0, "cancel the -json sweep after this long (0 = no deadline)")
-	retries := fs.Int("retries", 1, "supervised attempts per -json sweep cell")
-	inject := fs.String("inject", "", `fault campaign against -json sweep workers: "panic@B,C;error@B,C;attempts=N"`)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the bench run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -314,19 +304,6 @@ func cmdBench(args []string) error {
 		return err
 	}
 	runErr := func() error {
-		if *jsonFlag {
-			return benchSweepJSON(benchSweepOpts{
-				path:        *out,
-				parallelism: *jobs,
-				names:       fs.Args(),
-				n:           *n,
-				iters:       *iters,
-				checkpoint:  *checkpoint,
-				timeout:     *timeout,
-				retries:     *retries,
-				inject:      *inject,
-			})
-		}
 		if fs.NArg() != 1 {
 			return fmt.Errorf("bench wants one benchmark name")
 		}

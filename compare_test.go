@@ -371,14 +371,21 @@ func TestCompareFaultRetryAndIsolation(t *testing.T) {
 	})
 }
 
-// TestCompareFleetCountersAndCellNs pins the fleet replay telemetry on a
-// multi-cell grid: every completed cell records a wall time, the shared
-// transition stream is attached to more than one cell per benchmark
-// (compare_stream_shared), and the repeat fast-forward plus derived-table
-// cache serve hits (compare_memo_hits), globally and per scheme.
+// TestCompareFleetCountersAndCellNs pins the fleet replay telemetry on
+// the six kernels × every registered scheme: every cell completes with a
+// wall time, the shared transition stream is attached to more than one
+// cell per benchmark (compare_stream_shared), and the repeat fast-forward
+// plus derived-table cache serve hits (compare_memo_hits), globally and
+// per scheme.
 func TestCompareFleetCountersAndCellNs(t *testing.T) {
-	benches := []Benchmark{testScale(mustBench(t, "mmul")), testScale(mustBench(t, "sor"))}
-	specs := []SchemeSpec{{Name: "businvert"}, {Name: "dictionary"}, {Name: "gray"}, {Name: "t0"}}
+	benches := testSuite()
+	var specs []SchemeSpec
+	for _, info := range Schemes() {
+		specs = append(specs, SchemeSpec{Name: info.Name})
+	}
+	if len(specs) < 7 {
+		t.Fatalf("%d registered schemes, want the paper's and six related-work codes", len(specs))
+	}
 	res, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -388,15 +395,16 @@ func TestCompareFleetCountersAndCellNs(t *testing.T) {
 	}
 	for bi := range benches {
 		for si := range specs {
-			if res.CellNs[bi][si] <= 0 {
-				t.Errorf("cell (%d,%d) has no wall time", bi, si)
+			if !res.Done[bi][si] || res.CellNs[bi][si] <= 0 {
+				t.Errorf("cell (%d,%d): done %v, wall time %d", bi, si, res.Done[bi][si], res.CellNs[bi][si])
 			}
 		}
 	}
 	if got := res.Counters.Get("compare_memo_hits"); got == 0 {
 		t.Error("compare_memo_hits is zero on a loopy grid")
 	}
-	// Per benchmark, three of the four fleet cells attach after the first.
+	// Per benchmark, every fleet cell after the first attaches to the
+	// shared stream.
 	if got := res.Counters.Get("compare_stream_shared"); got < uint64(len(benches)) {
 		t.Errorf("compare_stream_shared = %d, want >= %d", got, len(benches))
 	}
@@ -411,9 +419,8 @@ func TestCompareFleetCountersAndCellNs(t *testing.T) {
 }
 
 // TestCompareBatchToggleBitIdentical is the facade-level differential
-// check behind compare -bench: the same grid measured with the fleet
-// batch kernels off and on must produce byte-identical measurements and
-// rankings.
+// check of the fleet batch kernels: the same grid measured with them off
+// and on must produce byte-identical measurements and rankings.
 func TestCompareBatchToggleBitIdentical(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "ej"))}
 	specs := []SchemeSpec{

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"imtrans/internal/replay"
 )
@@ -418,6 +419,47 @@ func TestBenchmarksRegistry(t *testing.T) {
 	}
 	if _, err := (Benchmark{}).Program(); err == nil {
 		t.Error("zero Benchmark accepted")
+	}
+}
+
+// TestBenchmarkScaleOutsideDomain drives the facade at scales a kernel
+// cannot run: each must fail fast with an error, before assembly or
+// setup, instead of panicking in setup, passing a golden check it never
+// computed, exhausting memory or spinning to the instruction cap.
+func TestBenchmarkScaleOutsideDomain(t *testing.T) {
+	cases := []struct {
+		name     string
+		n, iters int
+	}{
+		{"mmul", 1 << 20, 0}, // three n² input matrices exhaust memory
+		{"fft", 3, 0},        // not a power of two: spins to the cap
+		{"fft", -1, 0},       // makeslice panic in setup
+		{"tri", 1, 0},
+		{"tri", -1, 0},
+		{"sor", 2, 0},
+		{"ej", 2, 0},
+		{"ej", 0, -1}, // runs one sweep and passes its golden check
+		{"conv2d", 2, 0},
+		{"crc32", -1, 0},
+		{"iir", -1, 0},
+		{"iir", 0, -1},
+		{"mmul", -5, 0},
+	}
+	for _, tc := range cases {
+		b := mustBench(t, tc.name).WithScale(tc.n, tc.iters)
+		start := time.Now()
+		if _, err := b.Run(); err == nil {
+			t.Errorf("%s n=%d iters=%d: Run succeeded", tc.name, tc.n, tc.iters)
+		}
+		if _, err := b.Measure(Config{}); err == nil {
+			t.Errorf("%s n=%d iters=%d: Measure succeeded", tc.name, tc.n, tc.iters)
+		}
+		if _, err := b.Program(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s n=%d iters=%d: Program err = %v, want a domain error naming the kernel", tc.name, tc.n, tc.iters, err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%s n=%d iters=%d: took %v to fail", tc.name, tc.n, tc.iters, el)
+		}
 	}
 }
 

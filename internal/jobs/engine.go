@@ -243,7 +243,7 @@ func (e *Engine) Submit(sp *Spec) (Record, bool, error) {
 	// Resolve benchmark names up front so an unknown kernel is a client
 	// error at submit time, not a failed job later.
 	for _, b := range sp.Benchmarks {
-		if _, err := imtrans.BenchmarkByName(b.Name); err != nil {
+		if _, err := b.Resolve(); err != nil {
 			return Record{}, false, &SpecError{Err: err}
 		}
 	}
@@ -646,12 +646,12 @@ func resolveBenchmarks(refs []BenchmarkRef) ([]imtrans.Benchmark, []string, erro
 	benches := make([]imtrans.Benchmark, len(refs))
 	names := make([]string, len(refs))
 	for i, ref := range refs {
-		b, err := imtrans.BenchmarkByName(ref.Name)
+		b, err := ref.Resolve()
 		if err != nil {
 			return nil, nil, runsafe.Permanent(err)
 		}
-		benches[i] = b.WithScale(ref.N, ref.Iters)
-		names[i] = benches[i].Name
+		benches[i] = b
+		names[i] = b.Name
 	}
 	return benches, names, nil
 }

@@ -19,6 +19,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"benchmarks":[{"name":"mmul"}]}{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"benchmarks":[{"name":"mmul","n":1048576}]}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"fft","n":3}]}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"tri","n":1},{"name":"conv2d","n":2}]}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"ej","iters":-1}],"kind":"compare","schemes":[{"name":"gray"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpec(data)
 		if err != nil {
@@ -34,6 +38,13 @@ func FuzzParseSpec(f *testing.F) {
 		rows, cols := sp.Grid()
 		if rows <= 0 || cols <= 0 || rows*cols > MaxGridCells {
 			t.Fatalf("accepted spec has an invalid grid %dx%d", rows, cols)
+		}
+		for _, ref := range sp.Benchmarks {
+			if b, err := ref.Resolve(); err == nil {
+				if _, err := b.Program(); err != nil {
+					t.Fatalf("accepted benchmark %+v the library refuses: %v", ref, err)
+				}
+			}
 		}
 	})
 }

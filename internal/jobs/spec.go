@@ -20,6 +20,7 @@ import (
 	"io"
 
 	"imtrans"
+	"imtrans/internal/workloads"
 )
 
 // Limits on what a single job may ask for, mirroring the synchronous
@@ -35,6 +36,10 @@ const (
 	maxScale = 1 << 20
 )
 
+// The wire types below are shared with the daemon's synchronous
+// endpoints, so a benchmark, config or scheme validates and resolves the
+// same way in a request body and in a job spec.
+
 // BenchmarkRef names a built-in kernel, optionally rescaled; zero n/iters
 // keep the kernel's defaults.
 type BenchmarkRef struct {
@@ -43,7 +48,12 @@ type BenchmarkRef struct {
 	Iters int    `json:"iters,omitempty"`
 }
 
-func (r BenchmarkRef) validate() error {
+// Validate checks the scale bounds and, for a known kernel, the kernel's
+// domain: its smallest size, fft's power-of-two rule, at least one
+// iteration, and a run that fits the simulator's instruction cap. An
+// unknown name passes here and fails Resolve, so validation stays a pure
+// function of the bytes.
+func (r BenchmarkRef) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("benchmark: name is required")
 	}
@@ -53,7 +63,21 @@ func (r BenchmarkRef) validate() error {
 	if r.Iters < 0 || r.Iters > maxScale {
 		return fmt.Errorf("benchmark %q: iters %d out of range [0, %d]", r.Name, r.Iters, maxScale)
 	}
+	if w, err := workloads.ByName(r.Name); err == nil {
+		if err := w.Validate(workloads.Params{N: r.N, Iters: r.Iters}); err != nil {
+			return fmt.Errorf("benchmark %q: %w", r.Name, err)
+		}
+	}
 	return nil
+}
+
+// Resolve looks the kernel up by name and applies the scale.
+func (r BenchmarkRef) Resolve() (imtrans.Benchmark, error) {
+	b, err := imtrans.BenchmarkByName(r.Name)
+	if err != nil {
+		return imtrans.Benchmark{}, err
+	}
+	return b.WithScale(r.N, r.Iters), nil
 }
 
 // ConfigRef is the wire form of one encoding configuration.
@@ -80,7 +104,8 @@ func (c ConfigRef) Config() imtrans.Config {
 	}
 }
 
-func (c ConfigRef) validate() error {
+// Validate checks the configuration's knobs against their ranges.
+func (c ConfigRef) Validate() error {
 	if c.BlockSize != 0 && (c.BlockSize < 2 || c.BlockSize > 16) {
 		return fmt.Errorf("config: block_size %d out of range [2, 16]", c.BlockSize)
 	}
@@ -115,11 +140,13 @@ func (r SchemeRef) SchemeSpec() imtrans.SchemeSpec {
 	}
 }
 
-func (r SchemeRef) validate() error {
+// Validate checks the scheme's knobs against their ranges; the scheme
+// name is resolved against the registry later, by SchemeSpec().Validate.
+func (r SchemeRef) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("scheme: name is required")
 	}
-	if err := r.Config.validate(); err != nil {
+	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("scheme %q: %w", r.Name, err)
 	}
 	if r.Entries < 0 || r.Entries > 1<<16 {
@@ -193,18 +220,18 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("grid of %d cells exceeds the %d-cell limit", len(s.Benchmarks)*cols, MaxGridCells)
 	}
 	for _, b := range s.Benchmarks {
-		if err := b.validate(); err != nil {
+		if err := b.Validate(); err != nil {
 			return err
 		}
 	}
 	for i, c := range s.Configs {
-		if err := c.validate(); err != nil {
+		if err := c.Validate(); err != nil {
 			return fmt.Errorf("configs[%d]: %w", i, err)
 		}
 	}
 	seen := make(map[string]bool, len(s.Schemes))
 	for i, sc := range s.Schemes {
-		if err := sc.validate(); err != nil {
+		if err := sc.Validate(); err != nil {
 			return fmt.Errorf("schemes[%d]: %w", i, err)
 		}
 		key := string(mustMarshal(sc))

@@ -183,6 +183,12 @@ func TestParseSpecRejects(t *testing.T) {
 		{"bad-block-size", `{"benchmarks":[{"name":"mmul"}],"configs":[{"block_size":1}]}`},
 		{"bad-bus-width", `{"benchmarks":[{"name":"mmul"}],"configs":[{"bus_width":64}]}`},
 		{"array-body", `[1,2,3]`},
+		{"mmul-out-of-memory", `{"benchmarks":[{"name":"mmul","n":1048576}]}`},
+		{"fft-not-power-of-two", `{"benchmarks":[{"name":"fft","n":3}]}`},
+		{"sor-below-floor", `{"benchmarks":[{"name":"sor","n":2}]}`},
+		{"tri-below-floor", `{"benchmarks":[{"name":"tri","n":1}]}`},
+		{"ej-negative-iters", `{"benchmarks":[{"name":"ej","iters":-1}]}`},
+		{"crc32-negative-iters", `{"benchmarks":[{"name":"crc32","iters":-1}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,5 +209,19 @@ func TestParseSpecGridLimit(t *testing.T) {
 	}
 	if _, err := ParseSpec(sp.Canonical()); err == nil || !strings.Contains(err.Error(), "cell limit") {
 		t.Fatalf("260-cell grid must exceed the %d-cell limit, got %v", MaxGridCells, err)
+	}
+}
+
+// TestParseSpecAcceptsJobScales keeps the kernel-domain check from
+// refusing the scales jobs run at: CI's job-resume grid and the six
+// reduced-scale kernels.
+func TestParseSpecAcceptsJobScales(t *testing.T) {
+	for _, spec := range []string{
+		`{"benchmarks":[{"name":"mmul","n":160},{"name":"ej","n":48,"iters":4000},{"name":"lu","n":144},{"name":"sor","n":160,"iters":40},{"name":"fft","n":16384},{"name":"tri","n":4000}],"configs":[{},{"block_size":4}]}`,
+		`{"benchmarks":[{"name":"mmul","n":24},{"name":"sor","n":32,"iters":2},{"name":"ej","n":24,"iters":4},{"name":"fft","n":64},{"name":"tri","n":32,"iters":10},{"name":"lu","n":24}]}`,
+	} {
+		if _, err := ParseSpec([]byte(spec)); err != nil {
+			t.Errorf("spec %s rejected: %v", spec, err)
+		}
 	}
 }

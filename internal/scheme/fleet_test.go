@@ -426,8 +426,8 @@ func TestFleetWarmAllocsTraceIndependent(t *testing.T) {
 }
 
 // BenchmarkFleetReplay times every fleet scheme through both replay
-// paths on one warm synthetic capture — the per-cell view of the
-// compare -bench grid numbers.
+// paths on one warm synthetic capture — the per-cell view of the root
+// BenchmarkCompareFleet grid numbers.
 func BenchmarkFleetReplay(b *testing.B) {
 	cap := synthCapture(3, 1024, 200000)
 	st := NewStream(cap)

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"imtrans"
+	"imtrans/internal/jobs"
 	"imtrans/internal/stats"
 )
 
@@ -20,83 +21,28 @@ import (
 // maxSourceBytes bounds an inline MR32 assembly source.
 const maxSourceBytes = 1 << 20
 
-// maxGridCells bounds a /v1/measure grid (benchmarks × configs).
-const maxGridCells = 256
+// maxGridCells bounds a /v1/measure or /v1/compare grid, and maxRetries
+// the per-cell supervised attempt budget a client may request: the job
+// engine's bounds, so the async path admits nothing the synchronous one
+// refuses.
+const (
+	maxGridCells = jobs.MaxGridCells
+	maxRetries   = jobs.MaxRetries
+)
 
-// maxRetries bounds the per-cell supervised attempt budget a client may
-// request.
-const maxRetries = 10
-
-// ConfigRequest is the wire form of imtrans.Config.
-type ConfigRequest struct {
-	BlockSize    int  `json:"block_size,omitempty"`
-	TTEntries    int  `json:"tt_entries,omitempty"`
-	BBITEntries  int  `json:"bbit_entries,omitempty"`
-	AllFunctions bool `json:"all_functions,omitempty"`
-	Exact        bool `json:"exact,omitempty"`
-	Knapsack     bool `json:"knapsack,omitempty"`
-	BusWidth     int  `json:"bus_width,omitempty"`
-}
-
-// Config converts to the root facade's configuration type.
-func (c ConfigRequest) Config() imtrans.Config {
-	return imtrans.Config{
-		BlockSize:    c.BlockSize,
-		TTEntries:    c.TTEntries,
-		BBITEntries:  c.BBITEntries,
-		AllFunctions: c.AllFunctions,
-		Exact:        c.Exact,
-		Knapsack:     c.Knapsack,
-		BusWidth:     c.BusWidth,
-	}
-}
-
-func (c ConfigRequest) validate() error {
-	if c.BlockSize != 0 && (c.BlockSize < 2 || c.BlockSize > 16) {
-		return fmt.Errorf("config: block_size %d out of range [2, 16]", c.BlockSize)
-	}
-	if c.TTEntries < 0 || c.TTEntries > 4096 {
-		return fmt.Errorf("config: tt_entries %d out of range [0, 4096]", c.TTEntries)
-	}
-	if c.BBITEntries < 0 || c.BBITEntries > 4096 {
-		return fmt.Errorf("config: bbit_entries %d out of range [0, 4096]", c.BBITEntries)
-	}
-	if c.BusWidth < 0 || c.BusWidth > 32 {
-		return fmt.Errorf("config: bus_width %d out of range [0, 32]", c.BusWidth)
-	}
-	return nil
-}
-
-// BenchmarkRef names a built-in kernel, optionally rescaled. Zero n/iters
-// keep the kernel's defaults (the paper's problem sizes).
-type BenchmarkRef struct {
-	Name  string `json:"name"`
-	N     int    `json:"n,omitempty"`
-	Iters int    `json:"iters,omitempty"`
-}
-
-func (r BenchmarkRef) validate() error {
-	if r.Name == "" {
-		return fmt.Errorf("benchmark: name is required")
-	}
-	if r.N < 0 || r.N > 1<<20 {
-		return fmt.Errorf("benchmark %q: n %d out of range [0, %d]", r.Name, r.N, 1<<20)
-	}
-	if r.Iters < 0 || r.Iters > 1<<20 {
-		return fmt.Errorf("benchmark %q: iters %d out of range [0, %d]", r.Name, r.Iters, 1<<20)
-	}
-	return nil
-}
-
-// resolve looks the kernel up and applies the scale. Unknown names are a
-// client error (400), not an internal one.
-func (r BenchmarkRef) resolve() (imtrans.Benchmark, error) {
-	b, err := imtrans.BenchmarkByName(r.Name)
-	if err != nil {
-		return imtrans.Benchmark{}, err
-	}
-	return b.WithScale(r.N, r.Iters), nil
-}
+// The benchmark, config and scheme wire types are the job engine's, so a
+// request body and a job spec validate and resolve them the same way.
+type (
+	// BenchmarkRef names a built-in kernel, optionally rescaled. Zero
+	// n/iters keep the kernel's defaults (the paper's problem sizes).
+	BenchmarkRef = jobs.BenchmarkRef
+	// ConfigRequest is the wire form of imtrans.Config.
+	ConfigRequest = jobs.ConfigRef
+	// SchemeRequest is the wire form of one scheme column of a
+	// comparison: a registered encoding-scheme name plus the knobs that
+	// scheme reads.
+	SchemeRequest = jobs.SchemeRef
+)
 
 // EncodeRequest is the body of POST /v1/encode: exactly one of an inline
 // MR32 source or a built-in benchmark reference, plus the encoding
@@ -115,11 +61,11 @@ func (r *EncodeRequest) validate() error {
 		return fmt.Errorf("source exceeds %d bytes", maxSourceBytes)
 	}
 	if r.Benchmark != nil {
-		if err := r.Benchmark.validate(); err != nil {
+		if err := r.Benchmark.Validate(); err != nil {
 			return err
 		}
 	}
-	return r.Config.validate()
+	return r.Config.Validate()
 }
 
 // EncodeResponse carries the planned encoding: the static report
@@ -159,12 +105,12 @@ func (r *MeasureRequest) validate() error {
 		return fmt.Errorf("grid of %d cells exceeds the %d-cell limit", rows*cols, maxGridCells)
 	}
 	for _, b := range r.Benchmarks {
-		if err := b.validate(); err != nil {
+		if err := b.Validate(); err != nil {
 			return err
 		}
 	}
 	for i, c := range r.Configs {
-		if err := c.validate(); err != nil {
+		if err := c.Validate(); err != nil {
 			return fmt.Errorf("configs[%d]: %w", i, err)
 		}
 	}
@@ -200,41 +146,6 @@ type MeasureResponse struct {
 	Counters     *stats.Counters         `json:"counters,omitempty"`
 }
 
-// SchemeRequest is the wire form of one scheme column of a comparison:
-// a registered encoding-scheme name plus the knobs that scheme reads.
-type SchemeRequest struct {
-	Name       string        `json:"name"`
-	Config     ConfigRequest `json:"config,omitempty"`
-	Entries    int           `json:"entries,omitempty"`
-	ExtraLines int           `json:"extra_lines,omitempty"`
-}
-
-// SchemeSpec converts to the root facade's scheme-spec type.
-func (r SchemeRequest) SchemeSpec() imtrans.SchemeSpec {
-	return imtrans.SchemeSpec{
-		Name:       r.Name,
-		Config:     r.Config.Config(),
-		Entries:    r.Entries,
-		ExtraLines: r.ExtraLines,
-	}
-}
-
-func (r SchemeRequest) validate() error {
-	if r.Name == "" {
-		return fmt.Errorf("scheme: name is required")
-	}
-	if err := r.Config.validate(); err != nil {
-		return fmt.Errorf("scheme %q: %w", r.Name, err)
-	}
-	if r.Entries < 0 || r.Entries > 1<<16 {
-		return fmt.Errorf("scheme %q: entries %d out of range [0, %d]", r.Name, r.Entries, 1<<16)
-	}
-	if r.ExtraLines < 0 || r.ExtraLines > 16 {
-		return fmt.Errorf("scheme %q: extra_lines %d out of range [0, 16]", r.Name, r.ExtraLines)
-	}
-	return nil
-}
-
 // CompareRequest is the body of POST /v1/compare: a cross-scheme
 // comparison grid over built-in benchmarks — every scheme measures the
 // same captured instruction stream, and the response ranks the schemes
@@ -258,13 +169,13 @@ func (r *CompareRequest) validate() error {
 		return fmt.Errorf("grid of %d cells exceeds the %d-cell limit", len(r.Benchmarks)*len(r.Schemes), maxGridCells)
 	}
 	for _, b := range r.Benchmarks {
-		if err := b.validate(); err != nil {
+		if err := b.Validate(); err != nil {
 			return err
 		}
 	}
 	seen := make(map[string]bool, len(r.Schemes))
 	for i, sc := range r.Schemes {
-		if err := sc.validate(); err != nil {
+		if err := sc.Validate(); err != nil {
 			return fmt.Errorf("schemes[%d]: %w", i, err)
 		}
 		key, err := json.Marshal(sc)
@@ -323,11 +234,11 @@ func (r *DeployRequest) validate() error {
 		return fmt.Errorf("source exceeds %d bytes", maxSourceBytes)
 	}
 	if r.Benchmark != nil {
-		if err := r.Benchmark.validate(); err != nil {
+		if err := r.Benchmark.Validate(); err != nil {
 			return err
 		}
 	}
-	return r.Config.validate()
+	return r.Config.Validate()
 }
 
 // DeployResponse carries the versioned artifact (the exact bytes

@@ -31,7 +31,7 @@ func TestCompareBitIdentical(t *testing.T) {
 
 	benches := []imtrans.Benchmark{}
 	for _, ref := range []BenchmarkRef{{Name: "mmul", N: 24}, {Name: "sor", N: 32, Iters: 2}} {
-		b, err := ref.resolve()
+		b, err := ref.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,12 @@ func fuzzSeeds(f *testing.F) {
 		`{"source":"` + strings.Repeat("x", 64) + `"}`,
 		``,
 		`null`,
+		`{"benchmark":{"name":"mmul","n":1048576}}`,
+		`{"benchmark":{"name":"fft","n":3}}`,
+		`{"benchmark":{"name":"tri","n":-1}}`,
+		`{"benchmark":{"name":"ej","iters":-1}}`,
+		`{"benchmarks":[{"name":"fft","n":3},{"name":"sor","n":2}],"configs":[{}]}`,
+		`{"benchmarks":[{"name":"iir","iters":-1}],"schemes":[{"name":"paper"}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -46,6 +52,13 @@ func FuzzParseEncodeRequest(f *testing.F) {
 		}
 		if len(r.Source) > maxSourceBytes {
 			t.Fatalf("accepted oversize source (%d bytes)", len(r.Source))
+		}
+		if r.Benchmark != nil {
+			if b, err := r.Benchmark.Resolve(); err == nil {
+				if _, err := b.Program(); err != nil {
+					t.Fatalf("accepted benchmark %+v the library refuses: %v", *r.Benchmark, err)
+				}
+			}
 		}
 	})
 }

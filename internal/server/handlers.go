@@ -25,7 +25,7 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 	cfg := req.Config.Config()
 	var rep *imtrans.EncodingReport
 	if req.Benchmark != nil {
-		b, err := req.Benchmark.resolve()
+		b, err := req.Benchmark.Resolve()
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}
@@ -93,7 +93,7 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult,
 	benches := make([]imtrans.Benchmark, len(req.Benchmarks))
 	names := make([]string, len(req.Benchmarks))
 	for i, ref := range req.Benchmarks {
-		b, err := ref.resolve()
+		b, err := ref.Resolve()
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}
@@ -139,7 +139,7 @@ func (s *Server) handleCompare(ctx context.Context, body []byte) (*cachedResult,
 	}
 	benches := make([]imtrans.Benchmark, len(req.Benchmarks))
 	for i, ref := range req.Benchmarks {
-		b, err := ref.resolve()
+		b, err := ref.Resolve()
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}
@@ -190,7 +190,7 @@ func (s *Server) handleDeploy(ctx context.Context, body []byte) (*cachedResult, 
 	var d *imtrans.Deployment
 	verified := false
 	if req.Benchmark != nil {
-		b, err := req.Benchmark.resolve()
+		b, err := req.Benchmark.Resolve()
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}

@@ -78,7 +78,7 @@ func TestMeasureBitIdentical(t *testing.T) {
 
 	benches := make([]imtrans.Benchmark, len(sweepScales))
 	for i, ref := range sweepScales {
-		b, err := ref.resolve()
+		b, err := ref.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -688,4 +688,70 @@ func ExampleServer() {
 	s.Handler().ServeHTTP(w, req)
 	fmt.Print(w.Body.String())
 	// Output: ok
+}
+
+// TestParseRejectsScaleOutsideDomain holds every request decoder to the
+// kernels' scale domains: sizes inside [0, 2^20] that would exhaust
+// memory, panic in setup or spin to the instruction cap are a parse
+// error, and the scales the daemon is driven at still parse.
+func TestParseRejectsScaleOutsideDomain(t *testing.T) {
+	bad := []string{
+		`{"name":"mmul","n":1048576}`,
+		`{"name":"fft","n":3}`,
+		`{"name":"fft","n":1000}`,
+		`{"name":"sor","n":2}`,
+		`{"name":"ej","n":1}`,
+		`{"name":"ej","iters":-1}`,
+		`{"name":"tri","n":1}`,
+		`{"name":"conv2d","n":2}`,
+		`{"name":"iir","iters":-1}`,
+	}
+	for _, ref := range bad {
+		if _, err := ParseEncodeRequest([]byte(`{"benchmark":` + ref + `}`)); err == nil {
+			t.Errorf("encode %s parsed", ref)
+		}
+		if _, err := ParseDeployRequest([]byte(`{"benchmark":` + ref + `}`)); err == nil {
+			t.Errorf("deploy %s parsed", ref)
+		}
+		if _, err := ParseMeasureRequest([]byte(`{"benchmarks":[` + ref + `]}`)); err == nil {
+			t.Errorf("measure %s parsed", ref)
+		}
+		if _, err := ParseCompareRequest([]byte(`{"benchmarks":[` + ref + `],"schemes":[{"name":"paper"}]}`)); err == nil {
+			t.Errorf("compare %s parsed", ref)
+		}
+	}
+	if _, err := ParseEncodeRequest([]byte(`{"benchmark":{"name":"fft","n":3}}`)); err == nil ||
+		!strings.Contains(err.Error(), `benchmark "fft": n 3 is not a power of two`) {
+		t.Errorf("fft n=3: err = %v", err)
+	}
+	body, err := json.Marshal(MeasureRequest{Benchmarks: sweepScales})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseMeasureRequest(body); err != nil {
+		t.Errorf("reduced-scale grid rejected: %v", err)
+	}
+}
+
+// TestScaleOutsideDomainIs400 drives the daemon with scales no kernel can
+// run: each answers 400 at parse or submit time, well inside a 3-second
+// request deadline, and never reaches a capture.
+func TestScaleOutsideDomainIs400(t *testing.T) {
+	s := jobsServer(t, Config{RequestTimeout: 3 * time.Second})
+	cases := []struct{ path, body string }{
+		{"/v1/measure", `{"benchmarks":[{"name":"fft","n":3}]}`},
+		{"/v1/encode", `{"benchmark":{"name":"mmul","n":1048576}}`},
+		{"/v1/compare", `{"benchmarks":[{"name":"fft","n":3}],"schemes":[{"name":"businvert"}]}`},
+		{"/v1/jobs", `{"benchmarks":[{"name":"fft","n":3}]}`},
+	}
+	for _, tc := range cases {
+		start := time.Now()
+		w := post(t, s.Handler(), tc.path, tc.body)
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%s %s took %v", tc.path, tc.body, el)
+		}
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (%s)", tc.path, tc.body, w.Code, w.Body)
+		}
+	}
 }

@@ -16,6 +16,12 @@ func Conv2D() *Workload {
 		Description: "3x3 valid convolution, taps unrolled, kernel in registers",
 		Defaults:    Params{N: 128, Iters: 8},
 		TestParams:  Params{N: 12, Iters: 2},
+		MinN:        3,
+		// (n-2)² outputs of 35 instructions each, per repetition.
+		Insts: func(p Params) float64 {
+			m := float64(p.N - 2)
+			return float64(p.Iters)*(35*m*m+8*m+4) + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

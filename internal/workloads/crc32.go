@@ -18,6 +18,11 @@ func CRC32() *Workload {
 		Description: "table-driven CRC-32 (IEEE) over a byte buffer",
 		Defaults:    Params{N: 65536, Iters: 20},
 		TestParams:  Params{N: 256, Iters: 2},
+		MinN:        1,
+		// 11 instructions per byte, per repetition.
+		Insts: func(p Params) float64 {
+			return float64(p.Iters)*(11*float64(p.N)+6) + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -19,6 +19,12 @@ func EJ() *Workload {
 		Description: "extrapolated Jacobi iteration, double-buffered 5-point stencil",
 		Defaults:    Params{N: 128, Iters: 60},
 		TestParams:  Params{N: 10, Iters: 3},
+		MinN:        3,
+		// (n-2)² interior points of an 18-instruction update per sweep.
+		Insts: func(p Params) float64 {
+			m := float64(p.N - 2)
+			return float64(p.Iters)*(18*m*m+9*m+6) + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

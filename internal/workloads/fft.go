@@ -18,6 +18,15 @@ func FFT() *Workload {
 		Description: "radix-2 iterative FFT, precomputed twiddle ROM",
 		Defaults:    Params{N: 256, Iters: 1},
 		TestParams:  Params{N: 16, Iters: 1},
+		MinN:        2,
+		Pow2:        true,
+		// n/2 36-instruction butterflies per stage, log2 n stages, after a
+		// bit-reversal pass of 7 instructions per sample and 12 per swap.
+		Insts: func(p Params) float64 {
+			n := float64(p.N)
+			stages := math.Log2(n)
+			return 18*n*stages + 16*n + 7*stages + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -17,6 +17,11 @@ func IIR() *Workload {
 		Description: "biquad IIR filter cascade (transposed direct form II)",
 		Defaults:    Params{N: 16384, Iters: 4},
 		TestParams:  Params{N: 64, Iters: 3},
+		MinN:        1,
+		// A 23-instruction biquad per section, per sample.
+		Insts: func(p Params) float64 {
+			return float64(p.N)*(23*float64(p.Iters)+10) + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

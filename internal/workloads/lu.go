@@ -15,6 +15,12 @@ func LU() *Workload {
 		Description: "in-place LU decomposition (Doolittle, no pivoting)",
 		Defaults:    Params{N: 128, Iters: 1},
 		TestParams:  Params{N: 10, Iters: 1},
+		MinN:        1,
+		// A 9-instruction update over each trailing submatrix.
+		Insts: func(p Params) float64 {
+			n := float64(p.N)
+			return (6*n*n*n+5*n*n+9*n)/2 + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

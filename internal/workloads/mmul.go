@@ -14,6 +14,12 @@ func MMul() *Workload {
 		Description: "dense matrix multiplication C = A x B (row-major float32)",
 		Defaults:    Params{N: 100, Iters: 1},
 		TestParams:  Params{N: 8, Iters: 1},
+		MinN:        1,
+		// n² (i, j) pairs of an 8-instruction k loop plus loop overhead.
+		Insts: func(p Params) float64 {
+			n := float64(p.N)
+			return 8*n*n*n + 10*n*n + 7*n + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

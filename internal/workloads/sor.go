@@ -20,6 +20,12 @@ func SOR() *Workload {
 		Description: "successive over-relaxation, 5-point stencil, in-place sweeps",
 		Defaults:    Params{N: 256, Iters: 3},
 		TestParams:  Params{N: 10, Iters: 2},
+		MinN:        3,
+		// (n-2)² interior points of a 17-instruction update per sweep.
+		Insts: func(p Params) float64 {
+			m := float64(p.N - 2)
+			return float64(p.Iters)*(17*m*m+7*m+3) + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

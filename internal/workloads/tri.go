@@ -17,6 +17,12 @@ func Tri() *Workload {
 		Description: "tridiagonal solver (Thomas algorithm), repeated solves",
 		Defaults:    Params{N: 128, Iters: 400},
 		TestParams:  Params{N: 12, Iters: 3},
+		MinN:        2,
+		// A 25-instruction forward step and a 12-instruction back step per
+		// row, per solve.
+		Insts: func(p Params) float64 {
+			return float64(p.Iters)*(37*float64(p.N-1)+17) + 32
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -16,6 +16,7 @@ import (
 	"math"
 	"strconv"
 
+	"imtrans/internal/cpu"
 	"imtrans/internal/mem"
 )
 
@@ -43,6 +44,15 @@ type Workload struct {
 	// Check recomputes the kernel in Go (same float32 operation order)
 	// and compares the simulator's memory bit-exactly.
 	Check func(m *mem.Memory, p Params) error
+
+	// MinN is the smallest problem size at which the kernel's loops
+	// terminate and its golden check holds.
+	MinN int
+	// Pow2 restricts N to powers of two (the radix-2 FFT).
+	Pow2 bool
+	// Insts bounds from above the dynamic instruction count of one run
+	// at the filled parameters p.
+	Insts func(p Params) float64
 }
 
 // Fill completes p with the workload's defaults.
@@ -54,6 +64,28 @@ func (w *Workload) Fill(p Params) Params {
 		p.Iters = w.Defaults.Iters
 	}
 	return p
+}
+
+// Validate reports whether the kernel can run at p (zero fields take the
+// defaults): N at least MinN and, for fft, a power of two; Iters at least
+// one; and a run that fits the simulator's default instruction cap.
+// Outside that domain a kernel panics in setup, fails its golden check or
+// spins until the cap. The error names the scale; callers name the kernel.
+func (w *Workload) Validate(p Params) error {
+	p = w.Fill(p)
+	switch {
+	case p.N < w.MinN:
+		return fmt.Errorf("n %d is below the smallest size %d", p.N, w.MinN)
+	case w.Pow2 && p.N&(p.N-1) != 0:
+		return fmt.Errorf("n %d is not a power of two", p.N)
+	case p.Iters < 1:
+		return fmt.Errorf("iters %d is below 1", p.Iters)
+	}
+	if insts := w.Insts(p); insts > cpu.DefaultMaxInstructions {
+		return fmt.Errorf("n %d with iters %d runs about %.4g instructions, over the simulator's %d-instruction cap",
+			p.N, p.Iters, insts, cpu.DefaultMaxInstructions)
+	}
+	return nil
 }
 
 // All returns the six paper benchmarks in the paper's column order.

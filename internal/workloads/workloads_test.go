@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,26 +14,37 @@ import (
 // returning the CPU for inspection.
 func execute(t testing.TB, w *Workload, p Params) *cpu.CPU {
 	t.Helper()
+	c, err := runCapped(w, p, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	return c
+}
+
+// runCapped is execute under an instruction cap (0 = the default), with
+// every failure returned.
+func runCapped(w *Workload, p Params, max uint64) (*cpu.CPU, error) {
 	p = w.Fill(p)
 	obj, err := asm.Assemble(w.Source(p))
 	if err != nil {
-		t.Fatalf("%s: assemble: %v", w.Name, err)
+		return nil, fmt.Errorf("assemble: %w", err)
 	}
 	m := mem.New()
 	for i, b := range obj.Data {
 		m.StoreByte(obj.DataBase+uint32(i), b)
 	}
 	if err := w.Setup(m, p); err != nil {
-		t.Fatalf("%s: setup: %v", w.Name, err)
+		return nil, fmt.Errorf("setup: %w", err)
 	}
 	c, err := cpu.New(cpu.Program{Base: obj.TextBase, Words: obj.TextWords}, m)
 	if err != nil {
-		t.Fatalf("%s: cpu: %v", w.Name, err)
+		return nil, fmt.Errorf("cpu: %w", err)
 	}
+	c.MaxInstructions = max
 	if err := c.Run(); err != nil {
-		t.Fatalf("%s: run: %v", w.Name, err)
+		return c, fmt.Errorf("run: %w", err)
 	}
-	return c
+	return c, nil
 }
 
 // TestKernelsMatchGoldenSmall validates every kernel bit-exactly against
@@ -144,6 +156,102 @@ func TestLCGDeterminism(t *testing.T) {
 		}
 		if x < 0 || x >= 1 {
 			t.Fatalf("lcg out of range: %v", x)
+		}
+	}
+}
+
+// TestInstsBoundsRuns checks each kernel's instruction bound against real
+// runs: never below the executed count, and within 5% plus a prologue of
+// it, so the cap boundary Validate draws sits where the runs do.
+func TestInstsBoundsRuns(t *testing.T) {
+	for _, w := range append(All(), Extras()...) {
+		for _, n := range []int{w.MinN, 4, 8, w.TestParams.N} {
+			for iters := 1; iters <= 3; iters++ {
+				p := Params{N: n, Iters: iters}
+				if err := w.Validate(p); err != nil {
+					t.Fatalf("%s %+v: %v", w.Name, p, err)
+				}
+				got := float64(execute(t, w, p).InstCount)
+				if bound := w.Insts(p); bound < got || bound > 1.05*got+40 {
+					t.Errorf("%s %+v: bound %.0f for %.0f executed instructions", w.Name, p, bound, got)
+				}
+			}
+		}
+	}
+}
+
+// TestDomainBoundaries pins each kernel's scale domain by its boundary
+// pairs: the last rejected and first accepted n at the small end, and the
+// last accepted and first rejected n at the instruction cap with the
+// default iteration count. Zero n or iters takes the default.
+func TestDomainBoundaries(t *testing.T) {
+	cases := []struct {
+		name                   string
+		lowReject, lowAccept   int
+		highAccept, highReject int
+	}{
+		{"mmul", -1, 1, 629, 630},
+		{"sor", 2, 3, 6264, 6265},
+		{"ej", 2, 3, 1362, 1363},
+		{"fft", 1, 2, 1 << 22, 1 << 23},
+		{"tri", 1, 2, 135135, 135136},
+		{"lu", -1, 1, 873, 874},
+		{"crc32", -1, 1, 9090908, 9090909},
+		{"iir", -1, 1, 19607842, 19607843},
+		{"conv2d", 2, 3, 2674, 2675},
+	}
+	for _, tc := range cases {
+		w, err := ByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{tc.lowAccept, tc.highAccept, 0} {
+			if err := w.Validate(Params{N: n}); err != nil {
+				t.Errorf("%s n=%d rejected: %v", tc.name, n, err)
+			}
+		}
+		for _, n := range []int{tc.lowReject, tc.highReject, -1 << 40, 1 << 40} {
+			if w.Validate(Params{N: n}) == nil {
+				t.Errorf("%s n=%d accepted", tc.name, n)
+			}
+		}
+		if err := w.Validate(Params{Iters: 1}); err != nil {
+			t.Errorf("%s iters=1 rejected: %v", tc.name, err)
+		}
+		if w.Validate(Params{Iters: -1}) == nil {
+			t.Errorf("%s iters=-1 accepted", tc.name)
+		}
+	}
+	fft := FFT()
+	for _, n := range []int{3, 6, 100, 1<<20 + 1} {
+		if err := fft.Validate(Params{N: n}); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("fft n=%d: err = %v, want a power-of-two error", n, err)
+		}
+	}
+	for _, n := range []int{4, 1024, 1 << 20} {
+		if err := fft.Validate(Params{N: n}); err != nil {
+			t.Errorf("fft n=%d rejected: %v", n, err)
+		}
+	}
+}
+
+// TestDomainFloorIsTight runs every kernel at both sides of its smallest
+// size: the first accepted n passes its golden check, and the last
+// rejected positive n either spins to a small instruction cap or fails
+// the check, so the floor is neither too low nor higher than it must be.
+func TestDomainFloorIsTight(t *testing.T) {
+	for _, w := range append(All(), Extras()...) {
+		c := execute(t, w, Params{N: w.MinN, Iters: 1})
+		if err := w.Check(c.Mem, w.Fill(Params{N: w.MinN, Iters: 1})); err != nil {
+			t.Errorf("%s at n=%d: %v", w.Name, w.MinN, err)
+		}
+		n := w.MinN - 1
+		if n < 1 {
+			continue // zero is the default size, and negative sizes fail setup
+		}
+		p := Params{N: n, Iters: 1}
+		if c, err := runCapped(w, p, 5_000_000); err == nil && w.Check(c.Mem, p) == nil {
+			t.Errorf("%s runs cleanly at n=%d, below its floor %d", w.Name, n, w.MinN)
 		}
 	}
 }

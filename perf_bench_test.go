@@ -3,10 +3,17 @@ package imtrans
 // Hot-path benchmarks for the measurement pipeline: the CPU fetch loop,
 // encoding-plan construction, and the capture/replay engine against the
 // reference two-run simulate pipeline. CI runs these with -benchtime=1x as
-// a smoke test; locally, `go test -bench 'Perf' -run -` gives the numbers
-// behind BENCH_sweep.json (which `imtrans bench -json` regenerates).
+// a smoke test, and gates on three ns/op ratios between them: the cold
+// sweep against serial simulation (BenchmarkPerfSweep vs
+// BenchmarkPerfSweepSimulate), the warm sweep at -cpu 1,4,8
+// (BenchmarkPerfSweepWarm) and the fleet's batch kernels against its
+// scalar coders (BenchmarkCompareFleet). Locally,
+// `go test -bench 'Perf|CompareFleet' -run - .` gives the numbers; the
+// end-to-end benchmark is `bash perfbench/run.sh`.
 
 import (
+	"context"
+	"runtime"
 	"testing"
 )
 
@@ -113,20 +120,97 @@ func BenchmarkPerfReplayMeasureCold(b *testing.B) {
 	}
 }
 
+// perfSweepConfigs are the Figure 6 block sizes.
+var perfSweepConfigs = []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7}}
+
 // BenchmarkPerfSweep evaluates the Figure 6 grid (six kernels, four block
-// sizes) per iteration from a cold cache, the workload BENCH_sweep.json
-// times.
+// sizes) per iteration from a cold cache: one capture per kernel, then
+// every cell replayed.
 func BenchmarkPerfSweep(b *testing.B) {
 	b.ReportAllocs()
-	var benches []Benchmark
-	for _, bm := range Benchmarks() {
-		benches = append(benches, testScale(bm))
-	}
-	cfgs := []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7}}
+	benches := testSuite()
 	for i := 0; i < b.N; i++ {
 		ClearCaptureCache()
-		if _, err := SweepMeasure(benches, cfgs, 0); err != nil {
+		if _, err := SweepMeasure(benches, perfSweepConfigs, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPerfSweepSimulate evaluates the same grid the way every figure
+// did before capture/replay: serially, two full simulations per cell.
+// BenchmarkPerfSweep must not be slower.
+func BenchmarkPerfSweepSimulate(b *testing.B) {
+	b.ReportAllocs()
+	benches := testSuite()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range benches {
+			for _, c := range perfSweepConfigs {
+				if _, err := bm.SimulateMeasure(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPerfSweepWarm re-sweeps the grid from warm captures with the
+// grid and encoder parallelism set to GOMAXPROCS, so `-cpu 1,4,8` times
+// a strong-scaling ladder of the encode and replay pipeline.
+func BenchmarkPerfSweepWarm(b *testing.B) {
+	b.ReportAllocs()
+	procs := runtime.GOMAXPROCS(0)
+	defer SetParallelism(SetParallelism(procs))
+	benches := testSuite()
+	opts := SweepOptions{Parallelism: procs}
+	if _, err := SweepMeasureCtx(context.Background(), benches, perfSweepConfigs, opts); err != nil {
+		b.Fatal(err) // prime the capture cache
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := SweepMeasureCtx(context.Background(), benches, perfSweepConfigs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompareFleet times the six related-work schemes over the six
+// kernels from warm captures, once through the scalar per-word coders
+// and once through the fleet's batch kernels. batch must not be slower
+// than scalar; TestCompareBatchToggleBitIdentical and
+// TestFleetBatchMatchesScalar prove the two agree.
+func BenchmarkCompareFleet(b *testing.B) {
+	benches := testSuite()
+	var specs []SchemeSpec
+	for _, info := range Schemes() {
+		if info.Name != "paper" {
+			specs = append(specs, SchemeSpec{Name: info.Name})
+		}
+	}
+	for _, mode := range []struct {
+		name  string
+		batch bool
+	}{{"scalar", false}, {"batch", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			defer SetFleetBatchReplay(SetFleetBatchReplay(mode.batch))
+			if _, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{}); err != nil {
+				b.Fatal(err) // prime the capture cache
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := res.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -30,6 +30,15 @@ func testScale(b Benchmark) Benchmark {
 	return b
 }
 
+// testSuite is the six paper kernels at test scale.
+func testSuite() []Benchmark {
+	var benches []Benchmark
+	for _, b := range Benchmarks() {
+		benches = append(benches, testScale(b))
+	}
+	return benches
+}
+
 // replayTestConfigs exercises every pipeline variant the replay path must
 // reproduce: the Figure 6 block sizes plus exact chaining, knapsack TT
 // allocation, the 16-function space, and a tight table budget.

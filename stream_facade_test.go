@@ -66,7 +66,10 @@ var sharedSigConfigs = []Config{
 // memos across cells (replay_memo_shared > 0), record strictly fewer
 // blocks locally than four isolated single-config sweeps, and serve at
 // least as many replays from memo. Serial parallelism keeps the
-// record/adopt split deterministic.
+// record/adopt split deterministic. The six-kernel grid below, the
+// Figure 6 block sizes plus a four-way k=5 spread, must adopt memos and
+// serve more replays from memo than it records, with a wall time on every
+// cell, serially and at four workers alike.
 func TestSweepSharedMemoCounters(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "tri")), testScale(mustBench(t, "sor"))}
 	opts := SweepOptions{Parallelism: 1}
@@ -107,6 +110,38 @@ func TestSweepSharedMemoCounters(t *testing.T) {
 	// Sharing must be invisible in the measurements themselves.
 	if !reflect.DeepEqual(shared.Measurements, solo) {
 		t.Error("shared-memo sweep measurements differ from isolated sweeps")
+	}
+
+	suite := testSuite()
+	grid := []Config{
+		{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7},
+		{BlockSize: 5, TTEntries: 4}, {BlockSize: 5, TTEntries: 8},
+		{BlockSize: 5, TTEntries: 32}, {BlockSize: 5, Knapsack: true},
+	}
+	for _, par := range []int{1, 4} {
+		res, err := SweepMeasureCtx(context.Background(), suite, grid, SweepOptions{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		adopted := res.Counters.Get("replay_memo_shared")
+		blocks := res.Counters.Get("replay_memo_blocks")
+		hits := res.Counters.Get("replay_memo_hits")
+		if adopted == 0 {
+			t.Errorf("parallelism %d: six-kernel grid adopted no cross-config memos", par)
+		}
+		if hits <= blocks {
+			t.Errorf("parallelism %d: %d memo replays for %d recorded blocks", par, hits, blocks)
+		}
+		for bi := range suite {
+			for ci := range grid {
+				if res.CellNs[bi][ci] <= 0 {
+					t.Errorf("parallelism %d: cell (%s, %v) has no wall time", par, suite[bi].Name, grid[ci])
+				}
+			}
+		}
 	}
 }
 
