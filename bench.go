@@ -194,9 +194,10 @@ func (b Benchmark) Measure(cfgs ...Config) ([]Measurement, error) {
 }
 
 // MeasureCtx is Measure with cooperative cancellation: the context is
-// polled inside the encoder's bit-line pool and the replay fetch loop,
-// so a cancelled measurement stops within one task granule. A cancelled
-// run returns an error wrapping ctx.Err() and no measurements.
+// polled inside the profiling run, the encoder's bit-line pool and the
+// replay fetch loop, so a cancelled measurement stops within one task
+// granule. A cancelled run returns an error wrapping ctx.Err() and no
+// measurements.
 func (b Benchmark) MeasureCtx(ctx context.Context, cfgs ...Config) ([]Measurement, error) {
 	p, err := b.Program()
 	if err != nil {

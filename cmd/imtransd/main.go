@@ -14,11 +14,11 @@
 // crash harness (the daemon SIGKILLs itself after a seeded delay) so CI
 // can prove exactly that.
 //
-// With -store.dir set the daemon keeps a persistent content-addressed
-// artifact store under its caches: captures, result bodies and job
-// results land there keyed by content hash, verified (CRC + digest) on
-// every read, scrubbed in the background, and shared across restarts —
-// and across replicas pointing at the same directory.
+// With -store.dir set the daemon keeps the response bodies of its result
+// cache in a persistent content-addressed store: verified (CRC + digest)
+// on every read, scrubbed in the background, and served again after a
+// restart. Captures are not stored; a restarted daemon profiles each
+// program again on first use.
 //
 // Usage:
 //
@@ -68,7 +68,7 @@ func main() {
 	jobsParallelism := fs.Int("jobs.parallelism", 0, "per-job sweep worker bound (0 = GOMAXPROCS)")
 	jobDeadline := fs.Duration("jobs.deadline", 0, "default per-job deadline (0 = 1h)")
 	jobsFsync := fs.Bool("jobs.fsync", true, "fsync job records and checkpoint journals (power-fail durability)")
-	storeDir := fs.String("store.dir", "", "persistent content-addressed artifact store directory (empty = disabled)")
+	storeDir := fs.String("store.dir", "", "persistent content-addressed store of response bodies (empty = disabled)")
 	storeMaxBytes := fs.Int64("store.max-bytes", 0, "store byte budget before LRU eviction (0 = unbounded)")
 	storeFsync := fs.Bool("store.fsync", false, "fsync store writes (power-fail durability)")
 	storeScrub := fs.Duration("store.scrub", 0, "background store-scrub interval (0 = 10m)")
@@ -134,7 +134,7 @@ func main() {
 		log.Printf("durable job store at %s (fsync=%v)", *jobsDir, *jobsFsync)
 	}
 	if *storeDir != "" {
-		log.Printf("content-addressed artifact store at %s (fsync=%v)", *storeDir, *storeFsync)
+		log.Printf("response store at %s (fsync=%v)", *storeDir, *storeFsync)
 	}
 
 	if *chaosKill > 0 {

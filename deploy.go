@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -103,11 +104,18 @@ func BuildDeploymentStatic(p *Program, c Config) (*Deployment, error) {
 // one simulation per kernel and scale process-wide) and packages the
 // resulting encoding for a target system.
 func (b Benchmark) Deployment(c Config) (*Deployment, error) {
+	return b.DeploymentCtx(context.Background(), c)
+}
+
+// DeploymentCtx is Deployment with cooperative cancellation: a profiling
+// run it has to make polls ctx, and a cancelled one returns ctx.Err()
+// wrapped.
+func (b Benchmark) DeploymentCtx(ctx context.Context, c Config) (*Deployment, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
-	cap, err := captureProgram(p, b.setup, b.captureSalt())
+	cap, err := captureProgram(ctx, p, b.setup, b.captureSalt())
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
@@ -123,11 +131,17 @@ func (b Benchmark) Deployment(c Config) (*Deployment, error) {
 // every restored instruction word — the benchmark-suite form of
 // Deployment.Verify.
 func (b Benchmark) VerifyDeployment(d *Deployment) error {
+	return b.VerifyDeploymentCtx(context.Background(), d)
+}
+
+// VerifyDeploymentCtx is VerifyDeployment with cooperative cancellation
+// of its verification run.
+func (b Benchmark) VerifyDeploymentCtx(ctx context.Context, d *Deployment) error {
 	p, err := b.Program()
 	if err != nil {
 		return fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
-	if err := d.Verify(p, b.setup); err != nil {
+	if err := d.VerifyCtx(ctx, p, b.setup); err != nil {
 		return fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
 	return nil
@@ -200,6 +214,12 @@ func LoadDeployment(r io.Reader) (*Deployment, error) {
 // deployment's tables, checking every restored word — the end-to-end
 // acceptance test a firmware build would run before shipping the artifact.
 func (d *Deployment) Verify(p *Program, setup func(Memory) error) error {
+	return d.VerifyCtx(context.Background(), p, setup)
+}
+
+// VerifyCtx is Verify with cooperative cancellation: the verification
+// run polls ctx between bounded chunks of instructions.
+func (d *Deployment) VerifyCtx(ctx context.Context, p *Program, setup func(Memory) error) error {
 	if d.TextBase != p.TextBase || len(d.Encoded) != len(p.Text) {
 		return fmt.Errorf("imtrans: deployment does not match program layout")
 	}
@@ -236,7 +256,7 @@ func (d *Deployment) Verify(p *Program, setup func(Memory) error) error {
 			}
 		}
 	}
-	if err := m.Run(); err != nil {
+	if err := m.RunCtx(ctx); err != nil {
 		return fmt.Errorf("imtrans: deployment verification run: %w", err)
 	}
 	if mismatches > 0 {

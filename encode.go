@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 
 	"imtrans/internal/cfg"
@@ -105,11 +106,17 @@ func EncodeProgram(p *Program, profile []uint64, c Config) (*EncodingReport, err
 // profiling simulation per (kernel, scale) across the whole process — so
 // repeated Encode calls (a busy encoding service, say) never re-simulate.
 func (b Benchmark) Encode(c Config) (*EncodingReport, error) {
+	return b.EncodeCtx(context.Background(), c)
+}
+
+// EncodeCtx is Encode with cooperative cancellation: a profiling run it
+// has to make polls ctx, and a cancelled one returns ctx.Err() wrapped.
+func (b Benchmark) EncodeCtx(ctx context.Context, c Config) (*EncodingReport, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
-	cap, err := captureProgram(p, b.setup, b.captureSalt())
+	cap, err := captureProgram(ctx, p, b.setup, b.captureSalt())
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -25,7 +25,7 @@ import (
 // one and shape the gridRun it yields into their own results.
 type gridSpec[T any] struct {
 	rows    int
-	capture func(row int) (*replay.Capture, error)
+	capture func(ctx context.Context, row int) (*replay.Capture, error)
 	cols    []gridColumn[T]
 
 	// identity names the grid for its checkpoint journal: a hash over
@@ -181,8 +181,8 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		if !r.pending {
 			return
 		}
-		r.attempts, r.err = runsafe.Do(ctx, pol, brk, func(context.Context) error {
-			cap, err := g.capture(ri)
+		r.attempts, r.err = runsafe.Do(ctx, pol, brk, func(ctx context.Context) error {
+			cap, err := g.capture(ctx, ri)
 			if err != nil {
 				return err
 			}
@@ -413,14 +413,14 @@ func (r *gridRun[T]) interrupted(family string) error {
 }
 
 // benchCapture is the row capture of a benchmark grid.
-func benchCapture(benchmarks []Benchmark) func(row int) (*replay.Capture, error) {
-	return func(row int) (*replay.Capture, error) {
+func benchCapture(benchmarks []Benchmark) func(ctx context.Context, row int) (*replay.Capture, error) {
+	return func(ctx context.Context, row int) (*replay.Capture, error) {
 		b := benchmarks[row]
 		p, err := b.Program()
 		if err != nil {
 			return nil, err
 		}
-		return captureProgram(p, b.setup, b.captureSalt())
+		return captureProgram(ctx, p, b.setup, b.captureSalt())
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package cas is the persistent content-addressed blob store underneath
-// the daemon's in-memory caches: captures, result bodies and job results
-// land here keyed by the SHA-256 of their canonical bytes, so N replicas
-// (and N restarts of one replica) share derived work instead of
-// re-deriving it. The layout follows the container-storage idiom — a
-// two-level fan-out of digest-named blob files plus a name→digest index —
-// and the repo's artifact discipline: every file is a CRC-sealed
-// envelope written temp-file + rename (optionally fsynced), decoded by a
-// strict total decoder, and verified against its digest before a byte of
-// it is trusted. Corruption is never repaired in place and never
-// deleted: a blob that fails verification is moved to quarantine/ as
-// evidence and the caller re-derives, so a damaged store degrades to
-// recompute, never to a wrong answer.
+// the daemon's in-memory result cache: response bodies land here keyed
+// by the SHA-256 of their bytes, so a restarted daemon serves them
+// instead of re-deriving them. The layout follows the container-storage
+// idiom — a two-level fan-out of digest-named blob files plus a
+// name→digest index — and the repo's artifact discipline: every file is
+// a CRC-sealed envelope written temp-file + rename (optionally fsynced),
+// decoded by a strict total decoder, and verified against its digest
+// before a byte of it is trusted. Corruption is never repaired in place
+// and never deleted: a blob that fails verification is moved to
+// quarantine/ as evidence and the caller re-derives, so a damaged store
+// degrades to recompute, never to a wrong answer.
 package cas
 
 import (

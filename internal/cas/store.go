@@ -238,38 +238,6 @@ func (s *Store) Get(key Key) ([]byte, error) {
 	return payload, nil
 }
 
-// Has reports whether the store currently holds key (without touching
-// its LRU clock or verifying its content).
-func (s *Store) Has(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blobs[key]
-	return ok
-}
-
-// Pin holds a blob against eviction until the returned release func
-// runs; long derivations pin their inputs so a concurrent Put's GC pass
-// cannot pull them out from under the work.
-func (s *Store) Pin(key Key) (release func(), ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, present := s.blobs[key]
-	if !present {
-		return func() {}, false
-	}
-	m.pins++
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if m2, ok := s.blobs[key]; ok && m2 == m && m.pins > 0 {
-				m.pins--
-			}
-		})
-	}, true
-}
-
 // indexEntry is the sealed payload of one name→digest link.
 type indexEntry struct {
 	Name string `json:"name"`

@@ -294,7 +294,7 @@ func TestLinkWriteFaultPreservesOldTarget(t *testing.T) {
 }
 
 // TestGCEvictsLRUAndRespectsPins: the byte budget evicts the coldest
-// unpinned blob first and never a pinned one.
+// unpinned blob first and never one pinned by an in-flight Get.
 func TestGCEvictsLRUAndRespectsPins(t *testing.T) {
 	blob := func(tag byte) []byte {
 		b := bytes.Repeat([]byte{tag}, 100)
@@ -304,14 +304,23 @@ func TestGCEvictsLRUAndRespectsPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := func(k Key) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.blobs[k]
+		return ok
+	}
+	pin := func(k Key, delta int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.blobs[k].pins += delta
+	}
 	ka, err := s.Put(blob('a'))
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, ok := s.Pin(ka)
-	if !ok {
-		t.Fatal("Pin of live blob failed")
-	}
+	// Hold 'a' the way an in-flight Get does while it reads the file.
+	pin(ka, 1)
 	time.Sleep(2 * time.Millisecond) // separate LRU clocks
 	kb, err := s.Put(blob('b'))
 	if err != nil {
@@ -324,13 +333,13 @@ func TestGCEvictsLRUAndRespectsPins(t *testing.T) {
 	}
 
 	// 'a' is older than 'b' but pinned; 'b' must be the victim.
-	if !s.Has(ka) {
+	if !held(ka) {
 		t.Fatal("pinned blob was evicted")
 	}
-	if s.Has(kb) {
+	if held(kb) {
 		t.Fatal("LRU victim survived past the budget")
 	}
-	if !s.Has(kc) {
+	if !held(kc) {
 		t.Fatal("just-written blob was evicted by its own Put")
 	}
 	if n := s.Counters().Get("cas_evictions_total"); n != 1 {
@@ -338,12 +347,12 @@ func TestGCEvictsLRUAndRespectsPins(t *testing.T) {
 	}
 
 	// Released, 'a' becomes evictable by the next overflow.
-	release()
+	pin(ka, -1)
 	time.Sleep(2 * time.Millisecond)
 	if _, err := s.Put(blob('d')); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(ka) {
+	if held(ka) {
 		t.Fatal("released blob survived the next eviction pass")
 	}
 }

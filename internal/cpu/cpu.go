@@ -8,6 +8,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -163,17 +164,36 @@ func (c *CPU) Profile() []uint64 { return c.profile }
 
 // Run executes instructions until the program exits via syscall, an
 // execution error occurs, or the instruction cap is hit.
-func (c *CPU) Run() error {
-	max := c.MaxInstructions
-	if max == 0 {
-		max = DefaultMaxInstructions
-	}
+func (c *CPU) Run() error { return c.RunCtx(context.Background()) }
+
+// pollInterval is the most instructions RunCtx executes between two
+// polls of its context.
+const pollInterval = 1 << 16
+
+// RunCtx is Run under a context: it executes in chunks of at most
+// pollInterval instructions and stops with ctx.Err() between chunks once
+// the context is done. Inside a chunk the only per-instruction check is
+// the chunk bound, which also enforces the instruction cap.
+func (c *CPU) RunCtx(ctx context.Context) error {
 	for !c.Halted {
+		// The cap is re-derived per chunk so that only c and limit stay
+		// live across each Step, keeping the inner loop to one bound
+		// check per instruction.
+		max := c.MaxInstructions
+		if max == 0 {
+			max = DefaultMaxInstructions
+		}
 		if c.InstCount >= max {
 			return fmt.Errorf("cpu: instruction cap %d exceeded at pc %#x", max, c.PC)
 		}
-		if err := c.Step(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
+		}
+		limit := c.InstCount + min(max-c.InstCount, pollInterval)
+		for !c.Halted && c.InstCount < limit {
+			if err := c.Step(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -442,6 +444,34 @@ func TestInstructionCap(t *testing.T) {
 	}
 	if c.InstCount != 100 {
 		t.Errorf("InstCount = %d", c.InstCount)
+	}
+}
+
+// TestRunCtxStopsBetweenChunks: a cancelled run stops at a chunk
+// boundary, and the chunks still meet the instruction cap exactly.
+func TestRunCtxStopsBetweenChunks(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := start(t, "loop: j loop")
+	n := 0
+	c.OnFetch = func(pc, word uint32) {
+		if n++; n == pollInterval+3 {
+			cancel()
+		}
+	}
+	if err := c.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if c.InstCount != 2*pollInterval {
+		t.Errorf("InstCount = %d, want %d (the end of the cancelling chunk)", c.InstCount, 2*pollInterval)
+	}
+
+	c = start(t, "loop: j loop")
+	c.MaxInstructions = pollInterval + 5
+	if err := c.RunCtx(context.Background()); err == nil || !strings.Contains(err.Error(), "instruction cap") {
+		t.Errorf("err = %v", err)
+	}
+	if c.InstCount != pollInterval+5 {
+		t.Errorf("InstCount = %d, want %d", c.InstCount, pollInterval+5)
 	}
 }
 

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"imtrans"
-	"imtrans/internal/cas"
 	"imtrans/internal/checkpoint"
 	"imtrans/internal/runsafe"
 	"imtrans/internal/stats"
@@ -50,13 +48,6 @@ type Config struct {
 	// jobs_resumed_total, job_cells_restored_total, ...); nil allocates a
 	// private set.
 	Counters *stats.Counters
-
-	// Store, when non-nil, is the persistent content-addressed tier:
-	// finished results are also stored there by digest (linked under
-	// job-result/<id>), and ResultBytes serves from it first, falling back
-	// to the per-job result file. Replicas sharing a store serve each
-	// other's results.
-	Store *cas.Store
 }
 
 func (c Config) withDefaults() Config {
@@ -358,11 +349,18 @@ func (e *Engine) StateCounts() map[State]int {
 // ErrNotFinished is returned by ResultBytes for a job with no result yet.
 var ErrNotFinished = errors.New("jobs: job has not finished")
 
+// ErrResultDamaged is returned (wrapped) by ResultBytes for a done job
+// whose sealed result cannot be read or verified; the job is corrupt
+// from then on.
+var ErrResultDamaged = errors.New("jobs: result file is damaged")
+
 // ResultBytes returns a done job's stored result payload — the exact
 // bytes, CRC-verified, that were sealed when the job completed, so every
 // fetch (and every replica of a resumed run) serves an identical body.
 // A job in any other state returns its record and a typed error:
 // ErrNotFinished while queued/running, the job's ErrorInfo once failed.
+// A done job whose result fails to read or verify is persisted as
+// corrupt, so a resubmission of its spec wipes it and runs it again.
 func (e *Engine) ResultBytes(id string) ([]byte, Record, error) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
@@ -378,18 +376,19 @@ func (e *Engine) ResultBytes(id string) ([]byte, Record, error) {
 		}
 		return nil, rec, ErrNotFinished
 	}
-	if e.cfg.Store != nil {
-		// The store verifies CRC and digest; any failure (miss, corruption
-		// — already quarantined) falls back to the sealed result file.
-		if payload, serr := e.cfg.Store.GetNamed(resultStoreName(id)); serr == nil {
-			return payload, rec, nil
-		}
-	}
 	payload, err := readResultPayload(filepath.Join(e.cfg.Dir, id, resultFile))
-	if err != nil {
-		return nil, rec, err
+	if err == nil {
+		return payload, rec, nil
 	}
-	return payload, rec, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.jobs[id] == j && j.rec.State == StateDone {
+		j.rec.State = StateCorrupt
+		j.rec.Error = &ErrorInfo{Kind: "corrupt", Message: "result: " + err.Error()}
+		e.cfg.Counters.Add("jobs_corrupt_total", 1)
+		e.persistLocked(j, true)
+	}
+	return nil, j.rec, fmt.Errorf("%w: %v", ErrResultDamaged, err)
 }
 
 // Cancel requests cooperative cancellation. Queued jobs settle to
@@ -600,33 +599,15 @@ func (e *Engine) persistLocked(j *job, important bool) {
 	}
 }
 
-// writeResultLocked seals and stores a finished job's result payload:
-// the sealed per-job result file stays the local source of truth, and
-// with a content-addressed store attached the compact payload also lands
-// there by digest (best effort — a store write failure is counted, not
-// fatal, since the result file already has the bytes).
+// writeResultLocked seals a finished job's result into its per-job
+// result file.
 func (e *Engine) writeResultLocked(id string, res *Result) error {
 	data, err := seal(res)
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(e.cfg.Dir, id, resultFile), data, e.cfg.Fsync); err != nil {
-		return err
-	}
-	if e.cfg.Store != nil {
-		payload, merr := json.Marshal(res)
-		if merr == nil {
-			_, merr = e.cfg.Store.PutNamed(resultStoreName(id), payload)
-		}
-		if merr != nil {
-			e.cfg.Counters.Add("job_result_store_errors_total", 1)
-		}
-	}
-	return nil
+	return writeFileAtomic(filepath.Join(e.cfg.Dir, id, resultFile), data, e.cfg.Fsync)
 }
-
-// resultStoreName is a job result's name in the content-addressed store.
-func resultStoreName(id string) string { return "job-result/" + id }
 
 // classify maps an execution error to the typed terminal payload.
 func classify(err error) *ErrorInfo {

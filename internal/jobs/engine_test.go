@@ -609,6 +609,72 @@ func TestCorruptStoreFilesMarkJobCorrupt(t *testing.T) {
 	}
 }
 
+// TestDamagedResultMarksJobCorrupt: a done job whose sealed result no
+// longer verifies becomes corrupt on the fetch that finds the damage —
+// persisted, so a reopened engine agrees — and a resubmission of its
+// spec wipes it and re-runs it to the original bytes.
+func TestDamagedResultMarksJobCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	stub := func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+		return stubResult(sp), runStats{}, nil
+	}
+	e, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.runFn = stub
+	sp := testSpec(14)
+	if _, _, err := e.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, e, sp.ID(), StateDone)
+	want, _, err := e.ResultBytes(sp.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p := filepath.Join(dir, sp.ID(), resultFile)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	writeOver(t, p, data)
+
+	if _, _, err := e.ResultBytes(sp.ID()); err == nil {
+		t.Fatal("damaged result was served")
+	}
+	if rec, _ := e.Get(sp.ID()); rec.State != StateCorrupt || rec.Error == nil || rec.Error.Kind != "corrupt" {
+		t.Fatalf("after the damaged fetch: state %s, error %+v; want corrupt", rec.State, rec.Error)
+	}
+	if n := e.Counters().Get("jobs_corrupt_total"); n != 1 {
+		t.Fatalf("jobs_corrupt_total = %d, want 1", n)
+	}
+	if _, rec, err := e.ResultBytes(sp.ID()); err == nil || rec.State != StateCorrupt {
+		t.Fatalf("second fetch: state %s, err %v; want corrupt", rec.State, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	e.Stop(ctx)
+	cancel()
+
+	e2 := openTestEngine(t, Config{Dir: dir})
+	e2.runFn = stub
+	if rec, _ := e2.Get(sp.ID()); rec.State != StateCorrupt {
+		t.Fatalf("after reopen: state %s, want corrupt", rec.State)
+	}
+	if _, created, err := e2.Submit(sp); err != nil || !created {
+		t.Fatalf("resubmit: created=%v err=%v", created, err)
+	}
+	waitState(t, e2, sp.ID(), StateDone)
+	got, _, err := e2.ResultBytes(sp.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-run result differs:\n got %s\nwant %s", got, want)
+	}
+}
+
 func writeOver(t *testing.T, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -1,8 +1,11 @@
 package replay
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"slices"
 	"sync"
 
 	"imtrans/internal/cfg"
@@ -81,17 +84,11 @@ type Cache struct {
 	limit int
 
 	hits, misses, evictions uint64
-
-	// tier is the optional persistent layer (SetTier): read through on a
-	// miss, written behind on a fresh capture. tierWG tracks in-flight
-	// write-behind puts for FlushTier.
-	tier               Tier
-	tierWG             sync.WaitGroup
-	tierHits, tierPuts uint64
 }
 
+// cacheEntry is one key's capture; done closes once cap and err are set.
 type cacheEntry struct {
-	once sync.Once
+	done chan struct{}
 	cap  *Capture
 	err  error
 }
@@ -148,57 +145,79 @@ func (c *Cache) evictLocked() {
 // GetOrCapture returns the cached capture for key, running capture exactly
 // once per key to produce it. A failed capture is cached too: determinism
 // means retrying cannot help, and callers get the same error.
-//
-// With a persistent tier installed, a miss first tries the tier: a stored
-// payload that decodes cleanly and carries the right key short-circuits
-// the profiling run entirely (a restart or a sibling replica's work pays
-// off here). A fresh capture is written behind to the tier
-// asynchronously — the caller never waits on store I/O.
 func (c *Cache) GetOrCapture(key Key, capture func() (*Capture, error)) (*Capture, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	tier := c.tier
-	if e == nil {
-		e = &cacheEntry{}
-		c.m[key] = e
-		c.order = append(c.order, key)
-		c.misses++
-		c.evictLocked()
-	} else {
-		c.hits++
+	return c.GetOrCaptureCtx(context.Background(), key, func(context.Context) (*Capture, error) { return capture() })
+}
+
+// errAbandoned marks an entry whose capture panicked before it could
+// record a result.
+var errAbandoned = errors.New("replay: capture abandoned")
+
+// GetOrCaptureCtx is GetOrCapture under a context. The leader passes its
+// own ctx to capture; a waiter stops waiting once its ctx is done. A
+// capture that ends in a context error (or panics) is never cached: the
+// entry is dropped, and a waiter whose own ctx is still live captures
+// again instead of returning another request's cancellation.
+func (c *Cache) GetOrCaptureCtx(ctx context.Context, key Key, capture func(context.Context) (*Capture, error)) (*Capture, error) {
+	for {
+		c.mu.Lock()
+		e := c.m[key]
+		lead := e == nil
+		if lead {
+			e = &cacheEntry{done: make(chan struct{}), err: errAbandoned}
+			c.m[key] = e
+			c.order = append(c.order, key)
+			c.misses++
+			c.evictLocked()
+		} else {
+			c.hits++
+		}
+		c.mu.Unlock()
+		if lead {
+			return c.lead(ctx, key, e, capture)
+		}
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if e.err != errAbandoned && !isCtxErr(e.err) {
+			return e.cap, e.err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		if tier != nil {
-			if data, terr := tier.Get(tierName(key)); terr == nil {
-				if cap, derr := DecodeCapture(data); derr == nil && cap.Key == key {
-					e.cap = cap
-					c.mu.Lock()
-					c.tierHits++
-					c.mu.Unlock()
-					return
-				}
-				// A payload that resolved but failed to decode or names a
-				// different program is as good as absent: fall through and
-				// re-profile (the fresh capture overwrites it below).
-			}
+}
+
+// lead runs key's capture and publishes the outcome to the entry's
+// waiters, dropping the entry unless the outcome is deterministic.
+func (c *Cache) lead(ctx context.Context, key Key, e *cacheEntry, capture func(context.Context) (*Capture, error)) (*Capture, error) {
+	defer func() {
+		if e.err == errAbandoned || isCtxErr(e.err) {
+			c.forget(key, e)
 		}
-		e.cap, e.err = capture()
-		if e.err == nil && tier != nil {
-			if data, eerr := EncodeCapture(e.cap); eerr == nil {
-				c.tierWG.Add(1)
-				go func() {
-					defer c.tierWG.Done()
-					if tier.Put(tierName(key), data) == nil {
-						c.mu.Lock()
-						c.tierPuts++
-						c.mu.Unlock()
-					}
-				}()
-			}
-		}
-	})
+		close(e.done)
+	}()
+	e.cap, e.err = capture(ctx)
 	return e.cap, e.err
+}
+
+// forget removes key's entry if it is still e.
+func (c *Cache) forget(key Key, e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m[key] != e {
+		return
+	}
+	delete(c.m, key)
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
+}
+
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Stats reports cache hits and misses (misses equal profiling runs).

@@ -1,9 +1,12 @@
 package replay
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testKey(i int) Key {
@@ -104,5 +107,80 @@ func TestCacheBoundedUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := c.Len(); got > 4 {
 		t.Errorf("Len = %d exceeds limit 4", got)
+	}
+}
+
+// TestCacheDropsCancelledCapture: a capture that ends in its leader's
+// context error, or panics, is never cached. A waiter whose own context
+// is live captures again instead of inheriting the failure; a waiter
+// whose context ends stops waiting at once.
+func TestCacheDropsCancelledCapture(t *testing.T) {
+	c := NewCache()
+	key := testKey(7)
+	fresh := func(context.Context) (*Capture, error) { return &Capture{Key: key, Instructions: 9}, nil }
+
+	// waitHits blocks until n callers have found the in-flight entry.
+	waitHits := func(n uint64) {
+		for hits, _ := c.Stats(); hits < n; hits, _ = c.Stats() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// lead starts a capture that blocks until release, then runs end.
+	lead := func(ctx context.Context, end func(context.Context) (*Capture, error)) (release func(), errc chan error) {
+		started, gate := make(chan struct{}), make(chan struct{})
+		errc = make(chan error, 1)
+		go func() {
+			defer func() { recover() }()
+			_, err := c.GetOrCaptureCtx(ctx, key, func(ctx context.Context) (*Capture, error) {
+				close(started)
+				<-gate
+				return end(ctx)
+			})
+			errc <- err
+		}()
+		<-started
+		return func() { close(gate) }, errc
+	}
+
+	// A waiter whose own context ends stops waiting; the leader goes on.
+	release, errc := lead(context.Background(), fresh)
+	gone, cancelGone := context.WithCancel(context.Background())
+	cancelGone()
+	if _, err := c.GetOrCaptureCtx(gone, key, fresh); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v", err)
+	}
+	release()
+	if err := <-errc; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	c.Clear()
+
+	for name, end := range map[string]func(context.Context) (*Capture, error){
+		"cancelled": func(ctx context.Context) (*Capture, error) { <-ctx.Done(); return nil, ctx.Err() },
+		"panicked":  func(context.Context) (*Capture, error) { panic("boom") },
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		release, _ := lead(ctx, end)
+		got := make(chan *Capture, 1)
+		go func() {
+			cp, err := c.GetOrCaptureCtx(context.Background(), key, fresh)
+			if err != nil {
+				t.Errorf("%s: live waiter: %v", name, err)
+			}
+			got <- cp
+		}()
+		waitHits(1)
+		cancel()
+		release()
+		if cp := <-got; cp == nil || cp.Instructions != 9 {
+			t.Fatalf("%s: live waiter got %+v, want its own capture", name, cp)
+		}
+		if hits, misses := c.Stats(); hits != 1 || misses != 2 {
+			t.Fatalf("%s: stats = %d hits, %d misses; want 1, 2", name, hits, misses)
+		}
+		if cp, err := c.GetOrCapture(key, func() (*Capture, error) { return nil, errors.New("recaptured") }); err != nil || cp.Instructions != 9 {
+			t.Fatalf("%s: the retried capture was not cached: %v", name, err)
+		}
+		c.Clear()
 	}
 }

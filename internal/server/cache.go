@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"context"
 	"sync"
+
+	"imtrans/internal/cas"
 )
 
 // cachedResult is one finished response body, ready to replay to any
@@ -35,14 +37,12 @@ type resultCache struct {
 	idx      map[string]*list.Element // key -> lru element
 	inflight map[string]*flight
 
-	// tierGet/tierPut, when set, are the persistent layer under the LRU
-	// (the content-addressed store): the leader reads through it before
-	// computing, and stores successful results behind it asynchronously.
-	// tierGet errors are misses; tierPut is fire-and-forget (flushTier
-	// waits for stragglers at shutdown).
-	tierGet func(key string) ([]byte, error)
-	tierPut func(key string, body []byte)
-	tierWG  sync.WaitGroup
+	// store, when set, is the persistent tier under the LRU: the leader
+	// reads resp/<key> through it before computing, and stores successful
+	// results behind it asynchronously. A store error is a miss; a put is
+	// fire-and-forget (flushTier waits for stragglers at shutdown).
+	store  *cas.Store
+	tierWG sync.WaitGroup
 }
 
 // lruEntry is what lru elements hold.
@@ -73,13 +73,6 @@ const (
 	cacheTierHit                     // served from the persistent store under the LRU
 )
 
-// setTier installs the persistent layer hooks (see the field docs).
-func (c *resultCache) setTier(get func(string) ([]byte, error), put func(string, []byte)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tierGet, c.tierPut = get, put
-}
-
 // flushTier blocks until every write-behind put issued so far finishes.
 func (c *resultCache) flushTier() { c.tierWG.Wait() }
 
@@ -107,15 +100,15 @@ func (c *resultCache) do(ctx context.Context, key string, fn func() (*cachedResu
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
-	tierGet, tierPut := c.tierGet, c.tierPut
 	c.mu.Unlock()
 
 	outcome := cacheMiss
-	if tierGet != nil {
-		if body, terr := tierGet(key); terr == nil && len(body) > 0 {
+	if c.store != nil {
+		if body, terr := c.store.GetNamed("resp/" + key); terr == nil && len(body) > 0 {
 			// The store verified the envelope CRC and content digest; the
-			// body is a response this (or a sibling) daemon stored for the
-			// identical request, replayed as the 200 it was.
+			// body is a response stored for the identical request, by this
+			// daemon or an earlier run over the same directory, replayed as
+			// the 200 it was.
 			fl.res = &cachedResult{status: 200, body: body}
 			outcome = cacheTierHit
 		}
@@ -123,12 +116,12 @@ func (c *resultCache) do(ctx context.Context, key string, fn func() (*cachedResu
 	if fl.res == nil {
 		fl.res, fl.err = fn()
 		if fl.err == nil && fl.res != nil && fl.res.status == 200 &&
-			fl.res.contentType == "" && tierPut != nil {
-			res := fl.res
+			fl.res.contentType == "" && c.store != nil {
+			body := fl.res.body
 			c.tierWG.Add(1)
 			go func() {
 				defer c.tierWG.Done()
-				tierPut(key, res.body)
+				c.store.PutNamed("resp/"+key, body)
 			}()
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"imtrans"
 	"imtrans/internal/jobs"
 	"imtrans/internal/objfile"
-	"imtrans/internal/replay"
 )
 
 // handleEncode plans an encoding for a source program or benchmark:
@@ -29,7 +28,7 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}
-		rep, err = b.Encode(cfg)
+		rep, err = b.EncodeCtx(ctx, cfg)
 		if err != nil {
 			return workErr(ctx, err), nil
 		}
@@ -42,9 +41,9 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}
-		res, err := m.Run()
+		res, err := m.RunCtx(ctx)
 		if err != nil {
-			return errResult(http.StatusUnprocessableEntity, err.Error()), nil
+			return workErr(ctx, err), nil
 		}
 		rep, err = imtrans.EncodeProgram(p, res.Profile, cfg)
 		if err != nil {
@@ -57,7 +56,8 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 // handleMeasure evaluates a configuration grid: benchmarks go through the
 // supervised sweep (per-cell fault isolation, optional retries), an
 // inline source through the replay engine. Both paths poll ctx inside
-// the encoder's bit-line pool and the replay fetch loop.
+// the profiling run, the encoder's bit-line pool and the replay fetch
+// loop.
 func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult, error) {
 	req, err := ParseMeasureRequest(body)
 	if err != nil {
@@ -204,14 +204,14 @@ func (s *Server) handleDeploy(ctx context.Context, body []byte) (*cachedResult, 
 				return workErr(ctx, err), nil
 			}
 		} else {
-			d, err = b.Deployment(cfg)
+			d, err = b.DeploymentCtx(ctx, cfg)
 			if err != nil {
 				return workErr(ctx, err), nil
 			}
 		}
 		if !req.SkipVerify {
-			if err := b.VerifyDeployment(d); err != nil {
-				return errResult(http.StatusInternalServerError, err.Error()), nil
+			if err := b.VerifyDeploymentCtx(ctx, d); err != nil {
+				return verifyErr(ctx, err), nil
 			}
 			verified = true
 		}
@@ -227,9 +227,9 @@ func (s *Server) handleDeploy(ctx context.Context, body []byte) (*cachedResult, 
 			if merr != nil {
 				return errResult(http.StatusBadRequest, merr.Error()), nil
 			}
-			res, rerr := m.Run()
+			res, rerr := m.RunCtx(ctx)
 			if rerr != nil {
-				return errResult(http.StatusUnprocessableEntity, rerr.Error()), nil
+				return workErr(ctx, rerr), nil
 			}
 			d, err = imtrans.BuildDeployment(p, res.Profile, cfg)
 		}
@@ -237,8 +237,8 @@ func (s *Server) handleDeploy(ctx context.Context, body []byte) (*cachedResult, 
 			return workErr(ctx, err), nil
 		}
 		if !req.SkipVerify {
-			if err := d.Verify(p, nil); err != nil {
-				return errResult(http.StatusInternalServerError, err.Error()), nil
+			if err := d.VerifyCtx(ctx, p, nil); err != nil {
+				return verifyErr(ctx, err), nil
 			}
 			verified = true
 		}
@@ -333,9 +333,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		blobs, bytes := s.store.Stats()
 		fmt.Fprintf(w, "# TYPE %scas_blobs gauge\n%scas_blobs %d\n", metricsNamespace, metricsNamespace, blobs)
 		fmt.Fprintf(w, "# TYPE %scas_bytes gauge\n%scas_bytes %d\n", metricsNamespace, metricsNamespace, bytes)
-		tierHits, tierPuts := replay.Shared.TierStats()
-		fmt.Fprintf(w, "# TYPE %scapture_tier_hits_total counter\n%scapture_tier_hits_total %d\n", metricsNamespace, metricsNamespace, tierHits)
-		fmt.Fprintf(w, "# TYPE %scapture_tier_puts_total counter\n%scapture_tier_puts_total %d\n", metricsNamespace, metricsNamespace, tierPuts)
 	}
 	hits, misses := imtrans.CaptureCacheStats()
 	fmt.Fprintf(w, "# TYPE %scapture_cache_hits_total counter\n%scapture_cache_hits_total %d\n", metricsNamespace, metricsNamespace, hits)
@@ -350,6 +347,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		up = 0
 	}
 	fmt.Fprintf(w, "# TYPE %sready gauge\n%sready %d\n", metricsNamespace, metricsNamespace, up)
+}
+
+// verifyErr maps a failed deployment verification: a context error as
+// workErr does, anything else → 500, the daemon built a broken artifact.
+func verifyErr(ctx context.Context, err error) *cachedResult {
+	if res := workErr(ctx, err); res.status != http.StatusUnprocessableEntity {
+		return res
+	}
+	return errResult(http.StatusInternalServerError, err.Error())
 }
 
 // workErr maps a work-stage failure to its response: context deadline →

@@ -102,7 +102,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // handleJobResult serves a done job's stored result bytes verbatim. A
 // queued/running job gets 409 with its record state; a failed, cancelled
 // or corrupt one gets 409 carrying the typed terminal error; a result
-// file that fails its CRC gets 500 — never silently served.
+// file that fails its CRC gets 500 — never silently served — and leaves
+// the job corrupt, so later fetches get that 409.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	payload, rec, err := s.jobs.ResultBytes(r.PathValue("id"))
@@ -114,13 +115,13 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			status: http.StatusConflict,
 			body:   mustJSON(jobErrorResponse{Error: "job has not finished", State: rec.State}),
 		})
-	case err != nil && rec.State.Terminal():
+	case errors.Is(err, jobs.ErrResultDamaged):
+		s.finish(w, "jobs", start, errResult(http.StatusInternalServerError, err.Error()))
+	case err != nil:
 		s.finish(w, "jobs", start, &cachedResult{
 			status: http.StatusConflict,
 			body:   mustJSON(jobErrorResponse{Error: err.Error(), State: rec.State, Job: rec.Error}),
 		})
-	case err != nil:
-		s.finish(w, "jobs", start, errResult(http.StatusInternalServerError, err.Error()))
 	default:
 		s.finish(w, "jobs", start, &cachedResult{status: http.StatusOK, body: append(payload, '\n')})
 	}

@@ -202,6 +202,71 @@ func TestJobsAPICancelAndFailedResult(t *testing.T) {
 	}
 }
 
+// TestJobsAPIDamagedResult: a done job whose result file was damaged on
+// disk answers 500 on the fetch that finds it, then the documented 409
+// with state corrupt — also from a daemon reopened over the same
+// directory — and resubmitting the spec re-runs the job to the original
+// bytes.
+func TestJobsAPIDamagedResult(t *testing.T) {
+	dir := t.TempDir()
+	s := jobsServer(t, Config{JobsDir: dir})
+	const spec = `{"benchmarks":[{"name":"mmul","n":16}],"configs":[{},{"block_size":4}]}`
+	submit := func(h http.Handler, want int) string {
+		t.Helper()
+		w := post(t, h, "/v1/jobs", spec)
+		var sub JobSubmitResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &sub); err != nil || w.Code != want {
+			t.Fatalf("submit: %d %s, want %d", w.Code, w.Body, want)
+		}
+		return sub.Job.ID
+	}
+	id := submit(s.Handler(), http.StatusAccepted)
+	waitJobState(t, s, id, jobs.StateDone)
+	want := get(t, s.Handler(), "/v1/jobs/"+id+"/result")
+	if want.Code != http.StatusOK {
+		t.Fatalf("result: %d %s", want.Code, want.Body)
+	}
+
+	p := filepath.Join(dir, id, "result.json")
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if w := get(t, s.Handler(), "/v1/jobs/"+id+"/result"); w.Code != http.StatusInternalServerError {
+		t.Fatalf("damaged result fetch: %d %s, want 500", w.Code, w.Body)
+	}
+	corrupt409 := func(s *Server) {
+		t.Helper()
+		w := get(t, s.Handler(), "/v1/jobs/"+id+"/result")
+		var jerr jobErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &jerr); err != nil || w.Code != http.StatusConflict || jerr.State != jobs.StateCorrupt {
+			t.Fatalf("fetch after damage: %d %s, want 409 corrupt", w.Code, w.Body)
+		}
+	}
+	corrupt409(s)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Jobs().Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := jobsServer(t, Config{JobsDir: dir})
+	corrupt409(s2)
+	if id2 := submit(s2.Handler(), http.StatusAccepted); id2 != id {
+		t.Fatalf("resubmit got job %s, want %s", id2, id)
+	}
+	waitJobState(t, s2, id, jobs.StateDone)
+	got := get(t, s2.Handler(), "/v1/jobs/"+id+"/result")
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("re-run result: %d, differs from the original:\n got %s\nwant %s", got.Code, got.Body, want.Body)
+	}
+}
+
 func TestJobsMetricsGauges(t *testing.T) {
 	s := jobsServer(t, Config{})
 	h := s.Handler()

@@ -5,14 +5,14 @@
 // (GET /v1/benchmarks), production-shaped around the subsystems the
 // library already has. Every work request runs in a bounded worker pool
 // under a per-request deadline with cooperative cancellation threaded
-// into the encoder and replay loops; identical in-flight requests are
-// coalesced and finished ones served from an LRU result cache layered
-// over the process-wide capture cache; panics are supervised into typed
-// 500s by runsafe; a token bucket and a bounded admission queue shed
-// overload as 429s; and SIGTERM drains gracefully — in-flight requests
-// complete, queued ones get 503s, the listener closes. GET /metrics
-// exposes it all in Prometheus text format, GET /healthz and /readyz
-// gate orchestration.
+// into the simulator, encoder and replay loops; identical in-flight
+// requests are coalesced and finished ones served from an LRU result
+// cache layered over the process-wide capture cache; panics are
+// supervised into typed 500s by runsafe; a token bucket and a bounded
+// admission queue shed overload as 429s; and SIGTERM drains gracefully —
+// in-flight requests complete, queued ones get 503s, the listener
+// closes. GET /metrics exposes it all in Prometheus text format,
+// GET /healthz and /readyz gate orchestration.
 package server
 
 import (
@@ -32,7 +32,6 @@ import (
 
 	"imtrans/internal/cas"
 	"imtrans/internal/jobs"
-	"imtrans/internal/replay"
 	"imtrans/internal/runsafe"
 	"imtrans/internal/stats"
 )
@@ -50,7 +49,8 @@ type Config struct {
 	QueueDepth int
 
 	// RequestTimeout is the per-request deadline threaded into the
-	// encoder's bit-line pool and the replay fetch loop; <= 0 means 120 s.
+	// simulator, the encoder's bit-line pool and the replay fetch loop;
+	// <= 0 means 120 s.
 	RequestTimeout time.Duration
 
 	// CacheEntries bounds the LRU result cache; <= 0 means 256.
@@ -85,10 +85,10 @@ type Config struct {
 	// durable (fsync before and after every rename).
 	JobsFsync bool
 
-	// StoreDir enables the persistent content-addressed artifact store:
-	// captures, result bodies and job results land there keyed by content
-	// hash, so restarts — and sibling replicas sharing the directory —
-	// serve store hits instead of re-deriving. Empty disables the store.
+	// StoreDir enables the persistent content-addressed store of response
+	// bodies: a successful encode, measure, compare or deploy response
+	// lands there under its request key, so a restarted daemon serves it
+	// instead of re-deriving it. Empty disables the store.
 	StoreDir string
 
 	// StoreMaxBytes bounds the store's blob payload bytes (LRU eviction
@@ -140,10 +140,6 @@ type Server struct {
 	limiter  *tokenBucket
 	jobs     *jobs.Engine // nil unless Config.JobsDir is set
 	store    *cas.Store   // nil unless Config.StoreDir is set
-
-	// prevCaptureTier is what replay.Shared.SetTier displaced; Shutdown
-	// restores it so stacked test servers unwind cleanly.
-	prevCaptureTier replay.Tier
 
 	sem      chan struct{} // worker slots
 	waiting  atomic.Int64  // requests queued for a slot
@@ -198,16 +194,10 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.store = store
-		// Read-through/write-behind: the result LRU persists response
-		// bodies, the process-wide capture cache persists captures. Both
-		// go through the store's name→digest index, so every byte served
-		// from disk is CRC- and digest-verified first.
-		s.cache.setTier(
-			func(key string) ([]byte, error) { return store.GetNamed("resp/" + key) },
-			func(key string, body []byte) { store.PutNamed("resp/"+key, body) },
-		)
-		s.prevCaptureTier = replay.Shared.SetTier(storeTier{store})
+		// The result LRU reads through and writes behind the store's
+		// name→digest index, so every body served from disk is CRC- and
+		// digest-verified first.
+		s.store, s.cache.store = store, store
 		go s.scrubLoop()
 	}
 	if cfg.JobsDir != "" {
@@ -218,7 +208,6 @@ func New(cfg Config) (*Server, error) {
 			DefaultDeadline: cfg.JobDeadline,
 			Fsync:           cfg.JobsFsync,
 			Counters:        s.counters,
-			Store:           s.store,
 		})
 		if err != nil {
 			return nil, err
@@ -238,15 +227,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ready.Store(true)
 	return s, nil
-}
-
-// storeTier adapts the content-addressed store to replay's Tier.
-type storeTier struct{ store *cas.Store }
-
-func (t storeTier) Get(name string) ([]byte, error) { return t.store.GetNamed(name) }
-func (t storeTier) Put(name string, data []byte) error {
-	_, err := t.store.PutNamed(name, data)
-	return err
 }
 
 // scrubLoop runs the boot-time integrity scrub and then one per
@@ -272,7 +252,7 @@ func (s *Server) scrubLoop() {
 // Jobs exposes the daemon's job engine (nil when jobs are disabled).
 func (s *Server) Jobs() *jobs.Engine { return s.jobs }
 
-// Store exposes the daemon's persistent artifact store (nil when
+// Store exposes the daemon's persistent response store (nil when
 // disabled).
 func (s *Server) Store() *cas.Store { return s.store }
 
@@ -314,13 +294,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = jerr
 		}
 	}
-	if s.store != nil {
-		// Let straggling write-behind puts land, then give the capture
-		// cache back whatever tier it had before this daemon.
-		s.cache.flushTier()
-		replay.Shared.FlushTier()
-		replay.Shared.SetTier(s.prevCaptureTier)
-	}
+	s.cache.flushTier() // let straggling write-behind puts land
 	return err
 }
 

@@ -681,6 +681,34 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestDeadlineBoundsSimulation: a request whose simulation outlasts its
+// deadline — a source that never halts, or a kernel scale whose capture
+// takes many times the deadline — answers 504 soon after the deadline on
+// every endpoint that simulates, instead of holding a worker until the
+// instruction cap.
+func TestDeadlineBoundsSimulation(t *testing.T) {
+	s := mustNew(t, Config{RequestTimeout: 300 * time.Millisecond})
+	const loop = `"loop: addiu $t0,$t0,1\nj loop\nnop\n"`
+	const slow = `{"name":"mmul","n":250}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/encode", `{"source":` + loop + `}`},
+		{"/v1/measure", `{"source":` + loop + `}`},
+		{"/v1/deploy", `{"source":` + loop + `}`},
+		{"/v1/deploy", `{"source":` + loop + `,"static":true}`},
+		{"/v1/encode", `{"benchmark":` + slow + `}`},
+		{"/v1/measure", `{"benchmarks":[` + slow + `]}`},
+		{"/v1/compare", `{"benchmarks":[` + slow + `],"schemes":[{"name":"businvert"}]}`},
+		{"/v1/deploy", `{"benchmark":` + slow + `}`},
+		{"/v1/deploy", `{"benchmark":` + slow + `,"static":true}`},
+	} {
+		start := time.Now()
+		w := post(t, s.Handler(), tc.path, tc.body)
+		if took := time.Since(start); w.Code != http.StatusGatewayTimeout || took > 1500*time.Millisecond {
+			t.Errorf("%s %s: status %d after %v, want 504 within 1.5s (%s)", tc.path, tc.body, w.Code, took, w.Body)
+		}
+	}
+}
+
 func ExampleServer() {
 	s, _ := New(Config{Workers: 2})
 	w := httptest.NewRecorder()

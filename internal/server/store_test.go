@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -18,7 +17,7 @@ import (
 // N=16 profiles in milliseconds.
 const encodeBody = `{"benchmark":{"name":"mmul","n":16},"config":{"block_size":8}}`
 
-// shutdown drains a test server, unwinding its capture-cache tier.
+// shutdown drains a test server, flushing its write-behind store puts.
 func shutdown(t *testing.T, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -175,39 +174,5 @@ func TestStoreCorruptionCaughtWithoutScrub(t *testing.T) {
 	}
 	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
 		t.Fatal("response served from a corrupt store is not the recomputed one")
-	}
-}
-
-// TestJobResultInStore: with the store configured, a finished job's
-// result is linked under job-result/<id> and served from the store.
-func TestJobResultInStore(t *testing.T) {
-	storeDir := t.TempDir()
-	jobsDir := t.TempDir()
-	replay.Shared.Purge()
-	s := mustNew(t, Config{StoreDir: storeDir, JobsDir: jobsDir, JobsMaxConcurrent: 2})
-	defer shutdown(t, s)
-
-	w := post(t, s.Handler(), "/v1/jobs", `{"benchmarks":[{"name":"mmul","n":16}],"configs":[{"block_size":8}]}`)
-	if w.Code != http.StatusAccepted && w.Code != http.StatusOK {
-		t.Fatalf("submit: status %d: %s", w.Code, w.Body)
-	}
-	var sub JobSubmitResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &sub); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		wr := get(t, s.Handler(), "/v1/jobs/"+sub.Job.ID+"/result")
-		if wr.Code == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: last status %d: %s", wr.Code, wr.Body)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if _, err := s.Store().Resolve("job-result/" + sub.Job.ID); err != nil {
-		t.Fatalf("finished job result not linked in the store: %v", err)
 	}
 }

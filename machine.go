@@ -2,6 +2,7 @@ package imtrans
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"imtrans/internal/cpu"
@@ -100,14 +101,19 @@ type RunResult struct {
 
 // Run executes the program to completion while measuring baseline
 // instruction-bus transitions. A machine runs once.
-func (m *Machine) Run() (*RunResult, error) {
+func (m *Machine) Run() (*RunResult, error) { return m.RunCtx(context.Background()) }
+
+// RunCtx is Run with cooperative cancellation: the simulator polls ctx
+// between bounded chunks of instructions and a cancelled run returns
+// ctx.Err().
+func (m *Machine) RunCtx(ctx context.Context) (*RunResult, error) {
 	if m.ran {
 		return nil, fmt.Errorf("imtrans: machine already ran")
 	}
 	m.ran = true
 	bus := trace.NewBus(32)
 	m.c.OnFetch = func(pc, word uint32) { bus.Transfer(word) }
-	if err := m.c.Run(); err != nil {
+	if err := m.c.RunCtx(ctx); err != nil {
 		return nil, err
 	}
 	prof := m.c.Profile()

@@ -45,9 +45,10 @@ func ReplayMeasure(p *Program, setup func(Memory) error, cfgs ...Config) ([]Meas
 }
 
 // ReplayMeasureCtx is ReplayMeasure with cooperative cancellation: the
-// context is polled inside the encoder's bit-line pool and the replay
-// fetch loop, so cancellation takes effect within one task granule. A
-// cancelled run returns ctx.Err() (possibly wrapped) and no results.
+// context is polled inside the profiling run, the encoder's bit-line
+// pool and the replay fetch loop, so cancellation takes effect within
+// one task granule. A cancelled run returns ctx.Err() (possibly wrapped)
+// and no results.
 func ReplayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
 	return replayMeasureCtx(ctx, p, setup, "", cfgs...)
 }
@@ -88,7 +89,7 @@ func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error,
 	}
 	run, err := runGrid(ctx, &gridSpec[Measurement]{
 		rows:    1,
-		capture: func(int) (*replay.Capture, error) { return captureProgram(p, setup, salt) },
+		capture: func(ctx context.Context, _ int) (*replay.Capture, error) { return captureProgram(ctx, p, setup, salt) },
 		cols:    paperColumns(cfgs),
 	}, SweepOptions{Parallelism: core.Parallelism()})
 	if err != nil {
@@ -124,11 +125,12 @@ func SweepMeasure(benchmarks []Benchmark, cfgs []Config, parallelism int) ([][]M
 }
 
 // captureProgram returns the (possibly cached) capture for a program,
-// profiling it at most once per content hash across the process.
-func captureProgram(p *Program, setup func(Memory) error, salt string) (*replay.Capture, error) {
+// profiling it at most once per content hash across the process. The
+// profiling run polls ctx; a cancelled capture is not cached.
+func captureProgram(ctx context.Context, p *Program, setup func(Memory) error, salt string) (*replay.Capture, error) {
 	key := replay.ProgramKey(p.TextBase, p.Text, p.DataBase, p.Data, salt)
-	return replay.Shared.GetOrCapture(key, func() (*replay.Capture, error) {
-		c, err := captureRun(p, setup)
+	return replay.Shared.GetOrCaptureCtx(ctx, key, func(ctx context.Context) (*replay.Capture, error) {
+		c, err := captureRun(ctx, p, setup)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +145,7 @@ func captureProgram(p *Program, setup func(Memory) error, salt string) (*replay.
 // produces, so it is driven afterwards by re-expanding the trace over the
 // original words — the same stream, hence the same counts, as
 // MeasureProgram's in-loop drive.
-func captureRun(p *Program, setup func(Memory) error) (*replay.Capture, error) {
+func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*replay.Capture, error) {
 	m1, err := newMachine(p, setup)
 	if err != nil {
 		return nil, err
@@ -157,7 +159,7 @@ func captureRun(p *Program, setup func(Memory) error) (*replay.Capture, error) {
 		busInv.Transfer(word)
 		builder.Add(int(pc-base) / 4)
 	}
-	if err := m1.Run(); err != nil {
+	if err := m1.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
 	}
 	profile := append([]uint64(nil), m1.Profile()...)

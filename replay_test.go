@@ -151,7 +151,7 @@ func TestReplayMemoExercised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap, err := captureProgram(p, b.setup, b.captureSalt())
+		cap, err := captureProgram(context.Background(), p, b.setup, b.captureSalt())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,11 +170,12 @@ func sweepGrid(benchmarks []Benchmark, cfgs []Config) (grid string, benchNames, 
 // recover() guard, the retry policy, and the circuit breaker from opts,
 // so one poisoned cell yields a typed SweepError entry while the rest of
 // the grid completes. Cancelling the context stops the sweep within one
-// task granule — workers poll it inside the encoder's bit-line pool and
-// the replay fetch loop — and returns the partial SweepResult alongside
-// an error wrapping ctx.Err(). With opts.Checkpoint set, completed cells
-// are journalled atomically and an interrupted run resumes exactly where
-// it stopped, bit-identical to an uninterrupted run.
+// task granule — workers poll it inside the profiling run, the
+// encoder's bit-line pool and the replay fetch loop — and returns the
+// partial SweepResult alongside an error wrapping ctx.Err(). With
+// opts.Checkpoint set, completed cells are journalled atomically and an
+// interrupted run resumes exactly where it stopped, bit-identical to an
+// uninterrupted run.
 //
 // The returned error is non-nil only for setup failures (an unreadable
 // or mismatched checkpoint) and cancellation; isolated cell failures are

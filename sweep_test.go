@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"imtrans/internal/runsafe"
 )
@@ -362,6 +363,85 @@ func TestMeasureCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := b.MeasureCtx(ctx, sweepTestConfigs...); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureCtx err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+// expiringCtx is a context whose deadline passes when expire is called,
+// so a test can end it at a chosen moment rather than on a timer.
+type expiringCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func newExpiringCtx() *expiringCtx {
+	return &expiringCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *expiringCtx) expire()               { close(c.done) }
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+func (c *expiringCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// TestSweepCaptureDeadlineNotShared: two sweeps need the same cold
+// capture. The one leading it reaches its deadline mid-capture, while
+// the other waits on that capture: the first returns
+// context.DeadlineExceeded, and the second, whose context is live,
+// captures again instead of inheriting that error and gets the numbers
+// of an uncancelled run.
+func TestSweepCaptureDeadlineNotShared(t *testing.T) {
+	b, err := BenchmarkByName("mmul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches := []Benchmark{b.WithScale(96, 0)} // a cold capture takes ~0.1 s
+	ClearCaptureCache()
+	want, err := SweepMeasure(benches, sweepTestConfigs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ClearCaptureCache()
+	ctx := newExpiringCtx()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := SweepMeasureCtx(ctx, benches, sweepTestConfigs, SweepOptions{})
+		leaderErr <- err
+	}()
+	for _, misses := CaptureCacheStats(); misses == 0; _, misses = CaptureCacheStats() {
+		time.Sleep(time.Millisecond) // until the first sweep leads the capture
+	}
+	type sweep struct {
+		res *SweepResult
+		err error
+	}
+	live := make(chan sweep, 1)
+	go func() {
+		res, err := SweepMeasureCtx(context.Background(), benches, sweepTestConfigs, SweepOptions{})
+		live <- sweep{res, err}
+	}()
+	for hits, _ := CaptureCacheStats(); hits == 0; hits, _ = CaptureCacheStats() {
+		time.Sleep(time.Millisecond) // until the second sweep waits on it
+	}
+	ctx.expire()
+
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired sweep err = %v, want wrapped context.DeadlineExceeded", err)
+	}
+	got := <-live
+	if got.err != nil {
+		t.Fatalf("live sweep: %v", got.err)
+	}
+	if !reflect.DeepEqual(got.res.Measurements, want) {
+		t.Fatal("live sweep differs from an uncancelled run")
+	}
+	if _, misses := CaptureCacheStats(); misses != 2 {
+		t.Fatalf("capture misses = %d, want 2 (the expired capture, then the live one)", misses)
 	}
 }
 

@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -28,7 +29,7 @@ type TraceEntry struct {
 // the output always re-loads; arbitrary edits to it fail the parser's
 // envelope and fetch-count checks instead of replaying short.
 func TraceText(p *Program, setup func(Memory) error) ([]byte, error) {
-	cap, err := captureProgram(p, setup, "")
+	cap, err := captureProgram(context.Background(), p, setup, "")
 	if err != nil {
 		return nil, err
 	}
