@@ -38,17 +38,3 @@ func PopCounts8(dst []uint8, src []uint32) {
 		dst[i] = uint8(bits.OnesCount32(x))
 	}
 }
-
-// PrefixSums64 writes the running sums of the byte stream src into dst:
-// dst[i] = src[0] + ... + src[i]. Span sums become two loads — the
-// prefix-lookup form every O(1) sequential-run kernel reads.
-func PrefixSums64(dst []uint64, src []uint8) {
-	if len(dst) != len(src) {
-		panic("bitline: PrefixSums64 length mismatch")
-	}
-	var sum uint64
-	for i, b := range src {
-		sum += uint64(b)
-		dst[i] = sum
-	}
-}

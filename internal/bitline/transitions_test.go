@@ -36,22 +36,12 @@ func TestTransitionHelpersDifferential(t *testing.T) {
 				t.Fatalf("n=%d: PopCounts8[%d] = %d, want %d", n, i, pops[i], bits.OnesCount32(xors[i]))
 			}
 		}
-
-		prefix := make([]uint64, n)
-		PrefixSums64(prefix, pops)
-		var sum uint64
-		for i := range pops {
-			sum += uint64(pops[i])
-			if prefix[i] != sum {
-				t.Fatalf("n=%d: PrefixSums64[%d] = %d, want %d", n, i, prefix[i], sum)
-			}
-		}
 	}
 }
 
 // TestTransitionHelpersLengthChecks pins the length-mismatch panics: a
-// silently truncated prefix array would corrupt every span lookup built
-// on it.
+// silently truncated XOR or popcount array would corrupt every kernel
+// table built on it.
 func TestTransitionHelpersLengthChecks(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -63,5 +53,4 @@ func TestTransitionHelpersLengthChecks(t *testing.T) {
 	}
 	expectPanic("AdjacentXORs", func() { AdjacentXORs(make([]uint32, 2), make([]uint32, 3)) })
 	expectPanic("PopCounts8", func() { PopCounts8(make([]uint8, 2), make([]uint32, 3)) })
-	expectPanic("PrefixSums64", func() { PrefixSums64(make([]uint64, 2), make([]uint8, 3)) })
 }

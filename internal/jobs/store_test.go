@@ -189,6 +189,7 @@ func TestParseSpecRejects(t *testing.T) {
 		{"tri-below-floor", `{"benchmarks":[{"name":"tri","n":1}]}`},
 		{"ej-negative-iters", `{"benchmarks":[{"name":"ej","iters":-1}]}`},
 		{"crc32-negative-iters", `{"benchmarks":[{"name":"crc32","iters":-1}]}`},
+		{"ej-over-data-cap", `{"benchmarks":[{"name":"ej","n":10500,"iters":1}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

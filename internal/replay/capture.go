@@ -38,12 +38,13 @@ func ProgramKey(textBase uint32, text []uint32, dataBase uint32, data []byte, sa
 	return k
 }
 
-// Capture is everything one profiling run of a program yields: the
-// compressed fetch trace, the execution profile, and the stream statistics
-// that do not depend on the encoding configuration (baseline bus, the
-// bus-invert and dictionary comparators). Replaying a capture against an
-// encoding reproduces MeasureProgram's output bit for bit without running
-// the CPU again.
+// Capture is everything one profiling run of a program yields — the
+// compressed fetch trace and the execution profile — plus the stream
+// statistics that do not depend on the encoding configuration (baseline
+// bus, the bus-invert and dictionary comparators), derived from the
+// folded trace after the run (MeasureBaseline for the baseline). Replaying
+// a capture against an encoding reproduces MeasureProgram's output bit
+// for bit without running the CPU again.
 type Capture struct {
 	Key   Key
 	Base  uint32   // text base address

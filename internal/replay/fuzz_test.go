@@ -175,7 +175,9 @@ func loopSource(outer, inner, body, skip int) string {
 // FuzzReplayMatchesNaive replays small generated loop programs under
 // generated encoder configurations and requires MeasureOpts — alone and
 // through a MemoStore shared with a same-signature sibling configuration
-// — to match the per-fetch walk in total and per line. The arguments pick
+// — to match the per-fetch walk in total and per line. MeasureBaseline
+// must likewise match the raw bus driven on every fetch of the program's
+// simulation, total and per line. The arguments pick
 // the loop trip counts, the body length and an optional forward branch
 // over part of the body, then the block size k (2..8), the TT and BBIT
 // capacities (1..16 each), and flag bits for all 16 functions, exact
@@ -190,6 +192,11 @@ func FuzzReplayMatchesNaive(f *testing.F) {
 		nBody := 1 + int(body%16)
 		src := loopSource(1+int(outer%6), 1+int(inner%40), nBody, int(skip)%(nBody+1))
 		cp := captureSource(t, src)
+		raw, err := MeasureBaseline(nil, cp)
+		if err != nil || !sameTotals(raw, Result{Encoded: cp.BaselineTotal, PerLineEncoded: cp.BaselinePerLine}) {
+			t.Fatalf("baseline replay %d %v (err %v) != per-fetch bus %d %v\n%s",
+				raw.Encoded, raw.PerLineEncoded, err, cp.BaselineTotal, cp.BaselinePerLine, src)
+		}
 		cfg := core.Config{
 			BlockSize:   2 + int(k%7),
 			TTEntries:   1 + int(capacity&15),

@@ -66,6 +66,21 @@ func MeasureOpts(ctx context.Context, cap *Capture, enc *core.Encoding, dec *hw.
 	return measure(ctx, cap, enc, dec, opts, ss)
 }
 
+// MeasureBaseline replays a capture against the identity encoding — no
+// covered block, so every fetch drives its original word — and returns
+// the raw instruction bus's transition totals, the capture's baseline.
+// Loops fast-forward as in any replay, so the cost follows the folded
+// trace, not the fetch count.
+func MeasureBaseline(ctx context.Context, cap *Capture) (Result, error) {
+	enc := &core.Encoding{EncodedWords: cap.Words}
+	dec, err := hw.NewDecoder(enc)
+	if err != nil {
+		return Result{}, err
+	}
+	dec.Strict = true
+	return MeasureOpts(ctx, cap, enc, dec, Options{})
+}
+
 // measure is MeasureOpts over a caller-supplied working set.
 func measure(ctx context.Context, cap *Capture, enc *core.Encoding, dec *hw.Decoder, opts Options, ss *streamScratch) (Result, error) {
 	n := len(cap.Words)

@@ -43,7 +43,9 @@ inner:
 
 // captureSource assembles and runs src, returning a replay capture of its
 // fetch stream — the internal-package equivalent of the facade's capture
-// path, without the baseline comparators.
+// path, without the Bus-Invert and dictionary comparators. The baseline
+// totals come from a trace.Bus driven on every fetch of the run: the
+// per-fetch reference MeasureBaseline is checked against.
 func captureSource(t testing.TB, src string) *Capture {
 	t.Helper()
 	obj, err := asm.Assemble(src)
@@ -55,7 +57,11 @@ func captureSource(t testing.TB, src string) *Capture {
 		t.Fatalf("cpu: %v", err)
 	}
 	b := NewBuilder()
-	c.OnFetch = func(pc, word uint32) { b.Add(int(pc-obj.TextBase) / 4) }
+	bus := trace.NewBus(32)
+	c.OnFetch = func(pc, word uint32) {
+		b.Add(int(pc-obj.TextBase) / 4)
+		bus.Transfer(word)
+	}
 	if err := c.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -64,12 +70,14 @@ func captureSource(t testing.TB, src string) *Capture {
 		t.Fatalf("cfg: %v", err)
 	}
 	return &Capture{
-		Base:         obj.TextBase,
-		Words:        obj.TextWords,
-		Graph:        g,
-		Trace:        b.Trace(),
-		Profile:      append([]uint64(nil), c.Profile()...),
-		Instructions: c.InstCount,
+		Base:            obj.TextBase,
+		Words:           obj.TextWords,
+		Graph:           g,
+		Trace:           b.Trace(),
+		Profile:         append([]uint64(nil), c.Profile()...),
+		Instructions:    c.InstCount,
+		BaselineTotal:   bus.Total(),
+		BaselinePerLine: bus.PerLine(),
 	}
 }
 

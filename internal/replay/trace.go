@@ -110,8 +110,9 @@ func runOps(ops []Op, fn func(delta int32, count int64) bool) bool {
 }
 
 // Indices calls fn for every fetched text index in stream order, fully
-// expanded. Capture-time post-passes (the dictionary comparator) and tests
-// use it; the replay engine proper works on runs and repeat groups.
+// expanded: the per-fetch reference walk tests and benchmark checks drive
+// naive coders with. Captures and the replay engines work on runs and
+// repeat groups instead.
 func (t *Trace) Indices(fn func(idx int32)) {
 	if t.N == 0 {
 		return

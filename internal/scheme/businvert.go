@@ -10,9 +10,8 @@ import (
 
 // busInvertScheme replays the captured fetch stream through the baseline
 // Bus-Invert coder (Stan & Burleson). At the default 32-line width its
-// total is bit-identical to the BusInvertTotal the capture's profiling
-// run accumulated — asserted by the differential tests — because both
-// drive the same deterministic coder with the same word sequence.
+// total is the capture's BusInvertTotal: captures derive it here, and the
+// golden test pins it against the per-word coder driven by simulation.
 //
 // The batch kernel rests on a classification of each adjacent pair by its
 // masked toggle count p against the width w: p < w/2 leaves the invert

@@ -11,8 +11,9 @@ import (
 // dictionaryScheme replays the captured stream through the baseline
 // dictionary-compression coder (cf. Lekatsas et al.): the most frequent
 // instructions drive only index lines plus a hit flag, misses drive the
-// raw word. At the default 256 entries its transition total equals the
-// DictionaryTotal the capture recorded.
+// raw word. At the default 256 entries its transition total and table
+// size are the capture's DictionaryTotal and DictionaryBits: captures
+// derive them here.
 //
 // The batch kernel cannot prefix-sum — the undriven lines hold the bits
 // of the last miss, so the bus state threads through every fetch — but it

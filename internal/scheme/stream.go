@@ -12,18 +12,19 @@ import (
 // Stream is the shared per-capture transition-stream layer behind the
 // fleet batch kernels: the adjacent-pair XOR structure of the captured
 // image, materialised once and read by every grid cell that measures the
-// same capture. A delta-RLE trace spends nearly all of its fetches in
-// +1 runs, and a +1 run covers a contiguous image span — so any bus cost
-// that is a pure function of adjacent text indices becomes an O(1)
-// prefix-sum difference over these arrays instead of an O(span) walk.
+// same capture, and by the capture itself when it derives its Bus-Invert
+// and dictionary totals. A delta-RLE trace spends nearly all of its
+// fetches in +1 runs, and a +1 run covers a contiguous image span, so a
+// kernel reads that span's per-pair costs from these arrays (or from a
+// table derived from them) instead of recomputing each word's XOR.
 //
 // The eager arrays cover the full-width data bus; everything a specific
 // scheme configuration derives from the capture (masked pair popcounts,
-// per-lane prefixes, dictionary/codebook lookup tables, address-code
-// prefixes) is built lazily exactly once and cached in the derived map,
-// so equal-(scheme, spec) cells of a compare grid share one build. A
-// Stream is immutable after construction apart from that cache and is
-// safe for concurrent use by any number of measurements.
+// bus-invert prefix sums, dictionary/codebook lookup tables,
+// address-code prefixes) is built lazily exactly once and cached in the
+// derived map, so equal-(scheme, spec) cells of a compare grid share one
+// build. A Stream is immutable after construction apart from that cache
+// and is safe for concurrent use by any number of measurements.
 type Stream struct {
 	cap *replay.Capture
 
@@ -34,17 +35,6 @@ type Stream struct {
 	// pairPop[i] = popcount(xors[i]): the full-width per-pair transition
 	// cost, one byte per word so seq kernels stream it from cache.
 	pairPop []uint8
-
-	// prefix[i] = sum of pairPop[1..i]: driving Words[lo..hi]
-	// sequentially with Words[lo] already on the bus costs
-	// prefix[hi] - prefix[lo].
-	prefix []uint64
-
-	// lanes[l][i] counts the toggles of bus line l over Words[0..i] —
-	// the per-lane prefix decomposition of prefix, built lazily (32x the
-	// footprint of prefix, and only masked-width consumers need it).
-	lanesOnce sync.Once
-	lanes     [32][]uint32
 
 	mu      sync.Mutex
 	derived map[string]any
@@ -57,58 +47,11 @@ func NewStream(cap *replay.Capture) *Stream {
 		cap:     cap,
 		xors:    make([]uint32, n),
 		pairPop: make([]uint8, n),
-		prefix:  make([]uint64, n),
 		derived: make(map[string]any),
 	}
 	bitline.AdjacentXORs(st.xors, cap.Words)
 	bitline.PopCounts8(st.pairPop, st.xors)
-	bitline.PrefixSums64(st.prefix, st.pairPop)
 	return st
-}
-
-// SpanCost returns the data-bus transitions of driving Words[lo..hi]
-// sequentially with Words[lo] already on the bus.
-func (st *Stream) SpanCost(lo, hi int32) uint64 { return st.prefix[hi] - st.prefix[lo] }
-
-// LanePrefixes returns the per-lane toggle prefix sums, built on first
-// use: lanes[l][i] counts the transitions of bus line l across
-// Words[0..i]. Masked span costs sum the set lanes — O(width) per span
-// for any mask without materialising a per-mask array.
-func (st *Stream) LanePrefixes() *[32][]uint32 {
-	st.lanesOnce.Do(func() {
-		n := len(st.xors)
-		flat := make([]uint32, 32*n)
-		for l := range st.lanes {
-			st.lanes[l] = flat[l*n : (l+1)*n : (l+1)*n]
-		}
-		for i := 1; i < n; i++ {
-			for x := st.xors[i]; x != 0; x &= x - 1 {
-				st.lanes[bits.TrailingZeros32(x)][i]++
-			}
-		}
-		for l := range st.lanes {
-			lane := st.lanes[l]
-			for i := 1; i < n; i++ {
-				lane[i] += lane[i-1]
-			}
-		}
-	})
-	return &st.lanes
-}
-
-// SpanCostMasked is SpanCost restricted to the lines of mask, answered
-// from the per-lane prefixes.
-func (st *Stream) SpanCostMasked(lo, hi int32, mask uint32) uint64 {
-	if mask == ^uint32(0) {
-		return st.SpanCost(lo, hi)
-	}
-	lanes := st.LanePrefixes()
-	var total uint64
-	for m := mask; m != 0; m &= m - 1 {
-		lane := lanes[bits.TrailingZeros32(m)]
-		total += uint64(lane[hi] - lane[lo])
-	}
-	return total
 }
 
 // derive returns the cached derived table under key, building it exactly

@@ -721,7 +721,8 @@ func ExampleServer() {
 // TestParseRejectsScaleOutsideDomain holds every request decoder to the
 // kernels' scale domains: sizes inside [0, 2^20] that would exhaust
 // memory, panic in setup or spin to the instruction cap are a parse
-// error, and the scales the daemon is driven at still parse.
+// error, and the scales the daemon is driven at still parse. ej at
+// n = 10500 with one sweep fits the instruction cap but not the data cap.
 func TestParseRejectsScaleOutsideDomain(t *testing.T) {
 	bad := []string{
 		`{"name":"mmul","n":1048576}`,
@@ -733,6 +734,7 @@ func TestParseRejectsScaleOutsideDomain(t *testing.T) {
 		`{"name":"tri","n":1}`,
 		`{"name":"conv2d","n":2}`,
 		`{"name":"iir","iters":-1}`,
+		`{"name":"ej","n":10500,"iters":1}`,
 	}
 	for _, ref := range bad {
 		if _, err := ParseEncodeRequest([]byte(`{"benchmark":` + ref + `}`)); err == nil {
@@ -771,6 +773,8 @@ func TestScaleOutsideDomainIs400(t *testing.T) {
 		{"/v1/encode", `{"benchmark":{"name":"mmul","n":1048576}}`},
 		{"/v1/compare", `{"benchmarks":[{"name":"fft","n":3}],"schemes":[{"name":"businvert"}]}`},
 		{"/v1/jobs", `{"benchmarks":[{"name":"fft","n":3}]}`},
+		{"/v1/measure", `{"benchmarks":[{"name":"ej","n":10500,"iters":1}]}`},
+		{"/v1/jobs", `{"benchmarks":[{"name":"ej","n":10500,"iters":1}]}`},
 	}
 	for _, tc := range cases {
 		start := time.Now()

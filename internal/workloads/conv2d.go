@@ -22,6 +22,11 @@ func Conv2D() *Workload {
 			m := float64(p.N - 2)
 			return float64(p.Iters)*(35*m*m+8*m+4) + 32
 		},
+		// The n² image, the kernel padded to 16 words, the (n-2)² output.
+		Bytes: func(p Params) float64 {
+			n, m := float64(p.N), float64(p.N-2)
+			return 4*n*n + 4*16 + 4*m*m
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

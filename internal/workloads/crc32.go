@@ -23,6 +23,10 @@ func CRC32() *Workload {
 		Insts: func(p Params) float64 {
 			return float64(p.Iters)*(11*float64(p.N)+6) + 32
 		},
+		// The 256-word table, the buffer padded to a word, the result.
+		Bytes: func(p Params) float64 {
+			return 4*256 + float64((p.N+3)&^3) + 4
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -25,6 +25,11 @@ func EJ() *Workload {
 			m := float64(p.N - 2)
 			return float64(p.Iters)*(18*m*m+9*m+6) + 32
 		},
+		// Two n² grids, u and v.
+		Bytes: func(p Params) float64 {
+			n := float64(p.N)
+			return 8 * n * n
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

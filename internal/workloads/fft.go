@@ -27,6 +27,12 @@ func FFT() *Workload {
 			stages := math.Log2(n)
 			return 18*n*stages + 16*n + 7*stages + 32
 		},
+		// re, im and the bit-reversal table, n words each, then the two
+		// n-1-word twiddle ROMs.
+		Bytes: func(p Params) float64 {
+			n := float64(p.N)
+			return 12*n + 8*(n-1)
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -22,6 +22,11 @@ func IIR() *Workload {
 		Insts: func(p Params) float64 {
 			return float64(p.N)*(23*float64(p.Iters)+10) + 32
 		},
+		// 5 coefficients and 2 state words per section, then the n-sample
+		// input and output.
+		Bytes: func(p Params) float64 {
+			return 28*float64(p.Iters) + 8*float64(p.N)
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

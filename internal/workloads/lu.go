@@ -21,6 +21,11 @@ func LU() *Workload {
 			n := float64(p.N)
 			return (6*n*n*n+5*n*n+9*n)/2 + 32
 		},
+		// One n² matrix, decomposed in place.
+		Bytes: func(p Params) float64 {
+			n := float64(p.N)
+			return 4 * n * n
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

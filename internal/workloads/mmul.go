@@ -20,6 +20,11 @@ func MMul() *Workload {
 			n := float64(p.N)
 			return 8*n*n*n + 10*n*n + 7*n + 32
 		},
+		// A, B and C, n² floats each.
+		Bytes: func(p Params) float64 {
+			n := float64(p.N)
+			return 12 * n * n
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

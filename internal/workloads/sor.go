@@ -26,6 +26,11 @@ func SOR() *Workload {
 			m := float64(p.N - 2)
 			return float64(p.Iters)*(17*m*m+7*m+3) + 32
 		},
+		// One n² grid, updated in place.
+		Bytes: func(p Params) float64 {
+			n := float64(p.N)
+			return 4 * n * n
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -23,6 +23,10 @@ func Tri() *Workload {
 		Insts: func(p Params) float64 {
 			return float64(p.Iters)*(37*float64(p.N-1)+17) + 32
 		},
+		// Seven n-float arrays: a, b, c, d, c', d' and x.
+		Bytes: func(p Params) float64 {
+			return 28 * float64(p.N)
+		},
 	}
 	w.Source = func(p Params) string {
 		p = w.Fill(p)

@@ -53,7 +53,19 @@ type Workload struct {
 	// Insts bounds from above the dynamic instruction count of one run
 	// at the filled parameters p.
 	Insts func(p Params) float64
+	// Bytes bounds from above the data one run at the filled parameters
+	// p lays out from mem.DataBase: its input, output and scratch arrays.
+	Bytes func(p Params) float64
 }
+
+// MaxDataBytes caps the data a kernel scale may lay out. Simulated
+// memory is paged on demand, and setup builds each input on the host
+// first, so an instruction count under the cap can still ask for
+// gigabytes before the first instruction runs (ej at n = 10500 with one
+// sweep lays out 0.88 GB). 256 MiB is the smallest power of two above
+// every kernel's largest scale at its default iteration count (sor and
+// iir, about 157 MB each).
+const MaxDataBytes = 1 << 28
 
 // Fill completes p with the workload's defaults.
 func (w *Workload) Fill(p Params) Params {
@@ -68,7 +80,8 @@ func (w *Workload) Fill(p Params) Params {
 
 // Validate reports whether the kernel can run at p (zero fields take the
 // defaults): N at least MinN and, for fft, a power of two; Iters at least
-// one; and a run that fits the simulator's default instruction cap.
+// one; a run that fits the simulator's default instruction cap; and data
+// within MaxDataBytes.
 // Outside that domain a kernel panics in setup, fails its golden check or
 // spins until the cap. The error names the scale; callers name the kernel.
 func (w *Workload) Validate(p Params) error {
@@ -84,6 +97,10 @@ func (w *Workload) Validate(p Params) error {
 	if insts := w.Insts(p); insts > cpu.DefaultMaxInstructions {
 		return fmt.Errorf("n %d with iters %d runs about %.4g instructions, over the simulator's %d-instruction cap",
 			p.N, p.Iters, insts, cpu.DefaultMaxInstructions)
+	}
+	if bytes := w.Bytes(p); bytes > MaxDataBytes {
+		return fmt.Errorf("n %d with iters %d lays out about %.4g bytes of data, over the %d-byte cap",
+			p.N, p.Iters, bytes, MaxDataBytes)
 	}
 	return nil
 }

@@ -14,16 +14,16 @@ import (
 // returning the CPU for inspection.
 func execute(t testing.TB, w *Workload, p Params) *cpu.CPU {
 	t.Helper()
-	c, err := runCapped(w, p, 0)
+	c, err := runCapped(w, p, 0, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
 	return c
 }
 
-// runCapped is execute under an instruction cap (0 = the default), with
-// every failure returned.
-func runCapped(w *Workload, p Params, max uint64) (*cpu.CPU, error) {
+// runCapped is execute under an instruction cap (0 = the default) and
+// an optional data-traffic hook, with every failure returned.
+func runCapped(w *Workload, p Params, max uint64, onData func(addr, value uint32, store bool)) (*cpu.CPU, error) {
 	p = w.Fill(p)
 	obj, err := asm.Assemble(w.Source(p))
 	if err != nil {
@@ -41,6 +41,7 @@ func runCapped(w *Workload, p Params, max uint64) (*cpu.CPU, error) {
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
 	c.MaxInstructions = max
+	c.OnData = onData
 	if err := c.Run(); err != nil {
 		return c, fmt.Errorf("run: %w", err)
 	}
@@ -180,6 +181,49 @@ func TestInstsBoundsRuns(t *testing.T) {
 	}
 }
 
+// TestBytesBoundsRuns checks each kernel's data bound against real runs:
+// every page set-up and the run touch, and every word the run loads or
+// stores, lies in [mem.DataBase, mem.DataBase+bound), and the run's last
+// access ends within one grid row (4n+4 bytes) of the bound, so the cap
+// Validate draws sits where the runs' memory does.
+func TestBytesBoundsRuns(t *testing.T) {
+	for _, w := range append(All(), Extras()...) {
+		for _, n := range []int{w.MinN, 4, 8, w.TestParams.N} {
+			for iters := 1; iters <= 3; iters++ {
+				p := Params{N: n, Iters: iters}
+				end := uint64(mem.DataBase) + uint64(w.Bytes(p))
+				lo, hi := end, uint64(0)
+				c, err := runCapped(w, p, 0, func(addr, _ uint32, _ bool) {
+					lo, hi = min(lo, uint64(addr)), max(hi, uint64(addr)+4)
+				})
+				if err != nil {
+					t.Fatalf("%s %+v: %v", w.Name, p, err)
+				}
+				if lo < uint64(mem.DataBase) || hi > end || end-hi > 4*uint64(n)+4 {
+					t.Errorf("%s %+v: run accessed [%#x, %#x), bound [%#x, %#x)", w.Name, p, lo, hi, mem.DataBase, end)
+				}
+				for _, pg := range c.Mem.TouchedPages() {
+					if pg < mem.DataBase || uint64(pg) >= end {
+						t.Errorf("%s %+v: page %#x touched outside [%#x, %#x)", w.Name, p, pg, mem.DataBase, end)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDataCapRefusesEJ pins the gap the data cap closes: ej at n = 10500
+// with one sweep runs under the instruction cap but lays out 0.88 GB.
+func TestDataCapRefusesEJ(t *testing.T) {
+	w, p := EJ(), Params{N: 10500, Iters: 1}
+	if insts := w.Insts(p); insts > cpu.DefaultMaxInstructions {
+		t.Fatalf("ej %+v runs %.4g instructions; the case no longer isolates the data cap", p, insts)
+	}
+	if err := w.Validate(p); err == nil || !strings.Contains(err.Error(), "bytes of data") {
+		t.Errorf("ej %+v: err = %v, want the data cap", p, err)
+	}
+}
+
 // TestDomainBoundaries pins each kernel's scale domain by its boundary
 // pairs: the last rejected and first accepted n at the small end, and the
 // last accepted and first rejected n at the instruction cap with the
@@ -250,7 +294,7 @@ func TestDomainFloorIsTight(t *testing.T) {
 			continue // zero is the default size, and negative sizes fail setup
 		}
 		p := Params{N: n, Iters: 1}
-		if c, err := runCapped(w, p, 5_000_000); err == nil && w.Check(c.Mem, p) == nil {
+		if c, err := runCapped(w, p, 5_000_000, nil); err == nil && w.Check(c.Mem, p) == nil {
 			t.Errorf("%s runs cleanly at n=%d, below its floor %d", w.Name, n, w.MinN)
 		}
 	}

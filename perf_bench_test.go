@@ -1,13 +1,14 @@
 package imtrans
 
 // Hot-path benchmarks for the measurement pipeline: the CPU fetch loop,
-// encoding-plan construction, and the capture/replay engine against the
-// reference two-run simulate pipeline. CI runs these with -benchtime=1x as
-// a smoke test, and gates on three ns/op ratios between them: the cold
-// sweep against serial simulation (BenchmarkPerfSweep vs
-// BenchmarkPerfSweepSimulate), the warm sweep at -cpu 1,4,8
-// (BenchmarkPerfSweepWarm) and the fleet's batch kernels against its
-// scalar coders (BenchmarkCompareFleet). Locally,
+// paper-scale capture, encoding-plan construction, and the capture/replay
+// engine against the reference two-run simulate pipeline. CI runs these
+// with -benchtime=1x as a smoke test, and gates on four ns/op ratios
+// between them: capture against bare simulation (BenchmarkPerfCapture vs
+// BenchmarkPerfCaptureSimulate), the cold sweep against serial simulation
+// (BenchmarkPerfSweep vs BenchmarkPerfSweepSimulate), the warm sweep at
+// -cpu 1,4,8 (BenchmarkPerfSweepWarm) and the fleet's batch kernels
+// against its scalar coders (BenchmarkCompareFleet). Locally,
 // `go test -bench 'Perf|CompareFleet' -run - .` gives the numbers; the
 // end-to-end benchmark is `bash perfbench/run.sh`.
 
@@ -50,6 +51,65 @@ func BenchmarkPerfCPUFetchLoop(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(insts)*float64(b.N)/s, "inst/s")
 	}
+}
+
+// benchPaperRuns times run over the six paper kernels at paper scale, one
+// pass per iteration, and reports the simulated instructions per second.
+func benchPaperRuns(b *testing.B, run func(p *Program, setup func(Memory) error) (insts uint64, err error)) {
+	b.ReportAllocs()
+	benches := Benchmarks()
+	progs := make([]*Program, len(benches))
+	for i, bm := range benches {
+		p, err := bm.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = p
+	}
+	var insts uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, bm := range benches {
+			n, err := run(progs[j], bm.setup)
+			if err != nil {
+				b.Fatalf("%s: %v", bm.Name, err)
+			}
+			insts += n
+		}
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(insts)/s, "inst/s")
+	}
+}
+
+// BenchmarkPerfCapture profiles the six paper-scale kernels through
+// captureRun, bypassing the capture cache: simulate and fold, then derive
+// the configuration-independent totals from the folded trace. It is the
+// cold cost of the Figure 6 reproduction.
+func BenchmarkPerfCapture(b *testing.B) {
+	benchPaperRuns(b, func(p *Program, setup func(Memory) error) (uint64, error) {
+		c, err := captureRun(context.Background(), p, setup)
+		if err != nil {
+			return 0, err
+		}
+		return c.Instructions, nil
+	})
+}
+
+// BenchmarkPerfCaptureSimulate runs the same six simulations with no
+// fetch hook: the floor BenchmarkPerfCapture approaches. CI fails if a
+// capture costs more than four bare simulations.
+func BenchmarkPerfCaptureSimulate(b *testing.B) {
+	benchPaperRuns(b, func(p *Program, setup func(Memory) error) (uint64, error) {
+		m, err := newMachine(p, setup)
+		if err != nil {
+			return 0, err
+		}
+		if err := m.RunCtx(context.Background()); err != nil {
+			return 0, err
+		}
+		return m.InstCount, nil
+	})
 }
 
 // BenchmarkPerfCoreEncode plans one k=5 encoding (graph, chains, TT/BBIT

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"imtrans/internal/baseline"
 	"imtrans/internal/cfg"
 	"imtrans/internal/core"
 	"imtrans/internal/power"
 	"imtrans/internal/replay"
 	"imtrans/internal/scheme"
-	"imtrans/internal/trace"
 )
 
 // StreamingReplay reports whether the streaming replay model is active.
@@ -139,51 +137,67 @@ func captureProgram(ctx context.Context, p *Program, setup func(Memory) error, s
 	})
 }
 
-// captureRun performs the single profiling simulation behind a capture:
-// one full run drives the baseline bus, the bus-invert comparator, and the
-// trace builder; the dictionary comparator needs the profile the run
-// produces, so it is driven afterwards by re-expanding the trace over the
-// original words — the same stream, hence the same counts, as
-// MeasureProgram's in-loop drive.
+// captureRun performs the single profiling simulation behind a capture.
+// The run only simulates and folds — its fetch hook feeds the trace
+// builder and nothing else — and deriveTotals then fills the
+// configuration-independent totals from the folded trace.
 func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*replay.Capture, error) {
 	m1, err := newMachine(p, setup)
 	if err != nil {
 		return nil, err
 	}
-	baseBus := trace.NewBus(32)
-	busInv := baseline.NewBusInvert(32)
 	builder := replay.NewBuilder()
 	base := p.TextBase
-	m1.OnFetch = func(pc, word uint32) {
-		baseBus.Transfer(word)
-		busInv.Transfer(word)
-		builder.Add(int(pc-base) / 4)
-	}
+	m1.OnFetch = func(pc, _ uint32) { builder.Add(int(pc-base) / 4) }
 	if err := m1.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
 	}
-	profile := append([]uint64(nil), m1.Profile()...)
 	words := append([]uint32(nil), p.Text...)
 	g, err := cfg.Build(base, words)
 	if err != nil {
 		return nil, err
 	}
-	tr := builder.Trace()
-	dict := baseline.BuildDictionary(words, profile, 256)
-	tr.Indices(func(idx int32) { dict.Transfer(words[idx]) })
-	return &replay.Capture{
-		Base:            base,
-		Words:           words,
-		Graph:           g,
-		Trace:           tr,
-		Profile:         profile,
-		Instructions:    m1.InstCount,
-		BaselineTotal:   baseBus.Total(),
-		BaselinePerLine: baseBus.PerLine(),
-		BusInvertTotal:  busInv.Total(),
-		DictionaryTotal: dict.Transitions(),
-		DictionaryBits:  dict.TableBits(),
-	}, nil
+	c := &replay.Capture{
+		Base:         base,
+		Words:        words,
+		Graph:        g,
+		Trace:        builder.Trace(),
+		Profile:      append([]uint64(nil), m1.Profile()...),
+		Instructions: m1.InstCount,
+	}
+	if err := deriveTotals(ctx, c); err != nil {
+		return nil, fmt.Errorf("imtrans: capture totals: %w", err)
+	}
+	return c, nil
+}
+
+// deriveTotals fills a capture's configuration-independent totals from
+// its folded trace, where a loop whose state repeats costs a few passes
+// of its body instead of one per fetch: the raw bus from the
+// identity-encoding replay, and the comparators from the fleet's
+// businvert (32 lines) and dictionary (256 entries) schemes at their
+// defaults, over one shared stream. Each walks the fetch stream
+// MeasureProgram's in-loop comparators see, so the totals are the same.
+func deriveTotals(ctx context.Context, c *replay.Capture) error {
+	raw, err := replay.MeasureBaseline(ctx, c)
+	if err != nil {
+		return err
+	}
+	c.BaselineTotal, c.BaselinePerLine = raw.Encoded, raw.PerLineEncoded
+	w := &scheme.Workload{Cap: c, Stream: scheme.NewStream(c)}
+	var res [2]*scheme.Result
+	for i, name := range []string{"businvert", "dictionary"} {
+		sc, err := scheme.Get(name)
+		if err == nil {
+			res[i], err = sc.Measure(ctx, w, scheme.Params{})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	c.BusInvertTotal = res[0].Transitions
+	c.DictionaryTotal, c.DictionaryBits = res[1].Transitions, res[1].OverheadBits
+	return nil
 }
 
 // memoSig returns the per-block encoding signature of a configuration.

@@ -11,7 +11,8 @@ import (
 )
 
 // testScale shrinks a paper benchmark to test-sized problems (the same
-// scales cmd/reproduce -small uses).
+// scales cmd/reproduce -small uses) and an extra kernel to its workload's
+// test parameters.
 func testScale(b Benchmark) Benchmark {
 	switch b.Name {
 	case "mmul":
@@ -27,7 +28,7 @@ func testScale(b Benchmark) Benchmark {
 	case "lu":
 		return b.WithScale(24, 0)
 	}
-	return b
+	return b.WithScale(b.w.TestParams.N, b.w.TestParams.Iters)
 }
 
 // testSuite is the six paper kernels at test scale.
@@ -54,11 +55,12 @@ var replayTestConfigs = []Config{
 }
 
 // TestReplayMatchesSimulate is the tentpole equivalence check: for every
-// paper kernel and every configuration variant, the capture/replay engine
-// must produce Measurements identical — every field, bit for bit — to the
-// reference two-run simulate pipeline.
+// paper kernel, every extra kernel and every configuration variant, the
+// capture/replay engine must produce Measurements identical — every
+// field, bit for bit, the totals a capture derives from its folded trace
+// included — to the reference two-run simulate pipeline.
 func TestReplayMatchesSimulate(t *testing.T) {
-	for _, b := range Benchmarks() {
+	for _, b := range append(Benchmarks(), ExtraBenchmarks()...) {
 		b := testScale(b)
 		t.Run(b.Name, func(t *testing.T) {
 			sim, err := b.SimulateMeasure(replayTestConfigs...)
