@@ -4,7 +4,9 @@
 // power-encoding pipeline is to produce the dynamic instruction fetch
 // stream (via the OnFetch hook) and the per-PC execution profile that
 // drives hot-loop selection; architectural state is simulated precisely so
-// benchmark kernels can be validated against golden references.
+// benchmark kernels can be validated against golden references. The
+// stream is also reported one straight-line span at a time (the OnSpan
+// hook), which is what trace capture folds.
 package cpu
 
 import (
@@ -59,6 +61,16 @@ type CPU struct {
 	// The power-encoding experiments attach their bus models here.
 	OnFetch func(pc, word uint32)
 
+	// OnSpan, when non-nil, observes the fetch stream one straight-line
+	// span at a time: first and last are the PCs of the span's first and
+	// last fetch, and the fetches between them step by 4. It is called at
+	// every control transfer (an executed instruction whose successor is
+	// not pc+4, so a branch to the next instruction continues the span)
+	// and once when the program halts, so the spans of a halted run
+	// concatenate to exactly the fetches OnFetch sees. A run that stops
+	// with an error does not report its open span.
+	OnSpan func(first, last uint32)
+
 	// OnData, when non-nil, observes data-memory traffic: the effective
 	// address and the 32-bit value on the data bus (sub-word accesses are
 	// reported zero-extended, as a 32-bit bus would carry them). store
@@ -69,10 +81,10 @@ type CPU struct {
 	MaxInstructions uint64
 
 	prog      Program
+	spanFirst uint32 // PC of the first fetch of the open span
 	decoded   []isa.Inst
 	profile   []uint64
 	opCounts  [128]uint64
-	branches  uint64
 	taken     uint64
 	InstCount uint64
 	Halted    bool
@@ -95,7 +107,6 @@ type Stats struct {
 func (c *CPU) Stats() Stats {
 	s := Stats{
 		Instructions: c.InstCount,
-		Branches:     c.branches,
 		BranchTaken:  c.taken,
 		PerOp:        make(map[string]uint64),
 	}
@@ -112,6 +123,8 @@ func (c *CPU) Stats() Stats {
 			s.Stores += n
 		case o.IsJump():
 			s.Jumps += n
+		case o.IsBranch():
+			s.Branches += n
 		}
 		if o.IsFP() {
 			s.FPOps += n
@@ -143,12 +156,13 @@ func New(prog Program, m *mem.Memory) (*CPU, error) {
 		m = mem.New()
 	}
 	c := &CPU{
-		PC:      prog.Base,
-		Mem:     m,
-		Stdout:  io.Discard,
-		prog:    prog,
-		decoded: dec,
-		profile: make([]uint64, len(prog.Words)),
+		PC:        prog.Base,
+		Mem:       m,
+		Stdout:    io.Discard,
+		prog:      prog,
+		spanFirst: prog.Base,
+		decoded:   dec,
+		profile:   make([]uint64, len(prog.Words)),
 	}
 	c.GPR[isa.SP] = mem.StackBase
 	c.GPR[isa.GP] = mem.DataBase + 0x8000
@@ -434,14 +448,19 @@ func (c *CPU) Step() error {
 	default:
 		return fmt.Errorf("cpu: unimplemented op %s at pc %#x", in.Op, c.PC)
 	}
-	if in.Op.IsBranch() {
-		c.branches++
-		if next != c.PC+4 {
+	if next != c.PC+4 {
+		if in.Op.IsBranch() {
 			c.taken++
 		}
+		if c.OnSpan != nil {
+			c.OnSpan(c.spanFirst, c.PC)
+		}
+		c.spanFirst = next
 	}
 	if !c.Halted {
 		c.PC = next
+	} else if c.OnSpan != nil {
+		c.OnSpan(c.spanFirst, c.PC)
 	}
 	return nil
 }

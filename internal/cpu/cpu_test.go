@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -488,5 +489,112 @@ func TestEmptyAndInvalidProgram(t *testing.T) {
 	}
 	if _, err := New(Program{Base: mem.TextBase, Words: []uint32{0xffffffff}}, nil); err == nil {
 		t.Error("undecodable program accepted")
+	}
+}
+
+// spanRecorder records a run's fetches through OnFetch and its spans
+// through OnSpan, expanded back to fetch PCs.
+type spanRecorder struct {
+	fetches, expanded []uint32
+	spans             [][2]uint32
+}
+
+func (r *spanRecorder) attach(c *CPU) {
+	c.OnFetch = func(pc, _ uint32) { r.fetches = append(r.fetches, pc) }
+	c.OnSpan = func(first, last uint32) {
+		r.spans = append(r.spans, [2]uint32{first, last})
+		for pc := first; pc <= last; pc += 4 {
+			r.expanded = append(r.expanded, pc)
+		}
+	}
+}
+
+// TestOnSpanConcatenatesToFetches: the spans of a halted run expand to
+// exactly the OnFetch stream, and each ends at a control transfer, so a
+// branch to the next instruction and untaken branches stay inside one.
+func TestOnSpanConcatenatesToFetches(t *testing.T) {
+	c := start(t, `
+		li   $t0, 3
+		li   $s0, 0
+	loop:
+		addiu $s0, $s0, 1
+		beq  $zero, $zero, next   # taken, to the next instruction
+	next:
+		bltz $t0, fail            # untaken
+		jal  leaf
+		addiu $t0, $t0, -1
+		bgtz $t0, loop            # taken twice, then untaken
+		j    one
+	fail:
+		li   $s0, 99
+	one:
+		j    two                  # a one-instruction span
+		nop
+	two:
+		j    three                # a jump to the next instruction
+	three:
+		la   $t1, tail
+		jr   $t1
+		nop
+	tail:
+		li $v0, 10
+		syscall
+	leaf:
+		addu $s1, $s1, $s0
+		jr   $ra
+	`)
+	var r spanRecorder
+	r.attach(c)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.GPR[isa.S0] != 3 {
+		t.Fatalf("s0 = %d, the program took a wrong path", c.GPR[isa.S0])
+	}
+	if !slices.Equal(r.expanded, r.fetches) {
+		t.Fatalf("spans %x expand to\n%x\nwant the fetch stream\n%x", r.spans, r.expanded, r.fetches)
+	}
+	// Transfers: 3 jal, 3 jr $ra, 2 bgtz, j one, j two and jr $t1; the
+	// taken beq and j three land on the next instruction.
+	if len(r.spans) != 12 {
+		t.Errorf("%d spans %x, want 11 transfers and the halt", len(r.spans), r.spans)
+	}
+	for i := 1; i < len(r.spans); i++ {
+		if r.spans[i][0] == r.spans[i-1][1]+4 {
+			t.Errorf("span %d %x continues span %d %x: not a transfer", i, r.spans[i], i-1, r.spans[i-1])
+		}
+	}
+}
+
+// TestOnSpanStoppedRuns: a run stopped by the instruction cap or by a
+// cancelled context returns its error, and the spans it reported are a
+// prefix of its fetches.
+func TestOnSpanStoppedRuns(t *testing.T) {
+	c := start(t, "loop: addiu $t0, $t0, 1\nj loop")
+	c.MaxInstructions = 1001
+	var r spanRecorder
+	r.attach(c)
+	if err := c.Run(); err == nil || !strings.Contains(err.Error(), "instruction cap") {
+		t.Errorf("capped run: err = %v", err)
+	}
+	if len(r.spans) != 500 || !slices.Equal(r.expanded, r.fetches[:len(r.expanded)]) {
+		t.Errorf("capped run: %d spans, want 500 as a prefix of the fetches", len(r.spans))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	c = start(t, "loop: addiu $t0, $t0, 1\nj loop")
+	r = spanRecorder{}
+	r.attach(c)
+	onSpan := c.OnSpan
+	c.OnSpan = func(first, last uint32) {
+		if onSpan(first, last); len(r.spans) == 10 {
+			cancel()
+		}
+	}
+	if err := c.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if !slices.Equal(r.expanded, r.fetches[:len(r.expanded)]) {
+		t.Error("cancelled run: spans are not a prefix of the fetches")
 	}
 }

@@ -18,38 +18,80 @@ const (
 	StackBase uint32 = 0x7fffeffc
 )
 
+// DataTableBytes is the span above DataBase whose pages are found through
+// a flat table rather than the page map: the most data a kernel may lay
+// out (workloads.MaxDataBytes).
+const DataTableBytes = 1 << 28
+
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
+
+	dataPage   = DataBase >> pageShift       // page number of DataBase
+	tablePages = DataTableBytes >> pageShift // pages the flat table can hold
 )
 
 // Memory is a sparse byte-addressable memory. The zero value is ready to
 // use. Memory is not safe for concurrent mutation.
 type Memory struct {
-	pages map[uint32][]byte
+	// data holds the data segment's pages, indexed by page number above
+	// DataBase and grown on demand: kernels walk several arrays at once,
+	// and a map lookup per access would cost more than the access.
+	data  []*pageBytes
+	ndata int // non-nil pages in data
+	pages map[uint32]*pageBytes
 	// last-page cache avoids a map lookup on the common sequential access
-	// pattern of the simulator's loads and stores.
+	// pattern of the simulator's loads and stores outside the table.
 	lastIdx  uint32
-	lastPage []byte
+	lastPage *pageBytes
 }
+
+// pageBytes is the storage of one page.
+type pageBytes [pageSize]byte
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32][]byte)}
+	return &Memory{pages: make(map[uint32]*pageBytes)}
 }
 
-func (m *Memory) page(addr uint32) []byte {
+// page returns the page holding addr, allocating it on first touch. A
+// data page already in the table costs a bounds check and a load.
+func (m *Memory) page(addr uint32) *pageBytes {
+	if d := addr>>pageShift - dataPage; d < uint32(len(m.data)) {
+		if p := m.data[d]; p != nil {
+			return p
+		}
+	}
+	return m.pageSlow(addr)
+}
+
+// pageSlow serves the lookups page cannot: a data page not yet
+// allocated, and every page outside the table, which goes through the
+// last-page cache and the page map.
+func (m *Memory) pageSlow(addr uint32) *pageBytes {
 	idx := addr >> pageShift
+	if d := idx - dataPage; d < tablePages {
+		if n := int(d) + 1; n > len(m.data) {
+			m.data = append(m.data, make([]*pageBytes, n-len(m.data))...)
+		}
+		p := m.data[d]
+		if p == nil {
+			p = new(pageBytes)
+			m.data[d] = p
+			m.ndata++
+		}
+		return p
+	}
 	if m.lastPage != nil && m.lastIdx == idx {
 		return m.lastPage
 	}
 	if m.pages == nil {
-		m.pages = make(map[uint32][]byte)
+		m.pages = make(map[uint32]*pageBytes)
 	}
 	p, ok := m.pages[idx]
 	if !ok {
-		p = make([]byte, pageSize)
+		p = new(pageBytes)
 		m.pages[idx] = p
 	}
 	m.lastIdx, m.lastPage = idx, p
@@ -190,15 +232,21 @@ func (m *Memory) LoadString(addr uint32, max int) string {
 // Footprint returns the number of distinct pages touched and the total
 // bytes they occupy — a cheap capacity diagnostic.
 func (m *Memory) Footprint() (pages int, bytes int) {
-	return len(m.pages), len(m.pages) * pageSize
+	n := len(m.pages) + m.ndata
+	return n, n * pageSize
 }
 
 // TouchedPages lists the base addresses of allocated pages in ascending
 // order. Useful in tests and debug dumps.
 func (m *Memory) TouchedPages() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
+	out := make([]uint32, 0, len(m.pages)+m.ndata)
 	for idx := range m.pages {
 		out = append(out, idx<<pageShift)
+	}
+	for d, p := range m.data {
+		if p != nil {
+			out = append(out, (dataPage+uint32(d))<<pageShift)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

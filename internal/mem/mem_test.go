@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +176,88 @@ func TestWordQuickProperty(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPageTablesMatchReference drives loads and stores across page edges
+// of the flat data table — its first page, its last page, one page past
+// it (the page map) — and of pages below DataBase and on the stack,
+// against a byte map. Every access touches its page, loads included, so
+// Footprint and TouchedPages must list exactly the pages accessed.
+func TestPageTablesMatchReference(t *testing.T) {
+	m := New()
+	ref := map[uint32]byte{}
+	touched := map[uint32]bool{}
+	access := func(addr uint32, n int) {
+		for i := 0; i < n; i++ {
+			touched[(addr+uint32(i))&^pageMask] = true
+		}
+	}
+	edges := []uint32{
+		0, 8 * pageSize,
+		DataBase - pageSize, DataBase, DataBase + pageSize, DataBase + 0x8000,
+		DataBase + DataTableBytes - 2*pageSize, DataBase + DataTableBytes - pageSize,
+		DataBase + DataTableBytes, DataBase + DataTableBytes + pageSize,
+		StackBase&^pageMask - pageSize, StackBase &^ pageMask,
+		0xffffe000, 0xfffff000,
+	}
+	v := uint32(0x9e3779b9)
+	for _, edge := range edges {
+		for _, off := range []int32{-8, -4, -2, -1, 0, 1, 2, 4, pageSize - 4} {
+			addr := edge + uint32(off)
+			v = v*1664525 + 1013904223
+			m.StoreByte(addr, byte(v))
+			ref[addr] = byte(v)
+			access(addr, 1)
+			h := addr &^ 1
+			if err := m.StoreHalf(h, uint16(v>>8)); err != nil {
+				t.Fatal(err)
+			}
+			ref[h], ref[h+1] = byte(v>>8), byte(v>>16)
+			access(h, 2)
+			w := addr&^3 + 4
+			if err := m.StoreWord(w, v); err != nil {
+				t.Fatal(err)
+			}
+			for i := uint32(0); i < 4; i++ {
+				ref[w+i] = byte(v >> (8 * i))
+			}
+			access(w, 4)
+		}
+	}
+	for addr, want := range ref {
+		if got := m.LoadByte(addr); got != want {
+			t.Errorf("byte at %#x = %#x, want %#x", addr, got, want)
+		}
+		access(addr, 1)
+		a := addr &^ 3
+		w, err := m.LoadWord(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint32(0); i < 4; i++ {
+			if got := byte(w >> (8 * i)); got != ref[a+i] {
+				t.Errorf("word at %#x byte %d = %#x, want %#x", a, i, got, ref[a+i])
+			}
+		}
+		access(a, 4)
+	}
+	// A load of a page never stored to reads zero and still touches it.
+	for _, addr := range []uint32{DataBase + 5*pageSize, DataBase + DataTableBytes + 9*pageSize, StackBase - 64*pageSize} {
+		if w, err := m.LoadWord(addr); err != nil || w != 0 {
+			t.Errorf("untouched word at %#x = %#x, %v", addr, w, err)
+		}
+		access(addr, 4)
+	}
+	var want []uint32
+	for p := range touched {
+		want = append(want, p)
+	}
+	slices.Sort(want)
+	if got := m.TouchedPages(); !slices.Equal(got, want) {
+		t.Errorf("touched pages = %#x\nwant %#x", got, want)
+	}
+	if pages, bytes := m.Footprint(); pages != len(want) || bytes != len(want)*pageSize {
+		t.Errorf("footprint = %d pages %d bytes, want %d pages", pages, bytes, len(want))
 	}
 }

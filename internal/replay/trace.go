@@ -17,6 +17,8 @@
 // hundreds of millions of fetches to a few hundred ops.
 package replay
 
+import "slices"
+
 // Op is one node of a compressed fetch-index trace. A leaf op is a run:
 // Count consecutive fetches, each stepping Delta text indices from its
 // predecessor. A group op (Repeat > 0) is Body replayed Repeat times;
@@ -135,7 +137,26 @@ func (t *Trace) Indices(fn func(idx int32)) {
 const maxTandemWindow = 24
 
 // Builder incrementally compresses a fetch-index stream. Feed it every
-// fetched text index in order via Add, then call Trace.
+// fetched text index in order, one at a time via Add or one straight-line
+// span at a time via Span, then call Trace.
+//
+// Folding is eager: each finished run token is pushed onto an op stack
+// whose tail is scanned for tandem repeats (collapseTail). Most tokens of
+// a loop-heavy stream are the next token of an inner loop's body, and a
+// loop-body cursor appends those without the scan. While the op G at
+// position g is a group whose body B holds only leaves and the t ops
+// above it equal B[:t], a token equal to B[t] is appended, or extends G
+// when it completes B. That is exactly what the scan would do:
+//   - a window inside the tail is a window inside B, and none fired
+//     while B was first pushed (B is on the stack as leaves);
+//   - a window straddling G compares G with a leaf;
+//   - a collapse reaches below G only through an op at g−w equal to G
+//     (a fold of width w) or a group below g whose body holds a copy of
+//     G at the index aligned with g (an extend).
+//
+// The last two kinds differ from G only in their repeat count: the
+// cursor lists those counts once when G becomes the top, compares G's
+// count with them at each step, and sends any hit to the scan.
 type Builder struct {
 	first    int32
 	n        uint64
@@ -143,6 +164,14 @@ type Builder struct {
 	curDelta int32
 	curCount int64
 	ops      []Op
+
+	// The loop-body cursor: when cursor is set, ops[at] is a group whose
+	// body holds only leaves and the ops above it are a prefix of that
+	// body, and hazards are the repeat counts at which a copy of ops[at]
+	// below it could join a collapse.
+	cursor  bool
+	at      int
+	hazards []int64
 }
 
 // NewBuilder returns an empty trace builder.
@@ -158,12 +187,28 @@ func (b *Builder) Add(idx int) {
 	}
 	delta := i - b.lastIdx
 	b.lastIdx = i
+	b.run(delta, 1)
+}
+
+// Span records the fetches of one straight-line span, first, first+1,
+// ..., last (last >= first): the same as calling Add for each in turn.
+func (b *Builder) Span(first, last int) {
+	b.Add(first)
+	if n := int64(last - first); n > 0 {
+		b.n += uint64(n)
+		b.lastIdx = int32(last)
+		b.run(1, n)
+	}
+}
+
+// run appends count fetches, each stepping delta from its predecessor.
+func (b *Builder) run(delta int32, count int64) {
 	if b.curCount > 0 && delta == b.curDelta {
-		b.curCount++
+		b.curCount += count
 		return
 	}
 	b.flushRun()
-	b.curDelta, b.curCount = delta, 1
+	b.curDelta, b.curCount = delta, count
 }
 
 func (b *Builder) flushRun() {
@@ -174,13 +219,72 @@ func (b *Builder) flushRun() {
 	b.curCount = 0
 }
 
-// push appends a finished op and eagerly collapses tandem repeats at the
-// tail of the op stack. Amortised cost per op is O(maxTandemWindow): the
-// window scans are O(1) prechecks, and the full window comparison runs at
-// most once per successful collapse.
+// push appends a finished leaf op and eagerly collapses tandem repeats at
+// the tail of the op stack: through the loop-body cursor when op is the
+// next token of its body and no hazard matches, else through the window
+// scan. Amortised cost per scanned op is O(maxTandemWindow): the window
+// scans are O(1) prechecks, and the full window comparison runs at most
+// once per successful collapse.
 func (b *Builder) push(op Op) {
+	next := false // op continues the cursor's body
+	if b.cursor {
+		g := &b.ops[b.at]
+		t := len(b.ops) - b.at - 1
+		next = leafEqual(op, g.Body[t])
+		if next {
+			done := t+1 == len(g.Body)
+			r := g.Repeat
+			if done {
+				r++
+			}
+			if !slices.Contains(b.hazards, r) {
+				if done {
+					g.Repeat = r
+					b.ops = b.ops[:b.at+1]
+				} else {
+					b.ops = append(b.ops, op)
+				}
+				return
+			}
+		}
+	}
 	b.ops = append(b.ops, op)
+	if !b.collapseTail() {
+		b.cursor = b.cursor && next
+		return
+	}
 	for b.collapseTail() {
+	}
+	b.aim()
+}
+
+// aim points the cursor at the top op if it is a group whose body holds
+// only leaves, and lists its hazards: the repeat counts of the groups
+// with its body that sit within one tandem window below it, either as
+// ops (fold partners) or inside the body of a group at the index aligned
+// with the top (extend partners).
+func (b *Builder) aim() {
+	top := len(b.ops) - 1
+	g := &b.ops[top]
+	b.cursor = g.Repeat > 0 && !slices.ContainsFunc(g.Body, func(op Op) bool { return op.Repeat > 0 })
+	if !b.cursor {
+		return
+	}
+	b.at = top
+	b.hazards = b.hazards[:0]
+	for q := max(0, top-maxTandemWindow); q < top; q++ {
+		h := &b.ops[q]
+		if h.Repeat == 0 {
+			continue
+		}
+		if opsEqual(h.Body, g.Body) {
+			b.hazards = append(b.hazards, h.Repeat)
+		}
+		if k := top - q - 1; k < len(h.Body) {
+			if e := &h.Body[k]; e.Repeat > 0 && opsEqual(e.Body, g.Body) {
+				b.hazards = append(b.hazards, e.Repeat)
+			}
+		}
 	}
 }
 

@@ -83,9 +83,10 @@ func benchPaperRuns(b *testing.B, run func(p *Program, setup func(Memory) error)
 }
 
 // BenchmarkPerfCapture profiles the six paper-scale kernels through
-// captureRun, bypassing the capture cache: simulate and fold, then derive
-// the configuration-independent totals from the folded trace. It is the
-// cold cost of the Figure 6 reproduction.
+// captureRun, bypassing the capture cache: simulate and fold the CPU's
+// straight-line spans, then derive the configuration-independent totals
+// from the folded trace. It is the cold cost of the Figure 6
+// reproduction.
 func BenchmarkPerfCapture(b *testing.B) {
 	benchPaperRuns(b, func(p *Program, setup func(Memory) error) (uint64, error) {
 		c, err := captureRun(context.Background(), p, setup)
@@ -97,8 +98,8 @@ func BenchmarkPerfCapture(b *testing.B) {
 }
 
 // BenchmarkPerfCaptureSimulate runs the same six simulations with no
-// fetch hook: the floor BenchmarkPerfCapture approaches. CI fails if a
-// capture costs more than four bare simulations.
+// fetch or span hook: the floor BenchmarkPerfCapture approaches. CI fails
+// if a capture costs more than two bare simulations.
 func BenchmarkPerfCaptureSimulate(b *testing.B) {
 	benchPaperRuns(b, func(p *Program, setup func(Memory) error) (uint64, error) {
 		m, err := newMachine(p, setup)

@@ -138,8 +138,10 @@ func captureProgram(ctx context.Context, p *Program, setup func(Memory) error, s
 }
 
 // captureRun performs the single profiling simulation behind a capture.
-// The run only simulates and folds — its fetch hook feeds the trace
-// builder and nothing else — and deriveTotals then fills the
+// The run only simulates and folds: the CPU reports each straight-line
+// span of fetches at its control transfer, the trace builder folds the
+// spans (its loop-body cursor appends most tokens of a hot loop without
+// a tandem scan), and deriveTotals then fills the
 // configuration-independent totals from the folded trace.
 func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*replay.Capture, error) {
 	m1, err := newMachine(p, setup)
@@ -148,7 +150,7 @@ func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*rep
 	}
 	builder := replay.NewBuilder()
 	base := p.TextBase
-	m1.OnFetch = func(pc, _ uint32) { builder.Add(int(pc-base) / 4) }
+	m1.OnSpan = func(first, last uint32) { builder.Span(int(first-base)/4, int(last-base)/4) }
 	if err := m1.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
 	}

@@ -157,15 +157,22 @@ func TestStreamingReplayWarmAllocs(t *testing.T) {
 	small := mustBench(t, "tri").WithScale(32, 4)
 	large := mustBench(t, "tri").WithScale(32, 40)
 	cfg := Config{BlockSize: 5}
+	// A sync.Pool may drop a Put (the race detector drops a quarter of
+	// them on purpose), and a dropped Put can only add allocations, so
+	// the least of five samples is the warm path's count.
 	warmAllocs := func(b Benchmark) float64 {
 		if _, err := b.Measure(cfg); err != nil {
 			t.Fatal(err) // capture + prime the scratch pools
 		}
-		return testing.AllocsPerRun(10, func() {
-			if _, err := b.Measure(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(10, func() {
+				if _, err := b.Measure(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
 	a1 := warmAllocs(small)
 	a2 := warmAllocs(large)
