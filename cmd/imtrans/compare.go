@@ -116,8 +116,7 @@ func cmdCompare(args []string) error {
 	jobsN := fs.Int("j", 0, "comparison parallelism (0 = GOMAXPROCS)")
 	checkpoint := fs.String("checkpoint", "", "journal the comparison grid here; an interrupted run resumes from it")
 	timeout := fs.Duration("timeout", 0, "cancel the comparison after this long (0 = no deadline)")
-	retries := fs.Int("retries", 1, "supervised attempts per grid cell")
-	inject := fs.String("inject", "", "fault campaign against grid cells (panic@B,S;error@B,S;attempts=N)")
+	inject := fs.String("inject", "", "fault campaign against grid cells (panic@B,S;error@B,S)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,7 +152,6 @@ func cmdCompare(args []string) error {
 	sweepOpts := imtrans.SweepOptions{
 		Parallelism:    *jobsN,
 		Checkpoint:     *checkpoint,
-		Retry:          imtrans.RetryPolicy{MaxAttempts: *retries, BaseDelay: 50 * time.Millisecond, Jitter: 0.5},
 		CheckpointSync: false,
 	}
 	if *inject != "" {

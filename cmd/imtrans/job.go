@@ -309,7 +309,7 @@ func printJobRecord(rec jobs.Record) {
 		fmt.Printf(" (%d restored from journal)", rec.Restored)
 	}
 	fmt.Println()
-	fmt.Printf("  attempts: %d (resumes %d, retries %d)\n", rec.Attempts, rec.Resumes, rec.Retries)
+	fmt.Printf("  attempts: %d (resumes %d)\n", rec.Attempts, rec.Resumes)
 	if rec.Error != nil {
 		fmt.Printf("  error:    [%s] %s\n", rec.Error.Kind, rec.Error.Message)
 	}

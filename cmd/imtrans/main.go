@@ -97,10 +97,9 @@ commands:
                       report). The grid runs supervised: -checkpoint
                       journals each completed cell so an interrupted run
                       resumes where it stopped, -timeout bounds the wall
-                      clock, -retries retries faulty cells with backoff,
-                      -j sets the parallelism, and -inject
-                      "panic@B,S;error@B,S;attempts=N" runs a fault
-                      campaign proving failures stay isolated
+                      clock, -j sets the parallelism, and -inject
+                      "panic@B,S;error@B,S" runs a fault campaign proving
+                      failures stay isolated
   schemes             list the registered encoding schemes and their
                       tunable knobs (-json)
   encode <file.s>     profile, encode and write a deployment artifact

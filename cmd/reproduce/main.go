@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"imtrans"
 	"imtrans/internal/prof"
@@ -54,7 +53,6 @@ func main() {
 	flag.IntVar(&jobs, "j", 0, "measurement parallelism (0 = GOMAXPROCS)")
 	flag.StringVar(&checkpointPath, "checkpoint", "", "journal the Figure 6 sweep here; an interrupted run resumes from it")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this long (0 = no deadline)")
-	retries := flag.Int("retries", 1, "supervised attempts per sweep cell")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	flag.Parse()
@@ -73,7 +71,6 @@ func main() {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	imtrans.SetParallelism(jobs)
-	sweepRetries = *retries
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -217,9 +214,6 @@ var figure6Memo = map[bool]struct {
 	results map[string][]imtrans.Measurement
 }{}
 
-// sweepRetries is the supervised attempt budget per sweep cell (-retries).
-var sweepRetries = 1
-
 // figure6Data measures all benchmarks at block sizes 4..7 with a 16-entry
 // TT, the paper's Figure 6 experiment. The whole grid goes through one
 // supervised SweepMeasureCtx call: each kernel is simulated once for its
@@ -245,7 +239,6 @@ func figure6Data(small bool) ([]string, map[string][]imtrans.Measurement, error)
 	res, err := imtrans.SweepMeasureCtx(rootCtx, benches, cfgs, imtrans.SweepOptions{
 		Parallelism: jobs,
 		Checkpoint:  checkpointPath,
-		Retry:       imtrans.RetryPolicy{MaxAttempts: sweepRetries, BaseDelay: 50 * time.Millisecond, Jitter: 0.5},
 	})
 	if err != nil {
 		if res != nil && checkpointPath != "" {

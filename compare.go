@@ -135,7 +135,6 @@ type CompareError struct {
 	BenchIndex  int
 	SchemeIndex int    // -1 when the whole benchmark failed to capture
 	Stage       string // "capture", "measure" or "checkpoint"
-	Attempts    int
 	Err         error
 }
 
@@ -145,7 +144,7 @@ func (e *CompareError) Error() string {
 	if e.SchemeIndex >= 0 {
 		where += " [" + e.Scheme + "]"
 	}
-	return fmt.Sprintf("imtrans: compare %s stage, %s (%d attempts): %v", e.Stage, where, e.Attempts, e.Err)
+	return fmt.Sprintf("imtrans: compare %s stage, %s: %v", e.Stage, where, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is / errors.As.
@@ -211,11 +210,10 @@ func CompareMeasure(benchmarks []Benchmark, specs []SchemeSpec, parallelism int)
 
 // CompareMeasureCtx evaluates every (benchmark, scheme spec) pair of a
 // comparison grid under the same supervision contract as SweepMeasureCtx:
-// per-cell recover() guards, the retry policy and circuit breaker from
-// opts, cooperative cancellation, work-stealing distribution, shared
-// captures, and — with opts.Checkpoint set — bit-identical
-// checkpoint-resume. Paper-scheme cells share block-outcome memo stores
-// exactly as plain sweeps do.
+// one attempt per cell under a recover() guard, cooperative
+// cancellation, work-stealing distribution, shared captures, and — with
+// opts.Checkpoint set — bit-identical checkpoint-resume. Paper-scheme
+// cells share block-outcome memo stores exactly as plain sweeps do.
 //
 // The returned error is non-nil only for an invalid spec list, setup
 // failures and cancellation; isolated cell failures are reported in
@@ -262,7 +260,6 @@ func CompareMeasureCtx(ctx context.Context, benchmarks []Benchmark, specs []Sche
 			BenchIndex:  e.row,
 			SchemeIndex: e.col,
 			Stage:       e.stage,
-			Attempts:    e.attempts,
 			Err:         e.err,
 		}
 		if e.col >= 0 {

@@ -292,14 +292,14 @@ func TestCompareNewSchemesBeatNothing(t *testing.T) {
 }
 
 // TestCompareFaultRetryAndIsolation is the compare-grid half of the
-// fault-campaign machinery `imtrans compare -inject` wires up: a
-// transient injected fault must be retried away (the grid completes,
-// bit-identical to a clean run), and a permanent one must be isolated to
-// its cell while the rest of the grid completes.
+// fault-campaign machinery `imtrans compare -inject` wires up: an
+// injected fault must be isolated to its cell while the rest of the grid
+// completes, bit-identical to a clean run. The retry half of the name is
+// historical: grid cells are no longer retried, so only the
+// permanent-fault case remains.
 func TestCompareFaultRetryAndIsolation(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "mmul")), testScale(mustBench(t, "sor"))}
 	specs := []SchemeSpec{{Name: "businvert"}, {Name: "dictionary"}}
-	retry := RetryPolicy{MaxAttempts: 3}
 
 	clean, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{})
 	if err != nil {
@@ -309,42 +309,18 @@ func TestCompareFaultRetryAndIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Run("transient", func(t *testing.T) {
-		plan, err := ParseSweepFaultPlan("error@0,1;attempts=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := CompareMeasureCtx(context.Background(), benches, specs,
-			SweepOptions{FaultInject: plan.Injector(), Retry: retry})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Err(); err != nil {
-			t.Fatalf("transient fault was not retried away: %v", err)
-		}
-		if res.Completed != len(benches)*len(specs) {
-			t.Errorf("completed %d cells, want %d", res.Completed, len(benches)*len(specs))
-		}
-		if got := res.Counters.Get("compare_retries"); got == 0 {
-			t.Error("compare_retries counter is zero after a retried fault")
-		}
-		if !reflect.DeepEqual(res.Results, clean.Results) {
-			t.Error("retried grid diverged from the clean run")
-		}
-	})
-
 	t.Run("permanent", func(t *testing.T) {
 		plan, err := ParseSweepFaultPlan("error@0,0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := CompareMeasureCtx(context.Background(), benches, specs,
-			SweepOptions{FaultInject: plan.Injector(), Retry: retry})
+			SweepOptions{FaultInject: plan.Injector()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Err() == nil {
-			t.Fatal("permanent fault not surfaced")
+			t.Fatal("injected fault not surfaced")
 		}
 		if len(res.Errors) != 1 {
 			t.Fatalf("%d isolated errors, want 1: %v", len(res.Errors), res.Errors)

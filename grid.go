@@ -63,12 +63,10 @@ func (m *cellMemo) add(o cellMemo) {
 }
 
 // gridError is one isolated grid failure: the cell (col -1 when the row's
-// capture failed), the pipeline stage, the attempts made and the final
-// error.
+// capture failed), the pipeline stage and the error.
 type gridError struct {
 	row, col int
 	stage    string
-	attempts int
 	err      error
 }
 
@@ -81,10 +79,10 @@ type gridRun[T any] struct {
 	cellNs [][]int64
 	errs   []gridError
 
-	cells, restored, completed, cancelled     int
-	failed, skipped, retries, panics, tripped int
-	recorded, ckErrs                          int
-	gridWorkers, innerWorkers                 int
+	cells, restored, completed, cancelled int
+	failed, skipped, panics               int
+	recorded, ckErrs                      int
+	gridWorkers, innerWorkers             int
 
 	colTally []columnTally
 
@@ -106,12 +104,13 @@ type columnTally struct {
 }
 
 // runGrid evaluates every cell of g under supervision: each capture and
-// each cell runs with a recover() guard, the retry policy and the circuit
-// breaker from opts, so one poisoned cell records a gridError while the
-// rest of the grid completes. With opts.Checkpoint set, completed cells
-// are journalled and a journal left by an interrupted run restores its
-// cells instead of re-measuring them. The error is non-nil only for an
-// unreadable or mismatched checkpoint; cancellation is left in ctxErr.
+// each cell runs once under a recover() guard, so one poisoned cell
+// records a gridError while the rest of the grid completes. Captures and
+// cells are deterministic, so nothing is retried. With opts.Checkpoint
+// set, completed cells are journalled and a journal left by an
+// interrupted run restores its cells instead of re-measuring them. The
+// error is non-nil only for an unreadable or mismatched checkpoint;
+// cancellation is left in ctxErr.
 func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gridRun[T], error) {
 	par := opts.Parallelism
 	if par <= 0 {
@@ -126,7 +125,6 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		done     bool
 		restored bool
 		err      error
-		attempts int
 		ckErr    error
 	}
 	cells := make([]cellState, nr*nc)
@@ -158,17 +156,13 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		opts.Progress(restored, nr*nc)
 	}
 
-	pol := opts.Retry.policy()
-	brk := runsafe.NewBreaker(opts.BreakerThreshold)
-
 	// Capture phase: one supervised profiling run per row that still has
 	// pending cells. A row restored entirely from the journal is not
 	// re-simulated.
 	type rowState struct {
-		pending  bool
-		cap      *replay.Capture
-		err      error
-		attempts int
+		pending bool
+		cap     *replay.Capture
+		err     error
 	}
 	rows := make([]rowState, nr)
 	for t := range cells {
@@ -181,7 +175,7 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		if !r.pending {
 			return
 		}
-		r.attempts, r.err = runsafe.Do(ctx, pol, brk, func(ctx context.Context) error {
+		r.err = runsafe.Run(func() error {
 			cap, err := g.capture(ctx, ri)
 			if err != nil {
 				return err
@@ -266,16 +260,14 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		if col.share.fleet {
 			w.Stream = streams[ri]
 		}
-		attempt := 0
-		s.attempts, s.err = runsafe.Do(ctx, pol, brk, func(tctx context.Context) error {
-			attempt++
+		s.err = runsafe.Run(func() error {
 			if opts.FaultInject != nil {
-				if err := opts.FaultInject(ri, ci, attempt); err != nil {
+				if err := opts.FaultInject(ri, ci); err != nil {
 					return err
 				}
 			}
 			start := time.Now()
-			v, memo, err := col.measure(tctx, w)
+			v, memo, err := col.measure(ctx, w)
 			if err != nil {
 				return err
 			}
@@ -311,14 +303,11 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		colTally:     make([]columnTally, nc),
 		ctxErr:       ctx.Err(),
 	}
-	fail := func(row, col int, stage string, attempts int, err error) {
-		run.errs = append(run.errs, gridError{row: row, col: col, stage: stage, attempts: attempts, err: err})
+	fail := func(row, col int, stage string, err error) {
+		run.errs = append(run.errs, gridError{row: row, col: col, stage: stage, err: err})
 		var pe *runsafe.PanicError
 		if errors.As(err, &pe) {
 			run.panics++
-		}
-		if errors.Is(err, runsafe.ErrTripped) {
-			run.tripped++
 		}
 	}
 	for ri := 0; ri < nr; ri++ {
@@ -326,19 +315,13 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		run.done[ri] = make([]bool, nc)
 		run.cellNs[ri] = make([]int64, nc)
 		r := &rows[ri]
-		if r.attempts > 1 {
-			run.retries += r.attempts - 1
-		}
 		capFailed := r.err != nil && !isCtxErr(r.err)
 		if capFailed {
-			fail(ri, -1, "capture", r.attempts, r.err)
+			fail(ri, -1, "capture", r.err)
 		}
 		attached := false // a fleet cell of this row has read its stream
 		for ci := 0; ci < nc; ci++ {
 			s := &cells[ri*nc+ci]
-			if s.attempts > 1 {
-				run.retries += s.attempts - 1
-			}
 			switch {
 			case s.done:
 				run.vals[ri][ci] = s.val
@@ -363,13 +346,13 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 				}
 				if s.ckErr != nil {
 					run.ckErrs++
-					run.errs = append(run.errs, gridError{row: ri, col: ci, stage: "checkpoint", attempts: s.attempts, err: s.ckErr})
+					run.errs = append(run.errs, gridError{row: ri, col: ci, stage: "checkpoint", err: s.ckErr})
 				}
 			case capFailed:
 				run.skipped++
 			case s.err != nil && !isCtxErr(s.err):
 				run.failed++
-				fail(ri, ci, "measure", s.attempts, s.err)
+				fail(ri, ci, "measure", s.err)
 			default:
 				// No result, no recorded failure: the cell was abandoned
 				// mid-flight or never started because the context ended.
@@ -388,9 +371,7 @@ func (r *gridRun[T]) addSupervision(c *stats.Counters, family string) {
 	c.Add(family+"_failed", uint64(r.failed))
 	c.Add(family+"_skipped", uint64(r.skipped))
 	c.Add(family+"_cancelled", uint64(r.cancelled))
-	c.Add(family+"_retries", uint64(r.retries))
 	c.Add(family+"_panics", uint64(r.panics))
-	c.Add(family+"_breaker_tripped", uint64(r.tripped))
 	c.Add(family+"_grid_workers", uint64(r.gridWorkers))
 	c.Add(family+"_inner_workers", uint64(r.innerWorkers))
 }

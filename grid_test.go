@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
+
+	"imtrans/internal/stats"
 )
 
 // TestGridCheckpointIdentityPinned pins the journal identities of a fixed
@@ -45,11 +50,10 @@ func TestGridCheckpointIdentityPinned(t *testing.T) {
 }
 
 // TestGridSupervisionParity runs one fault plan through a paper-config
-// sweep and through the comparison of the equal paper specs: a panic that
-// a retry recovers, an error on every attempt, and a checkpointed run
-// interrupted half-way and then resumed. Both facades must report the
-// same grid: completion, isolated failures, transition counts and
-// supervision counters.
+// sweep and through the comparison of the equal paper specs: a cell that
+// panics, a cell that errors, and a checkpointed run interrupted half-way
+// and then resumed. Both facades must report the same grid: completion,
+// isolated failures, transition counts and supervision counters.
 func TestGridSupervisionParity(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "mmul")), testScale(mustBench(t, "sor"))}
 	cfgs := []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 5, TTEntries: 4}}
@@ -57,14 +61,7 @@ func TestGridSupervisionParity(t *testing.T) {
 	for i, c := range cfgs {
 		specs[i] = SchemeSpec{Name: "paper", Config: c}
 	}
-	transient := SweepFaultPlan{PanicCells: [][2]int{{0, 1}}, FailAttempts: 1}.Injector()
-	permanent := SweepFaultPlan{ErrorCells: [][2]int{{1, 2}}}.Injector()
-	inject := func(bench, config, attempt int) error {
-		if err := permanent(bench, config, attempt); err != nil {
-			return err
-		}
-		return transient(bench, config, attempt)
-	}
+	inject := SweepFaultPlan{PanicCells: [][2]int{{0, 1}}, ErrorCells: [][2]int{{1, 2}}}.Injector()
 	dir := t.TempDir()
 
 	// run drives one facade through the interrupted and the resumed pass
@@ -82,7 +79,6 @@ func TestGridSupervisionParity(t *testing.T) {
 		defer cancel()
 		opts := SweepOptions{
 			Parallelism: 1,
-			Retry:       RetryPolicy{MaxAttempts: 3},
 			Checkpoint:  ck,
 			FaultInject: inject,
 			Progress: func(done, total int) {
@@ -103,8 +99,8 @@ func TestGridSupervisionParity(t *testing.T) {
 		}
 		return out
 	}
-	supervision := []string{"cells", "completed", "failed", "skipped", "cancelled", "retries",
-		"panics", "breaker_tripped", "grid_workers", "inner_workers"}
+	supervision := []string{"cells", "completed", "failed", "skipped", "cancelled",
+		"panics", "grid_workers", "inner_workers"}
 	counters := func(family string, get func(string) uint64) map[string]uint64 {
 		m := make(map[string]uint64)
 		for _, n := range supervision {
@@ -130,7 +126,7 @@ func TestGridSupervisionParity(t *testing.T) {
 			o.counts = append(o.counts, counts)
 		}
 		for _, e := range res.Errors {
-			o.errs = append(o.errs, fmt.Sprintf("%s (%d,%d) x%d", e.Stage, e.BenchIndex, e.ConfigIndex, e.Attempts))
+			o.errs = append(o.errs, fmt.Sprintf("%s (%d,%d)", e.Stage, e.BenchIndex, e.ConfigIndex))
 		}
 		return o, err
 	})
@@ -148,7 +144,7 @@ func TestGridSupervisionParity(t *testing.T) {
 			o.counts = append(o.counts, counts)
 		}
 		for _, e := range res.Errors {
-			o.errs = append(o.errs, fmt.Sprintf("%s (%d,%d) x%d", e.Stage, e.BenchIndex, e.SchemeIndex, e.Attempts))
+			o.errs = append(o.errs, fmt.Sprintf("%s (%d,%d)", e.Stage, e.BenchIndex, e.SchemeIndex))
 		}
 		return o, err
 	})
@@ -170,12 +166,12 @@ func TestGridSupervisionParity(t *testing.T) {
 	}
 	// The plan must actually have exercised every path it names.
 	final := sweep[1]
-	if want := []string{"measure (1,2) x3"}; !reflect.DeepEqual(final.errs, want) {
+	if want := []string{"measure (0,1)", "measure (1,2)"}; !reflect.DeepEqual(final.errs, want) {
 		t.Errorf("resumed errors = %q, want %q", final.errs, want)
 	}
-	if final.counters["checkpoint_restored"] == 0 || sweep[0].counters["retries"] == 0 ||
+	if final.counters["checkpoint_restored"] == 0 || sweep[0].counters["panics"] == 0 ||
 		sweep[0].counters["cancelled"] == 0 {
-		t.Errorf("fault plan did not exercise restore, retry and cancellation: %v then %v",
+		t.Errorf("fault plan did not exercise restore, panic and cancellation: %v then %v",
 			sweep[0].counters, final.counters)
 	}
 }
@@ -203,6 +199,64 @@ func TestCompareStreamSharedIndependentOfScheduling(t *testing.T) {
 		}
 		if got := res.Counters.Get("compare_stream_shared"); got != 6 {
 			t.Errorf("parallelism %d: compare_stream_shared = %d, want 6", par, got)
+		}
+	}
+}
+
+// TestGridCounterTable checks the "Grid counters" table of
+// docs/PERFORMANCE.md in both directions: every counter one sweep and one
+// compare write, with its {scheme=...} label stripped, is in the table,
+// and every name in the table's first column is written.
+func TestGridCounterTable(t *testing.T) {
+	doc, err := os.ReadFile("docs/PERFORMANCE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n## Grid counters\n")
+	if !ok {
+		t.Fatal(`docs/PERFORMANCE.md has no "## Grid counters" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	name := regexp.MustCompile("`([^`]+)`")
+	documented := make(map[string]bool)
+	for _, line := range strings.Split(table, "\n") {
+		cols := strings.Split(line, "|")
+		if len(cols) < 4 || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cols[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("the grid counter table lists no counters")
+	}
+
+	benches := []Benchmark{testScale(mustBench(t, "mmul"))}
+	sweep, err := SweepMeasureCtx(context.Background(), benches, nil, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := CompareMeasureCtx(context.Background(), benches,
+		[]SchemeSpec{{Name: "paper"}, {Name: "businvert"}}, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(map[string]bool)
+	for _, c := range []*stats.Counters{&sweep.Counters, &cmp.Counters} {
+		for _, n := range c.Names() {
+			n, _, _ = strings.Cut(n, "{")
+			written[n] = true
+		}
+	}
+	for n := range written {
+		if !documented[n] {
+			t.Errorf("counter %s is written but missing from the table in docs/PERFORMANCE.md", n)
+		}
+	}
+	for n := range documented {
+		if !written[n] {
+			t.Errorf("docs/PERFORMANCE.md lists %s, which neither a sweep nor a compare writes", n)
 		}
 	}
 }

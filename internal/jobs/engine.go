@@ -66,7 +66,6 @@ func (c Config) withDefaults() Config {
 // runStats is what one execution attempt reports back beyond the result.
 type runStats struct {
 	restored int
-	retries  int
 }
 
 // job is one tracked job: the durable record plus in-memory control state.
@@ -564,12 +563,10 @@ func (e *Engine) settleLocked(j *job, st State, info *ErrorInfo, rs runStats) {
 	j.rec.State = st
 	j.rec.Error = info
 	j.rec.Restored += rs.restored
-	j.rec.Retries += rs.retries
 	if st == StateDone {
 		j.rec.CellsDone = j.rec.CellsTotal
 	}
 	e.cfg.Counters.Add("job_cells_restored_total", uint64(rs.restored))
-	e.cfg.Counters.Add("job_retries_total", uint64(rs.retries))
 	e.persistLocked(j, true)
 	e.settleRecoveryLocked(j)
 }
@@ -615,8 +612,6 @@ func classify(err error) *ErrorInfo {
 	switch {
 	case errors.As(err, &pe):
 		return &ErrorInfo{Kind: "panic", Message: pe.Error()}
-	case errors.Is(err, runsafe.ErrTripped):
-		return &ErrorInfo{Kind: "breaker", Message: err.Error()}
 	default:
 		return &ErrorInfo{Kind: "measure", Message: err.Error()}
 	}
@@ -629,7 +624,7 @@ func resolveBenchmarks(refs []BenchmarkRef) ([]imtrans.Benchmark, []string, erro
 	for i, ref := range refs {
 		b, err := ref.Resolve()
 		if err != nil {
-			return nil, nil, runsafe.Permanent(err)
+			return nil, nil, err
 		}
 		benches[i] = b
 		names[i] = b.Name
@@ -648,7 +643,6 @@ func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, prog
 	}
 	opts := imtrans.SweepOptions{
 		Parallelism:    e.cfg.Parallelism,
-		Retry:          imtrans.RetryPolicy{MaxAttempts: sp.Retries, BaseDelay: 10 * time.Millisecond, Jitter: 0.5},
 		Checkpoint:     journalPath,
 		CheckpointSync: e.cfg.Fsync,
 		Progress:       progress,
@@ -658,7 +652,7 @@ func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, prog
 	if sp.Kind == KindCompare {
 		var res *imtrans.CompareResult
 		if res, err = imtrans.CompareMeasureCtx(ctx, benches, sp.schemeSpecs(), opts); res != nil {
-			rs = runStats{restored: res.Restored, retries: int(res.Counters.Get("compare_retries"))}
+			rs = runStats{restored: res.Restored}
 			out.Schemes, out.Compare, out.Rankings, out.Done = res.Schemes, res.Results, res.Rankings, res.Done
 			for i := range res.Errors {
 				out.Errors = append(out.Errors, res.Errors[i].Error())
@@ -668,7 +662,7 @@ func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, prog
 		cfgs := sp.configs()
 		var res *imtrans.SweepResult
 		if res, err = imtrans.SweepMeasureCtx(ctx, benches, cfgs, opts); res != nil {
-			rs = runStats{restored: res.Restored, retries: int(res.Counters.Get("sweep_retries"))}
+			rs = runStats{restored: res.Restored}
 			out.Configs = make([]string, len(cfgs))
 			for i, c := range cfgs {
 				out.Configs[i] = c.String()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -80,42 +81,47 @@ func TestJobStateTransitions(t *testing.T) {
 	cases := []struct {
 		name     string
 		deadline time.Duration
-		run      func(ctx context.Context, sp *Spec) (*Result, runStats, error)
+		run      func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error)
 		cancel   bool // cancel once running
 		want     State
 		wantKind string
 	}{
 		{
 			name: "done",
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
-				return stubResult(sp), runStats{restored: 1, retries: 2}, nil
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
+				return stubResult(sp), runStats{restored: 1}, nil
 			},
 			want: StateDone,
 		},
 		{
 			name: "failed-measure",
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
 				return nil, runStats{}, errors.New("encode blew up")
 			},
 			want: StateFailed, wantKind: "measure",
 		},
 		{
 			name: "failed-panic",
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
 				return nil, runStats{}, &runsafe.PanicError{Value: "kaboom"}
 			},
 			want: StateFailed, wantKind: "panic",
 		},
 		{
-			name: "failed-breaker",
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
-				return nil, runStats{}, fmt.Errorf("sweep: %w", runsafe.ErrTripped)
+			// A non-empty directory where the result belongs makes the
+			// result's rename fail, even for root.
+			name: "failed-store",
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
+				if err := os.MkdirAll(filepath.Join(jobDir, resultFile, "occupied"), 0o755); err != nil {
+					return nil, runStats{}, err
+				}
+				return stubResult(sp), runStats{}, nil
 			},
-			want: StateFailed, wantKind: "breaker",
+			want: StateFailed, wantKind: "store",
 		},
 		{
 			name: "failed-isolated-cells",
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
 				res := stubResult(sp)
 				res.Done[0][0] = false
 				res.Errors = []string{"mmul/k=5: cell fault"}
@@ -126,7 +132,7 @@ func TestJobStateTransitions(t *testing.T) {
 		{
 			name:     "failed-deadline",
 			deadline: 30 * time.Millisecond,
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
 				<-ctx.Done()
 				return nil, runStats{}, ctx.Err()
 			},
@@ -134,7 +140,7 @@ func TestJobStateTransitions(t *testing.T) {
 		},
 		{
 			name: "cancelled-while-running",
-			run: func(ctx context.Context, sp *Spec) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
 				<-ctx.Done()
 				return nil, runStats{}, ctx.Err()
 			},
@@ -148,7 +154,7 @@ func TestJobStateTransitions(t *testing.T) {
 			started := make(chan struct{})
 			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
 				close(started)
-				return tc.run(ctx, sp)
+				return tc.run(ctx, sp, filepath.Dir(journalPath))
 			}
 			sp := testSpec(8)
 			rec, created, err := e.Submit(sp)
@@ -179,7 +185,7 @@ func TestJobStateTransitions(t *testing.T) {
 				if got.CellsDone != got.CellsTotal {
 					t.Fatalf("done job reports %d/%d cells", got.CellsDone, got.CellsTotal)
 				}
-				if got.Restored != 1 || got.Retries != 2 {
+				if got.Restored != 1 || got.Retries != 0 {
 					t.Fatalf("run stats not folded into the record: %+v", got)
 				}
 			}
@@ -449,7 +455,7 @@ func TestStopLeavesRunningJobResumable(t *testing.T) {
 
 	e2 := openTestEngine(t, Config{Dir: dir})
 	e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-		return stubResult(sp), runStats{restored: 0, retries: 0}, nil
+		return stubResult(sp), runStats{}, nil
 	}
 	if e2.Recovering() {
 		t.Fatal("recovering before Resume")
@@ -953,5 +959,80 @@ func TestResumeResetsUnreadableJournal(t *testing.T) {
 				t.Fatalf("result after the reset differs from the uninterrupted run:\nreset: %d bytes\nclean: %d bytes", len(gotPayload), len(wantPayload))
 			}
 		})
+	}
+}
+
+// TestResumeJobWrittenWithRetries recovers a job directory as a build
+// that retried grid cells left it: a spec asking for "retries": 3, a
+// sealed running record carrying "retries": 2, and a journal holding two
+// of the four cells. Both retries fields are ignored, but both must still
+// load: recovery must finish the job, not mark it corrupt, with a result
+// byte-identical to a fresh run of the same spec.
+func TestResumeJobWrittenWithRetries(t *testing.T) {
+	specBytes := []byte(`{"benchmarks":[{"name":"mmul","n":16},{"name":"sor","n":12}],"configs":[{},{"block_size":4}],"retries":3}`)
+	sp, err := ParseSpec(specBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sp.Canonical(), specBytes) {
+		t.Fatalf("spec bytes are not canonical: %s", sp.Canonical())
+	}
+	id := sp.ID()
+
+	clean := openTestEngine(t, Config{Parallelism: 2})
+	if _, _, err := clean.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, clean, id, StateDone)
+	wantPayload, _, err := clean.ResultBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(clean.journalPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header and the first two cells: what a kill mid-run leaves.
+	partial := bytes.Join(bytes.SplitAfter(journal, []byte{'\n'})[:3], nil)
+
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, id)
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	payload := fmt.Sprintf(`{"id":%q,"state":"running","spec_sha256":%q,`+
+		`"created":"2026-01-02T03:04:05Z","updated":"2026-01-02T03:04:06Z",`+
+		`"cells_done":2,"cells_total":4,"restored":0,"retries":2,"attempts":1,"resumes":0}`, id, id)
+	record := fmt.Sprintf(`{"magic":"imtrans-job","version":1,"payload":%s,"crc32":%d}`+"\n",
+		payload, crc32.ChecksumIEEE([]byte(payload)))
+	for name, data := range map[string][]byte{
+		specFile:    specBytes,
+		recordFile:  []byte(record),
+		journalFile: partial,
+	} {
+		if err := os.WriteFile(filepath.Join(jobDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := checkpoint.Load(filepath.Join(jobDir, journalFile))
+	if err != nil || len(ck.Cells) != 2 {
+		t.Fatalf("planted journal: %v, %d cells, want 2", err, len(ck.Cells))
+	}
+
+	e := openTestEngine(t, Config{Dir: dir, Parallelism: 2})
+	if rec, ok := e.Get(id); !ok || rec.State != StateRunning {
+		t.Fatalf("planted job loads as %s (%+v), want running", rec.State, rec.Error)
+	}
+	e.Resume()
+	got := waitState(t, e, id, StateDone)
+	if got.Resumes != 1 || got.Restored != 2 {
+		t.Fatalf("resumes = %d, restored = %d, want 1 and 2", got.Resumes, got.Restored)
+	}
+	gotPayload, _, err := e.ResultBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotPayload, wantPayload) {
+		t.Fatalf("resumed result differs from a fresh run:\nresumed: %d bytes\nfresh:   %d bytes", len(gotPayload), len(wantPayload))
 	}
 }

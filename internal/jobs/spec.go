@@ -7,9 +7,9 @@
 // the store, re-verifies every artifact, and resumes incomplete jobs
 // bit-identically from their last checkpointed cell; execution runs under
 // a per-job supervisor with bounded concurrency, a per-job deadline, and
-// the retry/backoff and panic-isolation machinery the sweep layer already
-// has (internal/runsafe). Corrupted store files mark the job corrupt —
-// never a panic, never a half-trusted resume.
+// the per-cell panic isolation the sweep layer already has
+// (internal/runsafe). Corrupted store files mark the job corrupt — never
+// a panic, never a half-trusted resume.
 package jobs
 
 import (
@@ -28,7 +28,8 @@ import (
 const (
 	// MaxGridCells bounds benchmarks × configs per job.
 	MaxGridCells = 256
-	// MaxRetries bounds the per-cell supervised attempt budget.
+	// MaxRetries bounds the ignored retries field, so specs an older
+	// build accepted still parse and out-of-range ones are still refused.
 	MaxRetries = 10
 	// MaxDeadlineSeconds bounds the per-job deadline a spec may request.
 	MaxDeadlineSeconds = 24 * 60 * 60
@@ -186,8 +187,9 @@ type Spec struct {
 	// "compare", forbidden otherwise.
 	Schemes []SchemeRef `json:"schemes,omitempty"`
 
-	// Retries is the supervised attempt budget per grid cell; 0 means a
-	// single attempt.
+	// Retries is accepted, range-checked and hashed into the job ID, and
+	// otherwise ignored: every grid cell runs once. It stays so that specs
+	// older builds stored keep their IDs and still load.
 	Retries int `json:"retries,omitempty"`
 
 	// DeadlineSeconds bounds the job's total execution wall clock

@@ -23,7 +23,7 @@ const (
 // State is a job's lifecycle state. Transitions:
 //
 //	queued → running → done
-//	                 → failed     (deadline, breaker, isolated cell errors, panic)
+//	                 → failed     (deadline, isolated cell errors, panic, store)
 //	queued|running → cancelled    (cooperative DELETE)
 //	running ~(crash)~> queued     (restart recovery re-queues and resumes)
 //	any ~(store corruption)~> corrupt
@@ -53,9 +53,13 @@ func (s State) Terminal() bool {
 
 // ErrorInfo is the typed terminal error payload of a failed job.
 type ErrorInfo struct {
-	// Kind classifies the failure: "deadline", "cancelled", "panic",
-	// "breaker", "checkpoint", "sweep" (isolated cell failures), "spec"
-	// (unresolvable benchmark), or "measure".
+	// Kind classifies the failure: "deadline" (the per-job deadline
+	// fired), "cancelled" (DELETE), "panic" (the run returned a
+	// *runsafe.PanicError; a panicking grid cell is a "sweep" failure),
+	// "measure" (any other run error, including a mismatched journal or
+	// an unresolvable benchmark), "sweep" (isolated cell failures; the
+	// partial result is kept), "store" (the result could not be written)
+	// or "corrupt" (a store file failed verification).
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 }
@@ -75,7 +79,7 @@ type Record struct {
 	CellsDone  int `json:"cells_done"`
 	CellsTotal int `json:"cells_total"`
 	Restored   int `json:"restored"` // cells restored from the journal across resumes
-	Retries    int `json:"retries"`  // per-cell supervised retries across attempts
+	Retries    int `json:"retries"`  // always 0; kept so records older builds wrote still decode
 	Attempts   int `json:"attempts"` // times execution started
 	Resumes    int `json:"resumes"`  // times recovered after an interrupted run
 

@@ -1,21 +1,13 @@
 // Package runsafe supervises task execution for the long-running
-// measurement pipeline: it converts worker panics into typed errors,
-// bounds failures with jittered exponential-backoff retry, honours
-// context cancellation and deadlines between and during attempts, and
-// trips an error-budget circuit breaker to fail fast once consecutive
-// failures show the run is systematically broken. Design-space sweeps
-// compose these so one poisoned (benchmark, configuration) cell cannot
-// take down the remaining thousands.
+// measurement pipeline: it converts a worker panic into a typed error, so
+// one poisoned (benchmark, configuration) cell of a design-space sweep
+// cannot take down the remaining thousands, and a panicking request
+// cannot take down the daemon.
 package runsafe
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
-	"sync"
-	"time"
 )
 
 // PanicError is a worker panic converted into an error: the recovered
@@ -38,213 +30,4 @@ func Run(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// permanentError marks an error that retrying cannot fix.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps an error so Do stops retrying immediately; errors.Is
-// and errors.As see through the wrapper.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// Policy bounds the retry loop of Do. The zero value is a single attempt
-// with no backoff.
-type Policy struct {
-	MaxAttempts int           // total attempts; values below 1 mean 1
-	BaseDelay   time.Duration // backoff before the second attempt; 0 disables sleeping
-	MaxDelay    time.Duration // backoff ceiling; 0 means no ceiling
-	Multiplier  float64       // backoff growth per attempt; values <= 1 mean 2
-	Jitter      float64       // random fraction of the delay added/removed, clamped to [0,1]
-}
-
-func (p Policy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// delay returns the jittered backoff before attempt n+1 (n counts
-// completed attempts, starting at 1).
-func (p Policy) delay(n int, rnd *rand.Rand) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
-	d := float64(p.BaseDelay)
-	for i := 1; i < n; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	j := p.Jitter
-	if j < 0 {
-		j = 0
-	}
-	if j > 1 {
-		j = 1
-	}
-	if j > 0 {
-		d += d * j * (2*rnd.Float64() - 1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
-}
-
-// ErrTripped is returned (wrapped in a *TrippedError) once a Breaker has
-// exceeded its consecutive-failure budget.
-var ErrTripped = errors.New("runsafe: circuit breaker open")
-
-// TrippedError reports a call refused by an open circuit breaker, carrying
-// the failure count that tripped it.
-type TrippedError struct {
-	Failures int // consecutive failures recorded when the breaker opened
-}
-
-// Error implements the error interface.
-func (e *TrippedError) Error() string {
-	return fmt.Sprintf("runsafe: circuit breaker open after %d consecutive failures", e.Failures)
-}
-
-// Unwrap lets errors.Is(err, ErrTripped) identify breaker refusals.
-func (e *TrippedError) Unwrap() error { return ErrTripped }
-
-// Breaker is an error-budget circuit breaker: after threshold consecutive
-// task failures it opens and refuses further work, so a systematically
-// broken run fails fast instead of grinding through every remaining task.
-// Any success closes it again. A nil *Breaker is always closed.
-type Breaker struct {
-	mu          sync.Mutex
-	threshold   int
-	consecutive int
-	open        bool
-}
-
-// NewBreaker returns a breaker that opens after threshold consecutive
-// failures. threshold < 1 returns nil: a disabled, always-closed breaker.
-func NewBreaker(threshold int) *Breaker {
-	if threshold < 1 {
-		return nil
-	}
-	return &Breaker{threshold: threshold}
-}
-
-// Allow reports whether a task may run; an open breaker returns a
-// *TrippedError.
-func (b *Breaker) Allow() error {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.open {
-		return &TrippedError{Failures: b.consecutive}
-	}
-	return nil
-}
-
-// Record feeds one task outcome into the failure budget. Cancellation is
-// not a task failure: context errors leave the budget untouched.
-func (b *Breaker) Record(err error) {
-	if b == nil {
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err == nil {
-		b.consecutive = 0
-		b.open = false
-		return
-	}
-	b.consecutive++
-	if b.consecutive >= b.threshold {
-		b.open = true
-	}
-}
-
-// Open reports whether the breaker has tripped.
-func (b *Breaker) Open() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}
-
-// rngPool amortises rand.Rand allocation across Do calls; jitter only
-// needs statistical spread, not cryptographic or reproducible streams.
-var rngPool = sync.Pool{New: func() any {
-	return rand.New(rand.NewSource(time.Now().UnixNano()))
-}}
-
-// Do runs one supervised task: fn is executed under a recover() guard and
-// retried per policy until it succeeds, the attempts are exhausted, the
-// context is cancelled, or the error is Permanent. The breaker (may be
-// nil) is consulted before the first attempt and fed the final outcome —
-// it budgets tasks, not attempts. Do returns the number of attempts made
-// and the last error.
-func Do(ctx context.Context, p Policy, b *Breaker, fn func(ctx context.Context) error) (attempts int, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := b.Allow(); err != nil {
-		return 0, err
-	}
-	max := p.attempts()
-	rnd := rngPool.Get().(*rand.Rand)
-	defer rngPool.Put(rnd)
-	for attempts = 1; ; attempts++ {
-		err = Run(func() error { return fn(ctx) })
-		if err == nil {
-			b.Record(nil)
-			return attempts, nil
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			err = perm.err
-			break
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return attempts, err
-		}
-		if attempts >= max {
-			break
-		}
-		if d := p.delay(attempts, rnd); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return attempts, ctx.Err()
-			case <-t.C:
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return attempts, err
-		}
-	}
-	b.Record(err)
-	return attempts, err
 }

@@ -1,13 +1,9 @@
 package runsafe
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRunConvertsPanic(t *testing.T) {
@@ -31,182 +27,5 @@ func TestRunPassesThrough(t *testing.T) {
 	want := errors.New("plain")
 	if err := Run(func() error { return want }); !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	calls := 0
-	attempts, err := Do(context.Background(), Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}, nil,
-		func(context.Context) error {
-			calls++
-			if calls < 3 {
-				return fmt.Errorf("transient %d", calls)
-			}
-			return nil
-		})
-	if err != nil || attempts != 3 || calls != 3 {
-		t.Fatalf("attempts=%d calls=%d err=%v", attempts, calls, err)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	calls := 0
-	attempts, err := Do(context.Background(), Policy{MaxAttempts: 3}, nil, func(context.Context) error {
-		calls++
-		return errors.New("always")
-	})
-	if attempts != 3 || calls != 3 || err == nil {
-		t.Fatalf("attempts=%d calls=%d err=%v", attempts, calls, err)
-	}
-}
-
-func TestDoRetriesPanics(t *testing.T) {
-	calls := 0
-	attempts, err := Do(context.Background(), Policy{MaxAttempts: 2}, nil, func(context.Context) error {
-		calls++
-		panic("unstable worker")
-	})
-	var pe *PanicError
-	if attempts != 2 || !errors.As(err, &pe) {
-		t.Fatalf("attempts=%d err=%v", attempts, err)
-	}
-}
-
-func TestDoPermanentStopsRetry(t *testing.T) {
-	base := errors.New("bad config")
-	calls := 0
-	attempts, err := Do(context.Background(), Policy{MaxAttempts: 5}, nil, func(context.Context) error {
-		calls++
-		return Permanent(base)
-	})
-	if attempts != 1 || calls != 1 {
-		t.Fatalf("attempts=%d calls=%d", attempts, calls)
-	}
-	// The wrapper is stripped from the returned error.
-	if !errors.Is(err, base) || err != base {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDoContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	attempts, err := Do(ctx, Policy{MaxAttempts: 5}, nil, func(context.Context) error { return nil })
-	if attempts != 0 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("attempts=%d err=%v", attempts, err)
-	}
-}
-
-func TestDoContextCancelDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	start := time.Now()
-	_, err := Do(ctx, Policy{MaxAttempts: 2, BaseDelay: time.Hour}, nil, func(context.Context) error {
-		return errors.New("fail once")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("backoff ignored cancellation")
-	}
-}
-
-func TestDoTaskContextErrorNotRetried(t *testing.T) {
-	calls := 0
-	_, err := Do(context.Background(), Policy{MaxAttempts: 5}, nil, func(context.Context) error {
-		calls++
-		return fmt.Errorf("wrapped: %w", context.Canceled)
-	})
-	if calls != 1 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("calls=%d err=%v", calls, err)
-	}
-}
-
-func TestPolicyDelayGrowthAndCeiling(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
-	rnd := rand.New(rand.NewSource(1))
-	want := []time.Duration{10, 20, 35, 35} // ms, doubling then clamped
-	for i, w := range want {
-		if got := p.delay(i+1, rnd); got != w*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-	// Jitter stays within the fraction band.
-	pj := Policy{BaseDelay: 10 * time.Millisecond, Jitter: 0.5}
-	for i := 0; i < 100; i++ {
-		d := pj.delay(1, rnd)
-		if d < 5*time.Millisecond || d > 15*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [5ms,15ms]", d)
-		}
-	}
-	// Zero base: no sleeping at all.
-	if d := (Policy{}).delay(3, rnd); d != 0 {
-		t.Errorf("zero-base delay = %v", d)
-	}
-}
-
-func TestBreakerTripsAndIdentifies(t *testing.T) {
-	b := NewBreaker(3)
-	for i := 0; i < 3; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("breaker open early at %d", i)
-		}
-		b.Record(errors.New("fail"))
-	}
-	err := b.Allow()
-	if !errors.Is(err, ErrTripped) {
-		t.Fatalf("err = %v", err)
-	}
-	var te *TrippedError
-	if !errors.As(err, &te) || te.Failures != 3 {
-		t.Fatalf("tripped error = %#v", err)
-	}
-	// Success closes it again.
-	b.Record(nil)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("breaker stayed open after success: %v", err)
-	}
-}
-
-func TestBreakerIgnoresCancellation(t *testing.T) {
-	b := NewBreaker(1)
-	b.Record(context.Canceled)
-	b.Record(fmt.Errorf("deadline: %w", context.DeadlineExceeded))
-	if b.Open() {
-		t.Fatal("cancellation counted as failure")
-	}
-}
-
-func TestNilBreakerAlwaysClosed(t *testing.T) {
-	b := NewBreaker(0)
-	if b != nil {
-		t.Fatal("threshold 0 should disable the breaker")
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
-	b.Record(errors.New("x"))
-	if b.Open() {
-		t.Fatal("nil breaker open")
-	}
-}
-
-func TestDoBreakerFastFail(t *testing.T) {
-	b := NewBreaker(2)
-	for i := 0; i < 2; i++ {
-		if _, err := Do(context.Background(), Policy{}, b, func(context.Context) error {
-			return errors.New("fail")
-		}); err == nil {
-			t.Fatal("expected failure")
-		}
-	}
-	calls := 0
-	attempts, err := Do(context.Background(), Policy{}, b, func(context.Context) error {
-		calls++
-		return nil
-	})
-	if attempts != 0 || calls != 0 || !errors.Is(err, ErrTripped) {
-		t.Fatalf("attempts=%d calls=%d err=%v", attempts, calls, err)
 	}
 }

@@ -22,9 +22,8 @@ import (
 const maxSourceBytes = 1 << 20
 
 // maxGridCells bounds a /v1/measure or /v1/compare grid, and maxRetries
-// the per-cell supervised attempt budget a client may request: the job
-// engine's bounds, so the async path admits nothing the synchronous one
-// refuses.
+// the ignored retries field: the job engine's bounds, so the async path
+// admits nothing the synchronous one refuses.
 const (
 	maxGridCells = jobs.MaxGridCells
 	maxRetries   = jobs.MaxRetries
@@ -81,8 +80,8 @@ type MeasureRequest struct {
 	Source     string          `json:"source,omitempty"`
 	Benchmarks []BenchmarkRef  `json:"benchmarks,omitempty"`
 	Configs    []ConfigRequest `json:"configs,omitempty"`
-	// Retries is the supervised attempt budget per grid cell (benchmark
-	// grids only); 0 means a single attempt.
+	// Retries is accepted and range-checked for compatibility with older
+	// clients, and ignored: every grid cell runs once.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -153,8 +152,8 @@ type MeasureResponse struct {
 type CompareRequest struct {
 	Benchmarks []BenchmarkRef  `json:"benchmarks"`
 	Schemes    []SchemeRequest `json:"schemes"`
-	// Retries is the supervised attempt budget per grid cell; 0 means a
-	// single attempt.
+	// Retries is accepted and range-checked for compatibility with older
+	// clients, and ignored: every grid cell runs once.
 	Retries int `json:"retries,omitempty"`
 }
 

@@ -54,8 +54,8 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 }
 
 // handleMeasure evaluates a configuration grid: benchmarks go through the
-// supervised sweep (per-cell fault isolation, optional retries), an
-// inline source through the replay engine. Both paths poll ctx inside
+// supervised sweep (per-cell fault isolation), an inline source through
+// the replay engine. Both paths poll ctx inside
 // the profiling run, the encoder's bit-line pool and the replay fetch
 // loop.
 func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult, error) {
@@ -101,7 +101,6 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult,
 	}
 	res, err := imtrans.SweepMeasureCtx(ctx, benches, cfgs, imtrans.SweepOptions{
 		Parallelism: s.cfg.MeasureParallelism,
-		Retry:       imtrans.RetryPolicy{MaxAttempts: req.Retries, BaseDelay: 10 * time.Millisecond, Jitter: 0.5},
 	})
 	if err != nil {
 		return workErr(ctx, err), nil
@@ -147,7 +146,6 @@ func (s *Server) handleCompare(ctx context.Context, body []byte) (*cachedResult,
 	}
 	res, err := imtrans.CompareMeasureCtx(ctx, benches, specs, imtrans.SweepOptions{
 		Parallelism: s.cfg.MeasureParallelism,
-		Retry:       imtrans.RetryPolicy{MaxAttempts: req.Retries, BaseDelay: 10 * time.Millisecond, Jitter: 0.5},
 	})
 	if err != nil {
 		return workErr(ctx, err), nil

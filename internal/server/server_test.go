@@ -257,6 +257,27 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRetriesFieldIgnored: every grid cell runs once, and "retries" is
+// still accepted (and range-checked, see TestBadRequests) so that older
+// clients keep working. A request carrying it must answer exactly what
+// the same request without it answers.
+func TestRetriesFieldIgnored(t *testing.T) {
+	s := mustNew(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/measure", `{"benchmarks":[{"name":"mmul","n":24},{"name":"sor","n":32,"iters":2}],"configs":[{},{"block_size":4}]%s}`},
+		{"/v1/compare", `{"benchmarks":[{"name":"mmul","n":24}],"schemes":[{"name":"paper"},{"name":"businvert"}]%s}`},
+	} {
+		plain := post(t, s.Handler(), tc.path, fmt.Sprintf(tc.body, ""))
+		with := post(t, s.Handler(), tc.path, fmt.Sprintf(tc.body, `,"retries":3`))
+		if plain.Code != http.StatusOK || with.Code != http.StatusOK {
+			t.Fatalf("%s: status %d without retries, %d with (%s)", tc.path, plain.Code, with.Code, with.Body)
+		}
+		if !bytes.Equal(plain.Body.Bytes(), with.Body.Bytes()) {
+			t.Errorf("%s: body with retries differs\nwithout: %s\nwith:    %s", tc.path, plain.Body, with.Body)
+		}
+	}
+}
+
 func oversizeGrid() string {
 	var refs []BenchmarkRef
 	for i := 0; i < 26; i++ {

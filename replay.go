@@ -110,7 +110,7 @@ func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error,
 //
 // SweepMeasure is the fail-fast legacy form: the first cell failure (in
 // grid order) aborts the whole sweep. SweepMeasureCtx adds cancellation,
-// per-cell fault isolation, retry and checkpoint-resume.
+// per-cell fault isolation and checkpoint-resume.
 func SweepMeasure(benchmarks []Benchmark, cfgs []Config, parallelism int) ([][]Measurement, error) {
 	res, err := SweepMeasureCtx(context.Background(), benchmarks, cfgs, SweepOptions{Parallelism: parallelism})
 	if err != nil {

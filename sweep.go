@@ -6,52 +6,18 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
-	"imtrans/internal/runsafe"
 	"imtrans/internal/stats"
 )
 
-// RetryPolicy bounds the per-cell retry loop of a supervised sweep. The
-// zero value is a single attempt with no backoff; MaxAttempts > 1 retries
-// with jittered exponential backoff (BaseDelay doubling per attempt up to
-// MaxDelay, Multiplier <= 1 meaning 2, Jitter the random fraction of the
-// delay added or removed).
-type RetryPolicy struct {
-	MaxAttempts int
-	BaseDelay   time.Duration
-	MaxDelay    time.Duration
-	Multiplier  float64
-	Jitter      float64
-}
-
-func (p RetryPolicy) policy() runsafe.Policy {
-	return runsafe.Policy{
-		MaxAttempts: p.MaxAttempts,
-		BaseDelay:   p.BaseDelay,
-		MaxDelay:    p.MaxDelay,
-		Multiplier:  p.Multiplier,
-		Jitter:      p.Jitter,
-	}
-}
-
 // SweepOptions parameterises a supervised sweep. The zero value matches
-// the legacy SweepMeasure behaviour: GOMAXPROCS parallelism, a single
-// attempt per cell, no circuit breaker, no checkpoint, no fault
-// injection.
+// the legacy SweepMeasure behaviour: GOMAXPROCS parallelism, no
+// checkpoint, no fault injection. Every capture and every cell runs once
+// under a recover() guard; a cell is a pure function of its capture and
+// configuration, so a failed one would fail again and is not retried.
 type SweepOptions struct {
 	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallelism int
-
-	// Retry is applied to every capture and every grid cell; each task is
-	// run under a recover() guard, so panics retry like errors.
-	Retry RetryPolicy
-
-	// BreakerThreshold trips the sweep's circuit breaker after this many
-	// consecutive task failures, failing the remaining cells fast with a
-	// SweepError wrapping ErrSweepTripped. 0 disables the breaker.
-	// Cancellation never counts against the budget.
-	BreakerThreshold int
 
 	// Checkpoint names the journal file for checkpoint-resume: every
 	// completed cell is appended as one checksummed line, and a journal
@@ -74,29 +40,23 @@ type SweepOptions struct {
 	// run completes. It may be called concurrently from sweep workers.
 	Progress func(done, total int)
 
-	// FaultInject, when non-nil, runs at the top of every measurement
-	// attempt of every cell — inside the supervision guard, so it may
-	// return an error or panic to exercise the isolation machinery. It is
-	// the fault-campaign hook; see SweepFaultPlan.
-	FaultInject func(bench, config, attempt int) error
+	// FaultInject, when non-nil, runs at the top of every cell's
+	// measurement — inside the supervision guard, so it may return an
+	// error or panic to exercise the isolation machinery. It is the
+	// fault-campaign hook; see SweepFaultPlan.
+	FaultInject func(bench, config int) error
 }
 
-// ErrSweepTripped identifies cells refused because the sweep's circuit
-// breaker opened; use errors.Is against SweepError.Err.
-var ErrSweepTripped = runsafe.ErrTripped
-
 // SweepError is one isolated sweep failure: the cell (or whole benchmark,
-// for capture-stage failures) that failed, the pipeline stage, how many
-// supervised attempts were made, and the final error. A worker panic
-// surfaces here as a typed error (runsafe.PanicError) instead of
-// crashing the process.
+// for capture-stage failures) that failed, the pipeline stage and the
+// error. A worker panic surfaces here as a typed error
+// (runsafe.PanicError) instead of crashing the process.
 type SweepError struct {
 	Benchmark   string
 	Config      Config
 	BenchIndex  int
 	ConfigIndex int    // -1 when the whole benchmark failed to capture
 	Stage       string // "capture", "measure" or "checkpoint"
-	Attempts    int
 	Err         error
 }
 
@@ -106,7 +66,7 @@ func (e *SweepError) Error() string {
 	if e.ConfigIndex >= 0 {
 		where += " [" + e.Config.String() + "]"
 	}
-	return fmt.Sprintf("imtrans: sweep %s stage, %s (%d attempts): %v", e.Stage, where, e.Attempts, e.Err)
+	return fmt.Sprintf("imtrans: sweep %s stage, %s: %v", e.Stage, where, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is / errors.As.
@@ -116,16 +76,17 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // indexed [benchmark][config]; Done marks which cells hold a valid
 // measurement (failed, skipped and cancelled cells keep the zero value).
 // Errors lists every isolated failure in grid order. Counters carries the
-// supervision telemetry (retries, panics, cancellations, checkpoint
-// activity) for machine-readable reports.
+// supervision telemetry (failures, panics, cancellations, checkpoint
+// activity) for machine-readable reports; docs/PERFORMANCE.md lists every
+// counter.
 type SweepResult struct {
 	Measurements [][]Measurement
 	Done         [][]bool
 	Errors       []SweepError
 
-	// CellNs[bench][config] is the wall time of the cell's successful
-	// measurement attempt in nanoseconds; zero for cells restored from a
-	// checkpoint or never completed.
+	// CellNs[bench][config] is the wall time of the cell's measurement in
+	// nanoseconds; zero for cells restored from a checkpoint or never
+	// completed.
 	CellNs [][]int64
 
 	Restored  int // cells restored from the checkpoint journal
@@ -166,16 +127,15 @@ func sweepGrid(benchmarks []Benchmark, cfgs []Config) (grid string, benchNames, 
 }
 
 // SweepMeasureCtx evaluates every (benchmark, configuration) pair of a
-// grid under supervision: each capture and each cell runs with a
-// recover() guard, the retry policy, and the circuit breaker from opts,
-// so one poisoned cell yields a typed SweepError entry while the rest of
-// the grid completes. Cancelling the context stops the sweep within one
-// task granule — workers poll it inside the profiling run, the
-// encoder's bit-line pool and the replay fetch loop — and returns the
-// partial SweepResult alongside an error wrapping ctx.Err(). With
-// opts.Checkpoint set, completed cells are journalled atomically and an
-// interrupted run resumes exactly where it stopped, bit-identical to an
-// uninterrupted run.
+// grid under supervision: each capture and each cell runs once under a
+// recover() guard, so one poisoned cell yields a typed SweepError entry
+// while the rest of the grid completes. Cancelling the context stops the
+// sweep within one task granule — workers poll it inside the profiling
+// run, the encoder's bit-line pool and the replay fetch loop — and
+// returns the partial SweepResult alongside an error wrapping
+// ctx.Err(). With opts.Checkpoint set, completed cells are journalled
+// atomically and an interrupted run resumes exactly where it stopped,
+// bit-identical to an uninterrupted run.
 //
 // The returned error is non-nil only for setup failures (an unreadable
 // or mismatched checkpoint) and cancellation; isolated cell failures are
@@ -210,7 +170,6 @@ func SweepMeasureCtx(ctx context.Context, benchmarks []Benchmark, cfgs []Config,
 			BenchIndex:  e.row,
 			ConfigIndex: e.col,
 			Stage:       e.stage,
-			Attempts:    e.attempts,
 			Err:         e.err,
 		}
 		if e.col >= 0 {
@@ -232,22 +191,17 @@ func SweepMeasureCtx(ctx context.Context, benchmarks []Benchmark, cfgs []Config,
 }
 
 // SweepFaultPlan is a deterministic fault campaign against sweep workers:
-// the listed cells panic or error on their leading attempts, proving that
-// supervision isolates the failure, the retry policy recovers transient
-// ones, and the rest of the grid completes. Cells are (benchmark index,
+// the listed cells panic or error, proving that supervision isolates the
+// failure and the rest of the grid completes. Cells are (benchmark index,
 // config index) pairs.
 type SweepFaultPlan struct {
 	PanicCells [][2]int // cells whose injected fault is a panic
 	ErrorCells [][2]int // cells whose injected fault is an error
-
-	// FailAttempts is how many leading attempts of each listed cell fail;
-	// 0 means every attempt fails (a permanent fault).
-	FailAttempts int
 }
 
 // Injector returns the SweepOptions.FaultInject hook implementing the
 // plan. The hook is safe for concurrent workers.
-func (p SweepFaultPlan) Injector() func(bench, config, attempt int) error {
+func (p SweepFaultPlan) Injector() func(bench, config int) error {
 	panicCell := make(map[[2]int]bool, len(p.PanicCells))
 	for _, c := range p.PanicCells {
 		panicCell[c] = true
@@ -256,16 +210,13 @@ func (p SweepFaultPlan) Injector() func(bench, config, attempt int) error {
 	for _, c := range p.ErrorCells {
 		errCell[c] = true
 	}
-	return func(bench, config, attempt int) error {
-		if p.FailAttempts > 0 && attempt > p.FailAttempts {
-			return nil
-		}
+	return func(bench, config int) error {
 		cell := [2]int{bench, config}
 		if panicCell[cell] {
-			panic(fmt.Sprintf("injected sweep fault: cell (%d,%d) attempt %d", bench, config, attempt))
+			panic(fmt.Sprintf("injected sweep fault: cell (%d,%d)", bench, config))
 		}
 		if errCell[cell] {
-			return fmt.Errorf("injected sweep fault: cell (%d,%d) attempt %d", bench, config, attempt)
+			return fmt.Errorf("injected sweep fault: cell (%d,%d)", bench, config)
 		}
 		return nil
 	}
@@ -273,24 +224,14 @@ func (p SweepFaultPlan) Injector() func(bench, config, attempt int) error {
 
 // ParseSweepFaultPlan parses a command-line fault campaign spec:
 // semicolon-separated directives "panic@B,C" and "error@B,C" naming grid
-// cells by benchmark and config index, plus an optional
-// "attempts=N" bounding how many leading attempts fail (default 0 =
-// every attempt).
+// cells by benchmark and config index.
 //
-//	panic@0,1;error@2,0;attempts=1
+//	panic@0,1;error@2,0
 func ParseSweepFaultPlan(spec string) (SweepFaultPlan, error) {
 	var plan SweepFaultPlan
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
-			continue
-		}
-		if n, ok := strings.CutPrefix(part, "attempts="); ok {
-			v, err := strconv.Atoi(n)
-			if err != nil || v < 0 {
-				return SweepFaultPlan{}, fmt.Errorf("imtrans: bad fault attempts %q", n)
-			}
-			plan.FailAttempts = v
 			continue
 		}
 		kind, cell, ok := strings.Cut(part, "@")

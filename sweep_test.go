@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,43 +70,6 @@ func TestSweepPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestSweepRetryRecoversTransientFault injects a fault that fails only
-// the first attempt of one cell: the retry policy must recover it and the
-// sweep must report a full grid with retries counted.
-func TestSweepRetryRecoversTransientFault(t *testing.T) {
-	ClearCaptureCache()
-	benches := sweepTestBenches(t, "mmul", "fft")
-	plan := SweepFaultPlan{
-		PanicCells:   [][2]int{{0, 1}},
-		ErrorCells:   [][2]int{{1, 0}},
-		FailAttempts: 1,
-	}
-	res, err := SweepMeasureCtx(context.Background(), benches, sweepTestConfigs, SweepOptions{
-		Retry:       RetryPolicy{MaxAttempts: 3},
-		FaultInject: plan.Injector(),
-	})
-	if err != nil {
-		t.Fatalf("SweepMeasureCtx: %v", err)
-	}
-	if len(res.Errors) != 0 {
-		t.Fatalf("sweep errors after retry: %v", res.Errors)
-	}
-	if res.Completed != len(benches)*len(sweepTestConfigs) {
-		t.Errorf("Completed = %d, want %d", res.Completed, len(benches)*len(sweepTestConfigs))
-	}
-	if got := res.Counters.Get("sweep_retries"); got != 2 {
-		t.Errorf("sweep_retries = %d, want 2", got)
-	}
-	// The recovered cells must be bit-identical to an unsupervised run.
-	want, err := benches[0].Measure(sweepTestConfigs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Measurements[0], want) {
-		t.Error("retried sweep measurements differ from direct Measure")
-	}
-}
-
 // TestSweepCancellation pre-cancels the context: the sweep must stop
 // without measuring anything, return the partial result, and wrap
 // context.Canceled.
@@ -144,7 +108,7 @@ func TestSweepMidRunCancellation(t *testing.T) {
 	var started atomic.Int64
 	res, err := SweepMeasureCtx(ctx, benches, sweepTestConfigs, SweepOptions{
 		Parallelism: 1,
-		FaultInject: func(bench, config, attempt int) error {
+		FaultInject: func(bench, config int) error {
 			if started.Add(1) == 3 {
 				cancel()
 			}
@@ -191,7 +155,7 @@ func TestSweepCheckpointResumeBitIdentical(t *testing.T) {
 	partial, err := SweepMeasureCtx(ctx, benches, cfgs, SweepOptions{
 		Parallelism: 1,
 		Checkpoint:  path,
-		FaultInject: func(bench, config, attempt int) error {
+		FaultInject: func(bench, config int) error {
 			if started.Add(1) == 5 {
 				cancel() // the "kill" halfway through the grid
 			}
@@ -255,39 +219,6 @@ func TestSweepCheckpointGridMismatch(t *testing.T) {
 	}
 }
 
-// TestSweepBreakerFailsFast trips the circuit breaker with permanent
-// faults: once open, remaining cells are refused with ErrSweepTripped
-// instead of being ground through.
-func TestSweepBreakerFailsFast(t *testing.T) {
-	ClearCaptureCache()
-	benches := sweepTestBenches(t, "mmul")
-	cfgs := []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7}}
-	plan := SweepFaultPlan{ErrorCells: [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}}}
-	res, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{
-		Parallelism:      1,
-		BreakerThreshold: 2,
-		FaultInject:      plan.Injector(),
-	})
-	if err != nil {
-		t.Fatalf("SweepMeasureCtx: %v", err)
-	}
-	if len(res.Errors) != len(cfgs) {
-		t.Fatalf("got %d errors, want %d", len(res.Errors), len(cfgs))
-	}
-	tripped := 0
-	for i := range res.Errors {
-		if errors.Is(res.Errors[i].Err, ErrSweepTripped) {
-			tripped++
-		}
-	}
-	if tripped != 2 {
-		t.Errorf("tripped cells = %d, want 2 (threshold 2 of 4 failing cells)", tripped)
-	}
-	if got := res.Counters.Get("sweep_breaker_tripped"); got != uint64(tripped) {
-		t.Errorf("sweep_breaker_tripped = %d, want %d", got, tripped)
-	}
-}
-
 // TestSweepCaptureFailureIsolated gives the grid one benchmark that can
 // never assemble: its cells are skipped with a capture-stage SweepError
 // while the healthy benchmark completes.
@@ -335,21 +266,27 @@ func TestSweepMeasureLegacyFailFast(t *testing.T) {
 }
 
 func TestParseSweepFaultPlan(t *testing.T) {
-	plan, err := ParseSweepFaultPlan("panic@0,1; error@2,0 ;attempts=1")
+	plan, err := ParseSweepFaultPlan("panic@0,1; error@2,0 ;")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := SweepFaultPlan{
-		PanicCells:   [][2]int{{0, 1}},
-		ErrorCells:   [][2]int{{2, 0}},
-		FailAttempts: 1,
+		PanicCells: [][2]int{{0, 1}},
+		ErrorCells: [][2]int{{2, 0}},
 	}
 	if !reflect.DeepEqual(plan, want) {
 		t.Errorf("plan = %+v, want %+v", plan, want)
 	}
-	for _, bad := range []string{"panic@x,1", "boom@0,1", "panic@1", "attempts=-2", "panic@-1,0"} {
+	for _, bad := range []string{"panic@x,1", "boom@0,1", "panic@1", "panic@-1,0"} {
 		if _, err := ParseSweepFaultPlan(bad); err == nil {
 			t.Errorf("ParseSweepFaultPlan(%q) accepted", bad)
+		}
+	}
+	// A cell runs once, so a directive bounding a fault to its leading
+	// attempts is refused by name, not ignored.
+	for _, bad := range []string{"attempts=1", "panic@0,1;attempts=1"} {
+		if _, err := ParseSweepFaultPlan(bad); err == nil || !strings.Contains(err.Error(), `"attempts=1"`) {
+			t.Errorf("ParseSweepFaultPlan(%q) err = %v, want one naming attempts=1", bad, err)
 		}
 	}
 }
