@@ -203,11 +203,6 @@ func compareGrid(benchmarks []Benchmark, specs []SchemeSpec) (grid string, bench
 	return fmt.Sprintf("%x", h.Sum(nil)), benchNames, specNames
 }
 
-// CompareMeasure runs a cross-scheme comparison with default supervision.
-func CompareMeasure(benchmarks []Benchmark, specs []SchemeSpec, parallelism int) (*CompareResult, error) {
-	return CompareMeasureCtx(context.Background(), benchmarks, specs, SweepOptions{Parallelism: parallelism})
-}
-
 // CompareMeasureCtx evaluates every (benchmark, scheme spec) pair of a
 // comparison grid under the same supervision contract as SweepMeasureCtx:
 // one attempt per cell under a recover() guard, cooperative

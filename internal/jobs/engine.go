@@ -63,11 +63,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// runStats is what one execution attempt reports back beyond the result.
-type runStats struct {
-	restored int
-}
-
 // job is one tracked job: the durable record plus in-memory control state.
 type job struct {
 	rec        Record
@@ -101,7 +96,7 @@ type Engine struct {
 	testHookProgress func(id string, done, total int)
 
 	// runFn executes one job attempt; tests substitute a scriptable stub.
-	runFn func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error)
+	runFn func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error)
 }
 
 // Open creates (or reopens) the store at cfg.Dir and scans every job into
@@ -230,18 +225,10 @@ func (e *Engine) Counters() *stats.Counters { return e.cfg.Counters }
 // recreated. Returns the job's record snapshot and whether a new
 // execution was scheduled.
 func (e *Engine) Submit(sp *Spec) (Record, bool, error) {
-	// Resolve benchmark names up front so an unknown kernel is a client
+	// Resolve names up front so an unknown kernel or scheme is a client
 	// error at submit time, not a failed job later.
-	for _, b := range sp.Benchmarks {
-		if _, err := b.Resolve(); err != nil {
-			return Record{}, false, &SpecError{Err: err}
-		}
-	}
-	// Likewise resolve scheme names and knobs against the registry.
-	for _, sc := range sp.Schemes {
-		if err := sc.SchemeSpec().Validate(); err != nil {
-			return Record{}, false, &SpecError{Err: err}
-		}
+	if err := sp.Check(); err != nil {
+		return Record{}, false, err
 	}
 	id := sp.ID()
 	rows, cols := sp.Grid()
@@ -299,12 +286,6 @@ func (e *Engine) Submit(sp *Spec) (Record, bool, error) {
 	e.startLocked(j)
 	return j.rec, true, nil
 }
-
-// SpecError marks a submit rejected for a bad spec (client error).
-type SpecError struct{ Err error }
-
-func (e *SpecError) Error() string { return e.Err.Error() }
-func (e *SpecError) Unwrap() error { return e.Err }
 
 // Get returns a job's record snapshot.
 func (e *Engine) Get(id string) (Record, bool) {
@@ -513,7 +494,14 @@ func (e *Engine) run(j *job) {
 		}
 	}
 
-	res, rs, err := e.runFn(jctx, sp, e.journalPath(id), progress)
+	// A panic outside the grid's per-capture and per-cell guards (stream
+	// building, result assembly) fails this job, not the daemon.
+	var res *Result
+	var rs RunStats
+	err := runsafe.Run(func() (err error) {
+		res, rs, err = e.runFn(jctx, sp, e.journalPath(id), progress)
+		return err
+	})
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -559,14 +547,14 @@ func (e *Engine) run(j *job) {
 }
 
 // settleLocked applies a terminal transition and persists it durably.
-func (e *Engine) settleLocked(j *job, st State, info *ErrorInfo, rs runStats) {
+func (e *Engine) settleLocked(j *job, st State, info *ErrorInfo, rs RunStats) {
 	j.rec.State = st
 	j.rec.Error = info
-	j.rec.Restored += rs.restored
+	j.rec.Restored += rs.Restored
 	if st == StateDone {
 		j.rec.CellsDone = j.rec.CellsTotal
 	}
-	e.cfg.Counters.Add("job_cells_restored_total", uint64(rs.restored))
+	e.cfg.Counters.Add("job_cells_restored_total", uint64(rs.Restored))
 	e.persistLocked(j, true)
 	e.settleRecoveryLocked(j)
 }
@@ -617,66 +605,15 @@ func classify(err error) *ErrorInfo {
 	}
 }
 
-// resolveBenchmarks maps the spec's benchmark refs to rescaled kernels.
-func resolveBenchmarks(refs []BenchmarkRef) ([]imtrans.Benchmark, []string, error) {
-	benches := make([]imtrans.Benchmark, len(refs))
-	names := make([]string, len(refs))
-	for i, ref := range refs {
-		b, err := ref.Resolve()
-		if err != nil {
-			return nil, nil, err
-		}
-		benches[i] = b
-		names[i] = b.Name
-	}
-	return benches, names, nil
-}
-
-// execute runs one job attempt: the supervised, checkpointed, cancellable
-// grid that POST /v1/measure (a sweep) or POST /v1/compare runs
-// synchronously, chosen by the spec's kind and pointed at the job's
+// execute runs one job attempt: the spec's grid pointed at the job's
 // journal.
-func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-	benches, names, err := resolveBenchmarks(sp.Benchmarks)
-	if err != nil {
-		return nil, runStats{}, err
-	}
-	opts := imtrans.SweepOptions{
+func (e *Engine) execute(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+	return sp.Run(ctx, imtrans.SweepOptions{
 		Parallelism:    e.cfg.Parallelism,
 		Checkpoint:     journalPath,
 		CheckpointSync: e.cfg.Fsync,
 		Progress:       progress,
-	}
-	out := &Result{Benchmarks: names}
-	var rs runStats
-	if sp.Kind == KindCompare {
-		var res *imtrans.CompareResult
-		if res, err = imtrans.CompareMeasureCtx(ctx, benches, sp.schemeSpecs(), opts); res != nil {
-			rs = runStats{restored: res.Restored}
-			out.Schemes, out.Compare, out.Rankings, out.Done = res.Schemes, res.Results, res.Rankings, res.Done
-			for i := range res.Errors {
-				out.Errors = append(out.Errors, res.Errors[i].Error())
-			}
-		}
-	} else {
-		cfgs := sp.configs()
-		var res *imtrans.SweepResult
-		if res, err = imtrans.SweepMeasureCtx(ctx, benches, cfgs, opts); res != nil {
-			rs = runStats{restored: res.Restored}
-			out.Configs = make([]string, len(cfgs))
-			for i, c := range cfgs {
-				out.Configs[i] = c.String()
-			}
-			out.Measurements, out.Done = res.Measurements, res.Done
-			for i := range res.Errors {
-				out.Errors = append(out.Errors, res.Errors[i].Error())
-			}
-		}
-	}
-	if err != nil {
-		return nil, rs, err
-	}
-	return out, rs, nil
+	})
 }
 
 func isCtxErr(err error) bool {

@@ -81,29 +81,29 @@ func TestJobStateTransitions(t *testing.T) {
 	cases := []struct {
 		name     string
 		deadline time.Duration
-		run      func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error)
+		run      func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error)
 		cancel   bool // cancel once running
 		want     State
 		wantKind string
 	}{
 		{
 			name: "done",
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
-				return stubResult(sp), runStats{restored: 1}, nil
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
+				return stubResult(sp), RunStats{Restored: 1}, nil
 			},
 			want: StateDone,
 		},
 		{
 			name: "failed-measure",
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
-				return nil, runStats{}, errors.New("encode blew up")
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
+				return nil, RunStats{}, errors.New("encode blew up")
 			},
 			want: StateFailed, wantKind: "measure",
 		},
 		{
 			name: "failed-panic",
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
-				return nil, runStats{}, &runsafe.PanicError{Value: "kaboom"}
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
+				return nil, RunStats{}, &runsafe.PanicError{Value: "kaboom"}
 			},
 			want: StateFailed, wantKind: "panic",
 		},
@@ -111,38 +111,38 @@ func TestJobStateTransitions(t *testing.T) {
 			// A non-empty directory where the result belongs makes the
 			// result's rename fail, even for root.
 			name: "failed-store",
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
 				if err := os.MkdirAll(filepath.Join(jobDir, resultFile, "occupied"), 0o755); err != nil {
-					return nil, runStats{}, err
+					return nil, RunStats{}, err
 				}
-				return stubResult(sp), runStats{}, nil
+				return stubResult(sp), RunStats{}, nil
 			},
 			want: StateFailed, wantKind: "store",
 		},
 		{
 			name: "failed-isolated-cells",
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
 				res := stubResult(sp)
 				res.Done[0][0] = false
 				res.Errors = []string{"mmul/k=5: cell fault"}
-				return res, runStats{}, nil
+				return res, RunStats{}, nil
 			},
 			want: StateFailed, wantKind: "sweep",
 		},
 		{
 			name:     "failed-deadline",
 			deadline: 30 * time.Millisecond,
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
 				<-ctx.Done()
-				return nil, runStats{}, ctx.Err()
+				return nil, RunStats{}, ctx.Err()
 			},
 			want: StateFailed, wantKind: "deadline",
 		},
 		{
 			name: "cancelled-while-running",
-			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, runStats, error) {
+			run: func(ctx context.Context, sp *Spec, jobDir string) (*Result, RunStats, error) {
 				<-ctx.Done()
-				return nil, runStats{}, ctx.Err()
+				return nil, RunStats{}, ctx.Err()
 			},
 			cancel: true,
 			want:   StateCancelled, wantKind: "cancelled",
@@ -152,7 +152,7 @@ func TestJobStateTransitions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := openTestEngine(t, Config{DefaultDeadline: tc.deadline})
 			started := make(chan struct{})
-			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 				close(started)
 				return tc.run(ctx, sp, filepath.Dir(journalPath))
 			}
@@ -205,13 +205,13 @@ func TestCancelQueuedJob(t *testing.T) {
 	e := openTestEngine(t, Config{MaxConcurrent: 1})
 	release := make(chan struct{})
 	running := make(chan struct{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 		close(running)
 		select {
 		case <-release:
-			return stubResult(sp), runStats{}, nil
+			return stubResult(sp), RunStats{}, nil
 		case <-ctx.Done():
-			return nil, runStats{}, ctx.Err()
+			return nil, RunStats{}, ctx.Err()
 		}
 	}
 	blocker, queued := testSpec(1), testSpec(2)
@@ -246,8 +246,8 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestCancelIsIdempotent(t *testing.T) {
 	e := openTestEngine(t, Config{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-		return stubResult(sp), runStats{}, nil
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+		return stubResult(sp), RunStats{}, nil
 	}
 	sp := testSpec(3)
 	if _, _, err := e.Submit(sp); err != nil {
@@ -276,11 +276,11 @@ func TestCancelIsIdempotent(t *testing.T) {
 func TestResultBytesByState(t *testing.T) {
 	e := openTestEngine(t, Config{})
 	fail := make(chan bool, 1)
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 		if <-fail {
-			return nil, runStats{}, errors.New("cell exploded")
+			return nil, RunStats{}, errors.New("cell exploded")
 		}
-		return stubResult(sp), runStats{}, nil
+		return stubResult(sp), RunStats{}, nil
 	}
 
 	if _, _, err := e.ResultBytes("0000000000000000"); !errors.Is(err, os.ErrNotExist) {
@@ -324,13 +324,13 @@ func TestResultBytesWhileRunning(t *testing.T) {
 	e := openTestEngine(t, Config{})
 	release := make(chan struct{})
 	running := make(chan struct{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 		close(running)
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return stubResult(sp), runStats{}, nil
+		return stubResult(sp), RunStats{}, nil
 	}
 	sp := testSpec(6)
 	if _, _, err := e.Submit(sp); err != nil {
@@ -350,8 +350,8 @@ func TestResultBytesWhileRunning(t *testing.T) {
 
 func TestSubmitDeduplicates(t *testing.T) {
 	e := openTestEngine(t, Config{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-		return stubResult(sp), runStats{}, nil
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+		return stubResult(sp), RunStats{}, nil
 	}
 	sp := testSpec(7)
 	_, created, err := e.Submit(sp)
@@ -377,11 +377,11 @@ func TestSubmitDeduplicates(t *testing.T) {
 func TestResubmitRequeuesFailedAndCancelled(t *testing.T) {
 	e := openTestEngine(t, Config{})
 	fail := make(chan bool, 2)
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 		if <-fail {
-			return nil, runStats{}, errors.New("transient")
+			return nil, RunStats{}, errors.New("transient")
 		}
-		return stubResult(sp), runStats{}, nil
+		return stubResult(sp), RunStats{}, nil
 	}
 	sp := testSpec(8)
 	fail <- true
@@ -402,6 +402,34 @@ func TestResubmitRequeuesFailedAndCancelled(t *testing.T) {
 	if got.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 across the resubmission", got.Attempts)
 	}
+}
+
+// TestPanickingRunFailsJobNotEngine: a panic in a job's run outside its
+// grid's per-cell guards settles that job failed with kind "panic", is
+// counted, and leaves the engine running the next job to done.
+func TestPanickingRunFailsJobNotEngine(t *testing.T) {
+	e := openTestEngine(t, Config{})
+	bad, good := testSpec(9), testSpec(10)
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+		if sp.ID() == bad.ID() {
+			panic("stream build blew up")
+		}
+		return stubResult(sp), RunStats{}, nil
+	}
+	if _, _, err := e.Submit(bad); err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, e, bad.ID(), StateFailed)
+	if got.Error == nil || got.Error.Kind != "panic" || got.Error.Message != "panic: stream build blew up" {
+		t.Fatalf("panicking job error = %+v, want kind panic", got.Error)
+	}
+	if n := e.Counters().Get("jobs_failed_total"); n != 1 {
+		t.Fatalf("jobs_failed_total = %d, want 1", n)
+	}
+	if _, _, err := e.Submit(good); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, e, good.ID(), StateDone)
 }
 
 func TestSubmitRejectsUnknownBenchmark(t *testing.T) {
@@ -427,10 +455,10 @@ func TestStopLeavesRunningJobResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	running := make(chan struct{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 		close(running)
 		<-ctx.Done()
-		return nil, runStats{}, ctx.Err()
+		return nil, RunStats{}, ctx.Err()
 	}
 	sp := testSpec(9)
 	if _, _, err := e.Submit(sp); err != nil {
@@ -454,8 +482,8 @@ func TestStopLeavesRunningJobResumable(t *testing.T) {
 	}
 
 	e2 := openTestEngine(t, Config{Dir: dir})
-	e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-		return stubResult(sp), runStats{}, nil
+	e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+		return stubResult(sp), RunStats{}, nil
 	}
 	if e2.Recovering() {
 		t.Fatal("recovering before Resume")
@@ -496,10 +524,10 @@ func TestKillWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	running := make(chan struct{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 		close(running)
 		<-ctx.Done()
-		return nil, runStats{}, ctx.Err()
+		return nil, RunStats{}, ctx.Err()
 	}
 	sp := testSpec(11)
 	if _, _, err := e.Submit(sp); err != nil {
@@ -560,8 +588,8 @@ func TestCorruptStoreFilesMarkJobCorrupt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-				return stubResult(sp), runStats{}, nil
+			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+				return stubResult(sp), RunStats{}, nil
 			}
 			sp := testSpec(12)
 			if _, _, err := e.Submit(sp); err != nil {
@@ -575,8 +603,8 @@ func TestCorruptStoreFilesMarkJobCorrupt(t *testing.T) {
 			tc.tamper(t, dir, sp.ID())
 
 			e2 := openTestEngine(t, Config{Dir: dir})
-			e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-				return stubResult(sp), runStats{}, nil
+			e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+				return stubResult(sp), RunStats{}, nil
 			}
 			e2.Resume()
 			rec, ok := e2.Get(sp.ID())
@@ -621,8 +649,8 @@ func TestCorruptStoreFilesMarkJobCorrupt(t *testing.T) {
 // spec wipes it and re-runs it to the original bytes.
 func TestDamagedResultMarksJobCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	stub := func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-		return stubResult(sp), runStats{}, nil
+	stub := func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+		return stubResult(sp), RunStats{}, nil
 	}
 	e, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -690,8 +718,8 @@ func writeOver(t *testing.T, path string, data []byte) {
 
 func TestListNewestFirstAndStateCounts(t *testing.T) {
 	e := openTestEngine(t, Config{})
-	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
-		return stubResult(sp), runStats{}, nil
+	e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
+		return stubResult(sp), RunStats{}, nil
 	}
 	ids := make([]string, 0, 3)
 	for i := 1; i <= 3; i++ {
@@ -917,10 +945,10 @@ func TestResumeResetsUnreadableJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 			running := make(chan struct{})
-			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+			e.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 				close(running)
 				<-ctx.Done()
-				return nil, runStats{}, ctx.Err()
+				return nil, RunStats{}, ctx.Err()
 			}
 			if _, _, err := e.Submit(sp); err != nil {
 				t.Fatal(err)
@@ -935,7 +963,7 @@ func TestResumeResetsUnreadableJournal(t *testing.T) {
 
 			e2 := openTestEngine(t, Config{Dir: dir, Parallelism: 2})
 			atStart := make(chan error, 1)
-			e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, runStats, error) {
+			e2.runFn = func(ctx context.Context, sp *Spec, journalPath string, progress func(done, total int)) (*Result, RunStats, error) {
 				_, err := os.Stat(journalPath)
 				atStart <- err
 				return e2.execute(ctx, sp, journalPath, progress)

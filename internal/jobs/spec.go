@@ -9,24 +9,29 @@
 // a per-job supervisor with bounded concurrency, a per-job deadline, and
 // the per-cell panic isolation the sweep layer already has
 // (internal/runsafe). Corrupted store files mark the job corrupt — never
-// a panic, never a half-trusted resume.
+// a panic, never a half-trusted resume. Spec is also the daemon's one
+// grid request: its synchronous grid endpoints validate, resolve and run
+// the equal spec.
 package jobs
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"imtrans"
+	"imtrans/internal/stats"
 	"imtrans/internal/workloads"
 )
 
-// Limits on what a single job may ask for, mirroring the synchronous
-// /v1/measure bounds so the async path cannot smuggle in a bigger grid.
+// Limits on what a single grid may ask for. The daemon validates its
+// synchronous /v1/measure and /v1/compare bodies as the equal spec, so
+// both paths share these bounds.
 const (
-	// MaxGridCells bounds benchmarks × configs per job.
+	// MaxGridCells bounds benchmarks × configs (or schemes) per grid.
 	MaxGridCells = 256
 	// MaxRetries bounds the ignored retries field, so specs an older
 	// build accepted still parse and out-of-range ones are still refused.
@@ -52,8 +57,8 @@ type BenchmarkRef struct {
 // Validate checks the scale bounds and, for a known kernel, the kernel's
 // domain: its smallest size, fft's power-of-two rule, at least one
 // iteration, and a run that fits the simulator's instruction cap. An
-// unknown name passes here and fails Resolve, so validation stays a pure
-// function of the bytes.
+// unknown name passes here and fails Resolve (Spec.Check), so validation
+// stays a pure function of the bytes.
 func (r BenchmarkRef) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("benchmark: name is required")
@@ -142,7 +147,7 @@ func (r SchemeRef) SchemeSpec() imtrans.SchemeSpec {
 }
 
 // Validate checks the scheme's knobs against their ranges; the scheme
-// name is resolved against the registry later, by SchemeSpec().Validate.
+// name is resolved against the registry later, by Spec.Check.
 func (r SchemeRef) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("scheme: name is required")
@@ -169,12 +174,13 @@ const (
 	KindCompare = "compare"
 )
 
-// Spec is what a job runs: a supervised measurement sweep over built-in
-// benchmarks × configurations — the same grid POST /v1/measure evaluates
-// synchronously, made durable — or, with kind "compare", a cross-scheme
-// comparison over benchmarks × scheme specs. The spec is the job's
-// identity: its canonical serialisation hashes to the job ID, so
-// byte-equivalent submissions deduplicate onto one job.
+// Spec is the daemon's one grid request: a supervised measurement sweep
+// over built-in benchmarks × configurations or, with kind "compare", a
+// cross-scheme comparison over benchmarks × scheme specs. A job runs
+// one durably; POST /v1/measure and POST /v1/compare build the equal
+// spec and run it synchronously. The spec is a job's identity: its
+// canonical serialisation hashes to the job ID, so byte-equivalent
+// submissions deduplicate onto one job.
 type Spec struct {
 	// Kind selects the execution path: "" or "sweep" runs the paper
 	// config sweep; "compare" runs the cross-scheme comparison.
@@ -198,7 +204,10 @@ type Spec struct {
 	DeadlineSeconds int `json:"deadline_seconds,omitempty"`
 }
 
-func (s *Spec) validate() error {
+// Validate checks the spec against its bounds as a pure function of its
+// fields: kind, grid size, scales, knob ranges, duplicate scheme specs,
+// retries and deadline. Names are resolved by Check.
+func (s *Spec) Validate() error {
 	switch s.Kind {
 	case "", KindSweep:
 		if len(s.Schemes) > 0 {
@@ -206,7 +215,7 @@ func (s *Spec) validate() error {
 		}
 	case KindCompare:
 		if len(s.Schemes) == 0 {
-			return fmt.Errorf("kind %q requires at least one scheme", KindCompare)
+			return fmt.Errorf("at least one scheme is required")
 		}
 		if len(s.Configs) > 0 {
 			return fmt.Errorf("kind %q takes per-scheme configs, not a configs list", KindCompare)
@@ -275,18 +284,9 @@ func mustMarshal(v any) []byte {
 	return b
 }
 
-// schemeSpecs returns the compare job's scheme axis in the facade's type.
-func (s *Spec) schemeSpecs() []imtrans.SchemeSpec {
-	out := make([]imtrans.SchemeSpec, len(s.Schemes))
-	for i, r := range s.Schemes {
-		out[i] = r.SchemeSpec()
-	}
-	return out
-}
-
-// configs returns the configuration axis, a single default when none are
-// given — the same zero-config behaviour as the facade.
-func (s *Spec) configs() []imtrans.Config {
+// SweepConfigs returns the sweep's configuration axis, a single default
+// when none are given — the same zero-config behaviour as the facade.
+func (s *Spec) SweepConfigs() []imtrans.Config {
 	if len(s.Configs) == 0 {
 		return []imtrans.Config{{}}
 	}
@@ -319,7 +319,7 @@ func (s *Spec) ID() string {
 
 // ParseSpec strictly decodes and validates a job spec: unknown fields,
 // trailing data, and out-of-bounds grids are errors — never a panic.
-// Benchmark-name resolution happens at submit, not here, keeping the
+// Name resolution (Check) happens at submit, not here, keeping the
 // parser a pure function of the bytes (and directly fuzzable).
 func ParseSpec(data []byte) (*Spec, error) {
 	var s Spec
@@ -331,8 +331,96 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("trailing data after the JSON body")
 	}
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// SpecError marks a spec rejected for a name the registries do not know
+// (a client error).
+type SpecError struct{ Err error }
+
+func (e *SpecError) Error() string { return e.Err.Error() }
+func (e *SpecError) Unwrap() error { return e.Err }
+
+// Check resolves the spec's kernel and scheme names against the
+// registries, so an unknown name is a client error before any work
+// starts. A failure is a *SpecError.
+func (s *Spec) Check() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve maps the benchmark refs to rescaled kernels and checks every
+// scheme spec against the registry.
+func (s *Spec) resolve() ([]imtrans.Benchmark, error) {
+	benches := make([]imtrans.Benchmark, len(s.Benchmarks))
+	for i, ref := range s.Benchmarks {
+		b, err := ref.Resolve()
+		if err != nil {
+			return nil, &SpecError{Err: err}
+		}
+		benches[i] = b
+	}
+	for i, sc := range s.Schemes {
+		if err := sc.SchemeSpec().Validate(); err != nil {
+			return nil, &SpecError{Err: fmt.Errorf("schemes[%d]: %w", i, err)}
+		}
+	}
+	return benches, nil
+}
+
+// RunStats is what one grid run reports beside its result.
+type RunStats struct {
+	Restored int             // cells restored from the checkpoint journal
+	Counters *stats.Counters // the grid counters; nil when no grid ran
+}
+
+// Run executes the spec's grid with opts — the supervised sweep, or the
+// cross-scheme comparison for kind "compare" — and shapes it into a
+// Result. It is the one grid executor behind a job attempt and the
+// daemon's synchronous /v1/measure and /v1/compare.
+func (s *Spec) Run(ctx context.Context, opts imtrans.SweepOptions) (*Result, RunStats, error) {
+	benches, err := s.resolve()
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	out := &Result{Benchmarks: make([]string, len(benches))}
+	for i, b := range benches {
+		out.Benchmarks[i] = b.Name
+	}
+	var rs RunStats
+	if s.Kind == KindCompare {
+		specs := make([]imtrans.SchemeSpec, len(s.Schemes))
+		for i, r := range s.Schemes {
+			specs[i] = r.SchemeSpec()
+		}
+		var res *imtrans.CompareResult
+		if res, err = imtrans.CompareMeasureCtx(ctx, benches, specs, opts); res != nil {
+			rs = RunStats{Restored: res.Restored, Counters: &res.Counters}
+			out.Schemes, out.Compare, out.Rankings, out.Done = res.Schemes, res.Results, res.Rankings, res.Done
+			for i := range res.Errors {
+				out.Errors = append(out.Errors, res.Errors[i].Error())
+			}
+		}
+	} else {
+		cfgs := s.SweepConfigs()
+		var res *imtrans.SweepResult
+		if res, err = imtrans.SweepMeasureCtx(ctx, benches, cfgs, opts); res != nil {
+			rs = RunStats{Restored: res.Restored, Counters: &res.Counters}
+			out.Configs = make([]string, len(cfgs))
+			for i, c := range cfgs {
+				out.Configs[i] = c.String()
+			}
+			out.Measurements, out.Done = res.Measurements, res.Done
+			for i := range res.Errors {
+				out.Errors = append(out.Errors, res.Errors[i].Error())
+			}
+		}
+	}
+	if err != nil {
+		return nil, rs, err
+	}
+	return out, rs, nil
 }

@@ -54,8 +54,8 @@ func (s State) Terminal() bool {
 // ErrorInfo is the typed terminal error payload of a failed job.
 type ErrorInfo struct {
 	// Kind classifies the failure: "deadline" (the per-job deadline
-	// fired), "cancelled" (DELETE), "panic" (the run returned a
-	// *runsafe.PanicError; a panicking grid cell is a "sweep" failure),
+	// fired), "cancelled" (DELETE), "panic" (the run panicked outside
+	// its grid's per-cell guards; a panicking cell is a "sweep" failure),
 	// "measure" (any other run error, including a mismatched journal or
 	// an unresolvable benchmark), "sweep" (isolated cell failures; the
 	// partial result is kept), "store" (the result could not be written)

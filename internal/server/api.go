@@ -21,14 +21,6 @@ import (
 // maxSourceBytes bounds an inline MR32 assembly source.
 const maxSourceBytes = 1 << 20
 
-// maxGridCells bounds a /v1/measure or /v1/compare grid, and maxRetries
-// the ignored retries field: the job engine's bounds, so the async path
-// admits nothing the synchronous one refuses.
-const (
-	maxGridCells = jobs.MaxGridCells
-	maxRetries   = jobs.MaxRetries
-)
-
 // The benchmark, config and scheme wire types are the job engine's, so a
 // request body and a job spec validate and resolve them the same way.
 type (
@@ -92,45 +84,22 @@ func (r *MeasureRequest) validate() error {
 	if len(r.Source) > maxSourceBytes {
 		return fmt.Errorf("source exceeds %d bytes", maxSourceBytes)
 	}
-	rows := len(r.Benchmarks)
-	if rows == 0 {
-		rows = 1
-	}
-	cols := len(r.Configs)
-	if cols == 0 {
-		cols = 1
-	}
-	if rows*cols > maxGridCells {
-		return fmt.Errorf("grid of %d cells exceeds the %d-cell limit", rows*cols, maxGridCells)
-	}
-	for _, b := range r.Benchmarks {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-	}
-	for i, c := range r.Configs {
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("configs[%d]: %w", i, err)
-		}
-	}
-	if r.Retries < 0 || r.Retries > maxRetries {
-		return fmt.Errorf("retries %d out of range [0, %d]", r.Retries, maxRetries)
-	}
-	return nil
+	return r.spec().Validate()
 }
 
-// configs returns the grid's configuration axis (a single default when
-// none are given), mirroring the facade's zero-config behaviour.
-func (r *MeasureRequest) configs() []imtrans.Config {
-	if len(r.Configs) == 0 {
-		return []imtrans.Config{{}}
+// spec is the job spec equal to the request's grid. An inline source is
+// the grid's one row, named as the response names it; BenchmarkRef
+// checks only the scale of a name that is not a kernel.
+func (r *MeasureRequest) spec() *jobs.Spec {
+	sp := &jobs.Spec{Benchmarks: r.Benchmarks, Configs: r.Configs, Retries: r.Retries}
+	if r.Source != "" {
+		sp.Benchmarks = []BenchmarkRef{{Name: sourceRow}}
 	}
-	out := make([]imtrans.Config, len(r.Configs))
-	for i, c := range r.Configs {
-		out[i] = c.Config()
-	}
-	return out
+	return sp
 }
+
+// sourceRow names the one row of an inline-source measure grid.
+const sourceRow = "program"
 
 // MeasureResponse is the measured grid, indexed [benchmark][config].
 // Values are bit-identical to what SweepMeasure / ReplayMeasure return
@@ -157,48 +126,11 @@ type CompareRequest struct {
 	Retries int `json:"retries,omitempty"`
 }
 
-func (r *CompareRequest) validate() error {
-	if len(r.Benchmarks) == 0 {
-		return fmt.Errorf("at least one benchmark is required")
-	}
-	if len(r.Schemes) == 0 {
-		return fmt.Errorf("at least one scheme is required")
-	}
-	if len(r.Benchmarks)*len(r.Schemes) > maxGridCells {
-		return fmt.Errorf("grid of %d cells exceeds the %d-cell limit", len(r.Benchmarks)*len(r.Schemes), maxGridCells)
-	}
-	for _, b := range r.Benchmarks {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-	}
-	seen := make(map[string]bool, len(r.Schemes))
-	for i, sc := range r.Schemes {
-		if err := sc.Validate(); err != nil {
-			return fmt.Errorf("schemes[%d]: %w", i, err)
-		}
-		key, err := json.Marshal(sc)
-		if err != nil {
-			return fmt.Errorf("schemes[%d]: %w", i, err)
-		}
-		if seen[string(key)] {
-			return fmt.Errorf("schemes[%d]: duplicate scheme spec %q", i, sc.Name)
-		}
-		seen[string(key)] = true
-	}
-	if r.Retries < 0 || r.Retries > maxRetries {
-		return fmt.Errorf("retries %d out of range [0, %d]", r.Retries, maxRetries)
-	}
-	return nil
-}
+func (r *CompareRequest) validate() error { return r.spec().Validate() }
 
-// specs returns the request's scheme axis in the facade's type.
-func (r *CompareRequest) specs() []imtrans.SchemeSpec {
-	out := make([]imtrans.SchemeSpec, len(r.Schemes))
-	for i, sc := range r.Schemes {
-		out[i] = sc.SchemeSpec()
-	}
-	return out
+// spec is the compare job spec equal to the request's grid.
+func (r *CompareRequest) spec() *jobs.Spec {
+	return &jobs.Spec{Kind: jobs.KindCompare, Benchmarks: r.Benchmarks, Schemes: r.Schemes, Retries: r.Retries}
 }
 
 // CompareResponse is the compared grid, indexed [benchmark][scheme].
@@ -308,8 +240,9 @@ func ParseMeasureRequest(data []byte) (*MeasureRequest, error) {
 }
 
 // ParseCompareRequest decodes and validates a POST /v1/compare body.
-// Scheme-name resolution against the registry happens in the handler, so
-// the parser stays a pure function of the bytes (and directly fuzzable).
+// Name resolution against the registries (jobs.Spec.Check) happens in
+// the handler, so the parser stays a pure function of the bytes (and
+// directly fuzzable).
 func ParseCompareRequest(data []byte) (*CompareRequest, error) {
 	var r CompareRequest
 	if err := decodeStrict(data, &r); err != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"imtrans/internal/jobs"
 )
 
 // The decoders are the daemon's entire parsing surface: every fuzz
@@ -80,11 +82,11 @@ func FuzzParseMeasureRequest(f *testing.F) {
 		if cols == 0 {
 			cols = 1
 		}
-		if rows*cols > maxGridCells {
-			t.Fatalf("accepted %d-cell grid past the %d-cell bound", rows*cols, maxGridCells)
+		if rows*cols > jobs.MaxGridCells {
+			t.Fatalf("accepted %d-cell grid past the %d-cell bound", rows*cols, jobs.MaxGridCells)
 		}
-		if r.Retries < 0 || r.Retries > maxRetries {
-			t.Fatalf("accepted retries %d outside [0, %d]", r.Retries, maxRetries)
+		if r.Retries < 0 || r.Retries > jobs.MaxRetries {
+			t.Fatalf("accepted retries %d outside [0, %d]", r.Retries, jobs.MaxRetries)
 		}
 	})
 }
@@ -110,11 +112,11 @@ func FuzzParseCompareRequest(f *testing.F) {
 		if len(r.Benchmarks) == 0 || len(r.Schemes) == 0 {
 			t.Fatalf("accepted request with an empty axis: %+v", r)
 		}
-		if len(r.Benchmarks)*len(r.Schemes) > maxGridCells {
-			t.Fatalf("accepted %d-cell grid past the %d-cell bound", len(r.Benchmarks)*len(r.Schemes), maxGridCells)
+		if len(r.Benchmarks)*len(r.Schemes) > jobs.MaxGridCells {
+			t.Fatalf("accepted %d-cell grid past the %d-cell bound", len(r.Benchmarks)*len(r.Schemes), jobs.MaxGridCells)
 		}
-		if r.Retries < 0 || r.Retries > maxRetries {
-			t.Fatalf("accepted retries %d outside [0, %d]", r.Retries, maxRetries)
+		if r.Retries < 0 || r.Retries > jobs.MaxRetries {
+			t.Fatalf("accepted retries %d outside [0, %d]", r.Retries, jobs.MaxRetries)
 		}
 		seen := map[string]bool{}
 		for _, sc := range r.Schemes {

@@ -12,6 +12,7 @@ import (
 	"imtrans"
 	"imtrans/internal/jobs"
 	"imtrans/internal/objfile"
+	"imtrans/internal/stats"
 )
 
 // handleEncode plans an encoding for a source program or benchmark:
@@ -53,9 +54,9 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 	return okResult(EncodeResponse{Config: cfg.String(), Report: rep}), nil
 }
 
-// handleMeasure evaluates a configuration grid: benchmarks go through the
-// supervised sweep (per-cell fault isolation), an inline source through
-// the replay engine. Both paths poll ctx inside
+// handleMeasure evaluates a configuration grid: benchmarks go through
+// the equal job spec's supervised sweep (per-cell fault isolation), an
+// inline source through the replay engine. Both paths poll ctx inside
 // the profiling run, the encoder's bit-line pool and the replay fetch
 // loop.
 func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult, error) {
@@ -63,108 +64,64 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult,
 	if err != nil {
 		return errResult(http.StatusBadRequest, err.Error()), nil
 	}
-	cfgs := req.configs()
-	cfgNames := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		cfgNames[i] = c.String()
-	}
-
-	if req.Source != "" {
-		p, err := imtrans.Assemble(req.Source)
-		if err != nil {
-			return errResult(http.StatusBadRequest, err.Error()), nil
-		}
-		ms, err := imtrans.ReplayMeasureCtx(ctx, p, nil, cfgs...)
-		if err != nil {
-			return workErr(ctx, err), nil
-		}
-		done := make([]bool, len(ms))
-		for i := range done {
-			done[i] = true
-		}
-		return okResult(MeasureResponse{
-			Benchmarks:   []string{"program"},
-			Configs:      cfgNames,
-			Measurements: [][]imtrans.Measurement{ms},
-			Done:         [][]bool{done},
+	if req.Source == "" {
+		return s.serveGrid(ctx, req.spec(), func(r *jobs.Result, c *stats.Counters) any {
+			return MeasureResponse{Benchmarks: r.Benchmarks, Configs: r.Configs, Measurements: r.Measurements, Done: r.Done, Errors: r.Errors, Counters: c}
 		}), nil
 	}
 
-	benches := make([]imtrans.Benchmark, len(req.Benchmarks))
-	names := make([]string, len(req.Benchmarks))
-	for i, ref := range req.Benchmarks {
-		b, err := ref.Resolve()
-		if err != nil {
-			return errResult(http.StatusBadRequest, err.Error()), nil
-		}
-		benches[i], names[i] = b, b.Name
+	p, err := imtrans.Assemble(req.Source)
+	if err != nil {
+		return errResult(http.StatusBadRequest, err.Error()), nil
 	}
-	res, err := imtrans.SweepMeasureCtx(ctx, benches, cfgs, imtrans.SweepOptions{
-		Parallelism: s.cfg.MeasureParallelism,
-	})
+	cfgs := req.spec().SweepConfigs()
+	ms, err := imtrans.ReplayMeasureCtx(ctx, p, nil, cfgs...)
 	if err != nil {
 		return workErr(ctx, err), nil
 	}
 	resp := MeasureResponse{
-		Benchmarks:   names,
-		Configs:      cfgNames,
-		Measurements: res.Measurements,
-		Done:         res.Done,
-		Counters:     &res.Counters,
+		Benchmarks:   []string{sourceRow},
+		Measurements: [][]imtrans.Measurement{ms},
+		Done:         [][]bool{make([]bool, len(ms))},
 	}
-	for _, se := range res.Errors {
-		resp.Errors = append(resp.Errors, se.Error())
+	for _, c := range cfgs {
+		resp.Configs = append(resp.Configs, c.String())
+	}
+	for i := range ms {
+		resp.Done[0][i] = true
 	}
 	return okResult(resp), nil
 }
 
-// handleCompare evaluates a cross-scheme comparison grid: one supervised
-// capture per benchmark, every registered scheme measuring the shared
-// instruction stream, per-workload rankings in the response. The sweep's
-// scheme-labelled counters are folded into the daemon's telemetry so
-// /metrics exposes per-scheme completion counts.
+// handleCompare evaluates a cross-scheme comparison grid through the
+// equal compare job spec: one supervised capture per benchmark, every
+// scheme measuring the shared instruction stream, per-workload rankings
+// in the response.
 func (s *Server) handleCompare(ctx context.Context, body []byte) (*cachedResult, error) {
 	req, err := ParseCompareRequest(body)
 	if err != nil {
 		return errResult(http.StatusBadRequest, err.Error()), nil
 	}
-	specs := req.specs()
-	for i, sp := range specs {
-		// Registry resolution: unknown names and knob bleed are client
-		// errors, caught before any capture work starts.
-		if err := sp.Validate(); err != nil {
-			return errResult(http.StatusBadRequest, fmt.Sprintf("schemes[%d]: %v", i, err)), nil
-		}
+	return s.serveGrid(ctx, req.spec(), func(r *jobs.Result, c *stats.Counters) any {
+		return CompareResponse{Benchmarks: r.Benchmarks, Schemes: r.Schemes, Results: r.Compare, Done: r.Done, Rankings: r.Rankings, Errors: r.Errors, Counters: c}
+	}), nil
+}
+
+// serveGrid runs a grid request as its job spec — Check, then Run with the
+// request's worker bound — folds the run's grid counters into /metrics
+// and shapes the response with view. Unknown names answer 400.
+func (s *Server) serveGrid(ctx context.Context, sp *jobs.Spec, view func(*jobs.Result, *stats.Counters) any) *cachedResult {
+	if err := sp.Check(); err != nil {
+		return errResult(http.StatusBadRequest, err.Error())
 	}
-	benches := make([]imtrans.Benchmark, len(req.Benchmarks))
-	for i, ref := range req.Benchmarks {
-		b, err := ref.Resolve()
-		if err != nil {
-			return errResult(http.StatusBadRequest, err.Error()), nil
-		}
-		benches[i] = b
-	}
-	res, err := imtrans.CompareMeasureCtx(ctx, benches, specs, imtrans.SweepOptions{
-		Parallelism: s.cfg.MeasureParallelism,
-	})
+	res, rs, err := sp.Run(ctx, imtrans.SweepOptions{Parallelism: s.cfg.MeasureParallelism})
 	if err != nil {
-		return workErr(ctx, err), nil
+		return workErr(ctx, err)
 	}
-	for _, name := range res.Counters.Names() {
-		s.counters.Add(name, res.Counters.Get(name))
+	for _, name := range rs.Counters.Names() {
+		s.counters.Add(name, rs.Counters.Get(name))
 	}
-	resp := CompareResponse{
-		Benchmarks: res.Benchmarks,
-		Schemes:    res.Schemes,
-		Results:    res.Results,
-		Done:       res.Done,
-		Rankings:   res.Rankings,
-		Counters:   &res.Counters,
-	}
-	for i := range res.Errors {
-		resp.Errors = append(resp.Errors, res.Errors[i].Error())
-	}
-	return okResult(resp), nil
+	return okResult(view(res, rs.Counters))
 }
 
 // handleSchemes lists the registered encoding schemes with their

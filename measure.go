@@ -48,20 +48,7 @@ func (c Config) coreConfig() core.Config {
 }
 
 // String renders the configuration compactly.
-func (c Config) String() string {
-	cc := c.coreConfig()
-	s := fmt.Sprintf("k=%d TT=%d", cc.BlockSize, cc.TTEntries)
-	if c.AllFunctions {
-		s += " funcs=16"
-	}
-	if c.Exact {
-		s += " exact"
-	}
-	if c.Knapsack {
-		s += " knapsack"
-	}
-	return s
-}
+func (c Config) String() string { return scheme.PaperSpec(c.schemeParams()) }
 
 // Measurement reports the dynamic instruction-bus behaviour of one
 // configuration, measured with the decoder hardware model in the fetch
