@@ -285,6 +285,7 @@ func CompareMeasureCtx(ctx context.Context, benchmarks []Benchmark, specs []Sche
 	run.addSupervision(c, "compare")
 	c.Add("compare_memo_hits", memoHits)
 	c.Add("compare_stream_shared", streamShared)
+	c.Add("encode_candidates_built", uint64(run.candidatesBuilt))
 	for si, sp := range specs {
 		t := run.colTally[si]
 		c.Add(fmt.Sprintf("compare_cells{scheme=%q}", sp.Name), uint64(nb))

@@ -84,6 +84,11 @@ type gridRun[T any] struct {
 	recorded, ckErrs                      int
 	gridWorkers, innerWorkers             int
 
+	// candidatesBuilt counts the candidate lists the paper cells built:
+	// one per row and shared signature group that built its list, one
+	// per completed cell of a singleton group.
+	candidatesBuilt int
+
 	colTally []columnTally
 
 	ctxErr error // the context's error once the run ended, if any
@@ -201,9 +206,10 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 	inner := max(1, clamp/gridPar)
 
 	// One shared store per row and sharing group of two or more columns,
-	// so cells that encode blocks identically pay each block's first
-	// verified walk once. Singleton groups get none and skip the store
-	// locking entirely; memos never cross programs.
+	// so cells that encode blocks identically build their candidate list
+	// once and pay each block's first verified walk once. Singleton
+	// groups get none and skip the store locking entirely; memos and
+	// candidate lists never cross programs or grid runs.
 	groups := make(map[gridShare][]int, nc)
 	fleet := false
 	for ci, col := range g.cols {
@@ -357,6 +363,20 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 				// No result, no recorded failure: the cell was abandoned
 				// mid-flight or never started because the context ended.
 				run.cancelled++
+			}
+		}
+	}
+	for share, idxs := range groups {
+		if share.fleet {
+			continue
+		}
+		for ri := 0; ri < nr; ri++ {
+			if len(idxs) > 1 {
+				if memos[ri*nc+idxs[0]].Candidates().Built() {
+					run.candidatesBuilt++
+				}
+			} else if s := &cells[ri*nc+idxs[0]]; s.done && !s.restored {
+				run.candidatesBuilt++
 			}
 		}
 	}

@@ -106,7 +106,7 @@ func TestGridSupervisionParity(t *testing.T) {
 		for _, n := range supervision {
 			m[n] = get(family + "_" + n)
 		}
-		for _, n := range []string{"checkpoint_restored", "checkpoint_recorded", "checkpoint_errors"} {
+		for _, n := range []string{"checkpoint_restored", "checkpoint_recorded", "checkpoint_errors", "encode_candidates_built"} {
 			m[n] = get(n)
 		}
 		return m
@@ -173,6 +173,12 @@ func TestGridSupervisionParity(t *testing.T) {
 		sweep[0].counters["cancelled"] == 0 {
 		t.Errorf("fault plan did not exercise restore, panic and cancellation: %v then %v",
 			sweep[0].counters, final.counters)
+	}
+	// The interrupted pass built both rows' k=4 lists and mmul's shared
+	// k=5 list. The resumed pass built only sor's k=5 list: restored cells
+	// build none, and an injected fault fires before its cell encodes.
+	if got := [2]uint64{sweep[0].counters["encode_candidates_built"], final.counters["encode_candidates_built"]}; got != [2]uint64{3, 1} {
+		t.Errorf("candidate lists built = %v (interrupted, resumed), want [3 1]", got)
 	}
 }
 

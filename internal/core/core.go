@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -133,6 +134,9 @@ func (c Config) validate() error {
 
 // Plan is the encoding decision for one covered basic block: which TT
 // entries it owns and which transformation each entry selects per bus line.
+// Plans selected from a CandidateSet share their Taus and Encoded slices
+// with the set and with every other Encoding built from it, so neither
+// may be written.
 type Plan struct {
 	Block   int    // cfg block index
 	StartPC uint32 // first instruction address
@@ -192,6 +196,14 @@ type EncodeOpts struct {
 	// instead of the shared pool — one arena per sweep worker keeps the
 	// hot buffers CPU-local across grid cells.
 	Arena *Arena
+
+	// Candidates, when non-nil, supplies the candidate plans selection
+	// chooses from: the first encode handed the set builds them and
+	// every later one reuses them, so the Taus and Encoded slices of the
+	// resulting Plans are shared and must not be written. A set built
+	// for another graph, profile or per-block signature is refused with
+	// an error. Nil builds a private list.
+	Candidates *CandidateSet
 }
 
 // Arena is a caller-owned scratch allocation for Encode calls. An Arena
@@ -220,7 +232,8 @@ func EncodeCtx(ctx context.Context, g *cfg.Graph, profile []uint64, c Config) (*
 
 // EncodeCtxOpts is EncodeCtx with per-call tuning. Results are
 // bit-identical for every opts value; only wall time and allocation
-// behaviour change.
+// behaviour change. The one exception is a Candidates set built for
+// another graph, profile or signature, which is refused with an error.
 func EncodeCtxOpts(ctx context.Context, g *cfg.Graph, profile []uint64, c Config, opts EncodeOpts) (*Encoding, error) {
 	c = c.WithDefaults()
 	if err := c.validate(); err != nil {
@@ -238,39 +251,9 @@ func EncodeCtxOpts(ctx context.Context, g *cfg.Graph, profile []uint64, c Config
 	for _, n := range profile {
 		enc.TotalDynamic += n
 	}
-	// One precomputed block table serves every candidate block and line;
-	// the cache shares it across every encode with the same signature, so
-	// a grid sweep builds it once instead of once per cell.
-	tables := opts.Tables
-	if tables == nil {
-		tables = code.SharedTables
-	}
-	tab, err := tables.Get(c.BlockSize, c.Funcs, c.Strategy)
+	cands, err := opts.Candidates.get(ctx, g, profile, c, opts)
 	if err != nil {
 		return nil, err
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = Parallelism()
-	}
-	// Encode every warm multi-instruction block as a candidate, in heat
-	// order; selection then decides which ones the tables can afford.
-	heat := g.BlockHeat(profile)
-	hot := g.HotBlocks(profile)
-	cands := make([]Plan, 0, len(hot))
-	for _, bi := range hot {
-		if g.Blocks[bi].Count < 2 {
-			continue // a single instruction has no vertical transitions
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan, err := encodeBlock(ctx, g, bi, c, tab, workers, opts.Arena)
-		if err != nil {
-			return nil, err
-		}
-		plan.Heat = heat[bi]
-		cands = append(cands, plan)
 	}
 	var chosen []bool
 	switch c.Selection {
@@ -305,6 +288,108 @@ func EncodeCtxOpts(ctx context.Context, g *cfg.Graph, profile []uint64, c Config
 		enc.Plans = append(enc.Plans, plan)
 	}
 	return enc, nil
+}
+
+// CandidateSet holds one program's candidate plans under one per-block
+// signature (BlockSize, Funcs, Strategy, BusWidth). A candidate is a warm
+// block encoded on its own, and the encoding of a block depends only on
+// its words and that signature: the TT/BBIT capacities and the selection
+// policy just decide which candidates an Encoding admits. Every encode of
+// one graph and profile under one signature can therefore select from
+// one list, and a grid sweep builds it once per (program, signature)
+// instead of once per cell.
+//
+// The first encode handed the set builds the list while holding the
+// set's lock, so concurrent encodes wait for it instead of building
+// their own. A build that fails or is cancelled leaves the set empty and
+// the next encode builds again. An encode whose graph, profile or
+// signature differs from the list's is refused with an error. The zero
+// value is an empty set; it is safe for concurrent use.
+type CandidateSet struct {
+	mu      sync.Mutex
+	built   bool
+	graph   *cfg.Graph
+	profile []uint64
+	sig     Config
+	plans   []Plan
+}
+
+// Built reports whether the set holds a candidate list.
+func (s *CandidateSet) Built() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.built
+}
+
+// get returns the candidate list of (g, profile, c), building it on first
+// use. A nil set builds a private list on every call.
+func (s *CandidateSet) get(ctx context.Context, g *cfg.Graph, profile []uint64, c Config, opts EncodeOpts) ([]Plan, error) {
+	if s == nil {
+		return buildCandidates(ctx, g, profile, c, opts)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.built {
+		plans, err := buildCandidates(ctx, g, profile, c, opts)
+		if err != nil {
+			return nil, err
+		}
+		s.built, s.graph, s.profile, s.plans = true, g, profile, plans
+		s.sig = Config{BlockSize: c.BlockSize, Funcs: slices.Clone(c.Funcs), Strategy: c.Strategy, BusWidth: c.BusWidth}
+		return plans, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // cancelled encodes fail whether or not they build
+	}
+	if s.graph != g || len(s.profile) != len(profile) || (len(profile) > 0 && &s.profile[0] != &profile[0]) {
+		return nil, fmt.Errorf("core: candidate set was built for another program or profile")
+	}
+	if s.sig.BlockSize != c.BlockSize || s.sig.Strategy != c.Strategy ||
+		s.sig.BusWidth != c.BusWidth || !slices.Equal(s.sig.Funcs, c.Funcs) {
+		return nil, fmt.Errorf("core: candidate set was built for another signature (k=%d, %d funcs, %v, bus %d; want k=%d, %d funcs, %v, bus %d)",
+			s.sig.BlockSize, len(s.sig.Funcs), s.sig.Strategy, s.sig.BusWidth,
+			c.BlockSize, len(c.Funcs), c.Strategy, c.BusWidth)
+	}
+	return s.plans, nil
+}
+
+// buildCandidates encodes every warm multi-instruction block of g as a
+// candidate, in heat order; selection then decides which ones the tables
+// can afford.
+func buildCandidates(ctx context.Context, g *cfg.Graph, profile []uint64, c Config, opts EncodeOpts) ([]Plan, error) {
+	// One precomputed block table serves every candidate block and line;
+	// the cache shares it across every encode with the same signature, so
+	// a grid sweep builds it once instead of once per cell.
+	tables := opts.Tables
+	if tables == nil {
+		tables = code.SharedTables
+	}
+	tab, err := tables.Get(c.BlockSize, c.Funcs, c.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = Parallelism()
+	}
+	heat := g.BlockHeat(profile)
+	hot := g.HotBlocks(profile)
+	cands := make([]Plan, 0, len(hot))
+	for _, bi := range hot {
+		if g.Blocks[bi].Count < 2 {
+			continue // a single instruction has no vertical transitions
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		plan, err := encodeBlock(ctx, g, bi, c, tab, workers, opts.Arena)
+		if err != nil {
+			return nil, err
+		}
+		plan.Heat = heat[bi]
+		cands = append(cands, plan)
+	}
+	return cands, nil
 }
 
 // selectGreedy admits candidates (already in heat order) while both
@@ -342,48 +427,56 @@ func selectKnapsack(cands []Plan, c Config) ([]bool, error) {
 	if n*cells > 50_000_000 {
 		return nil, fmt.Errorf("core: knapsack instance too large (%d blocks, TT %d, BBIT %d)", n, w, m)
 	}
-	value := func(p *Plan) float64 {
-		passes := float64(p.Heat) / float64(p.Count)
-		return passes * float64(p.OrigTransitions-p.CodeTransitions)
-	}
-	// dp[i][j*(m+1)+b]: best value over the first i items with j TT
-	// entries and b blocks used. The full table makes reconstruction
-	// exact; instances are tiny (dozens of blocks, tens of entries).
-	dp := make([][]float64, n+1)
-	dp[0] = make([]float64, cells)
-	for i := 1; i <= n; i++ {
-		dp[i] = make([]float64, cells)
-		copy(dp[i], dp[i-1])
-		wi := cands[i-1].TTCount
-		vi := value(&cands[i-1])
+	// prev[j*(m+1)+b] is the best value over the items before i with j TT
+	// entries and b blocks used; cur is the same with item i. Bit
+	// i*cells+j*(m+1)+b of take records that item i improved that cell,
+	// which is all the walk back needs: two value rows and n bits per
+	// cell instead of n+1 value rows.
+	prev := make([]float64, cells)
+	cur := make([]float64, cells)
+	take := make([]uint64, (n*cells+63)/64)
+	for i := range cands {
+		copy(cur, prev)
+		wi := cands[i].TTCount
+		vi := knapsackValue(&cands[i])
+		row := i * cells
 		for j := wi; j <= w; j++ {
 			for b := 1; b <= m; b++ {
-				if cand := dp[i-1][(j-wi)*(m+1)+b-1] + vi; cand > dp[i][j*(m+1)+b] {
-					dp[i][j*(m+1)+b] = cand
+				cell := j*(m+1) + b
+				if cand := prev[(j-wi)*(m+1)+b-1] + vi; cand > cur[cell] {
+					cur[cell] = cand
+					take[(row+cell)/64] |= 1 << uint((row+cell)%64)
 				}
 			}
 		}
+		prev, cur = cur, prev
 	}
-	// Best terminal cell, then walk the table backwards.
-	bestJ, bestB := 0, 0
-	for j := 0; j <= w; j++ {
-		for b := 0; b <= m; b++ {
-			if dp[n][j*(m+1)+b] > dp[n][bestJ*(m+1)+bestB] {
-				bestJ, bestB = j, b
-			}
+	// Best terminal cell, then walk the take bits backwards.
+	best := 0
+	for cell := range prev {
+		if prev[cell] > prev[best] {
+			best = cell
 		}
 	}
 	chosen := make([]bool, n)
-	j, b := bestJ, bestB
-	for i := n; i >= 1; i-- {
-		if dp[i][j*(m+1)+b] == dp[i-1][j*(m+1)+b] {
-			continue // item i-1 not taken on the optimal path
+	j, b := best/(m+1), best%(m+1)
+	for i := n - 1; i >= 0; i-- {
+		bit := i*cells + j*(m+1) + b
+		if take[bit/64]&(1<<uint(bit%64)) == 0 {
+			continue // item i not taken on the optimal path
 		}
-		chosen[i-1] = true
-		j -= cands[i-1].TTCount
+		chosen[i] = true
+		j -= cands[i].TTCount
 		b--
 	}
 	return chosen, nil
+}
+
+// knapsackValue is a candidate's knapsack value: its estimated dynamic
+// transition saving.
+func knapsackValue(p *Plan) float64 {
+	passes := float64(p.Heat) / float64(p.Count)
+	return passes * float64(p.OrigTransitions-p.CodeTransitions)
 }
 
 // encScratch is the reusable working set of one encodeBlock call: the

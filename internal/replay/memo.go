@@ -3,6 +3,8 @@ package replay
 import (
 	"sync"
 	"sync/atomic"
+
+	"imtrans/internal/core"
 )
 
 // blockMemo is the recorded outcome of one covered block replayed from an
@@ -31,14 +33,28 @@ type blockMemo struct {
 // Callers own the grouping: handing one store to measures with different
 // per-block signatures silently corrupts results. Safe for concurrent
 // use by any number of measures.
+//
+// The store also carries the group's core.CandidateSet, so the encodes
+// in front of those measures share one candidate list the same way; the
+// set, unlike the memos, refuses a mismatched encode with an error.
 type MemoStore struct {
-	mu   sync.RWMutex
-	m    map[int32]*blockMemo
-	hits atomic.Uint64
+	mu    sync.RWMutex
+	m     map[int32]*blockMemo
+	hits  atomic.Uint64
+	cands core.CandidateSet
 }
 
 // NewMemoStore returns an empty store.
 func NewMemoStore() *MemoStore { return &MemoStore{m: make(map[int32]*blockMemo)} }
+
+// Candidates returns the store's candidate set, or nil for a nil store
+// (an encode handed nil builds a private list).
+func (s *MemoStore) Candidates() *core.CandidateSet {
+	if s == nil {
+		return nil
+	}
+	return &s.cands
+}
 
 // get returns the memo recorded for the block starting at idx, if any.
 func (s *MemoStore) get(idx int32) *blockMemo {

@@ -49,10 +49,13 @@ type PaperOutcome struct {
 // encoding from the captured profile, statically verify it, then replay
 // the trace through a fresh strict decoder. This is THE paper measurement
 // — the root sweep machinery and the registered "paper" scheme both call
-// it, so their results are bit-identical by construction. Errors are
-// returned unwrapped; callers attach their configuration context.
+// it, so their results are bit-identical by construction. With w.Shared
+// set, the encode selects from the store's shared candidate list; the
+// selection, the verification, the decoder and the replay still run on
+// every call. Errors are returned unwrapped; callers attach their
+// configuration context.
 func MeasurePaper(ctx context.Context, w *Workload, cc core.Config) (PaperOutcome, error) {
-	encOpts := core.EncodeOpts{Workers: w.EncWorkers, Arena: w.EncArena}
+	encOpts := core.EncodeOpts{Workers: w.EncWorkers, Arena: w.EncArena, Candidates: w.Shared.Candidates()}
 	enc, err := core.EncodeCtxOpts(ctx, w.Cap.Graph, w.Cap.Profile, cc, encOpts)
 	if err != nil {
 		return PaperOutcome{}, err

@@ -52,9 +52,10 @@ type Knob struct {
 
 // Workload is one captured benchmark plus the execution environment a
 // measurement runs in: the encoder fan-out bound, and the optional shared
-// memo store and encoder arena the sweep machinery threads through. Only
-// the paper scheme uses the environment fields; trace-replay schemes read
-// just the capture.
+// memo store (which also carries its signature group's candidate list)
+// and encoder arena the sweep machinery threads through. Only the paper
+// scheme uses the environment fields; trace-replay schemes read just the
+// capture.
 type Workload struct {
 	Cap *replay.Capture
 

@@ -8,7 +8,10 @@ package imtrans
 // BenchmarkPerfCaptureSimulate), the cold sweep against serial simulation
 // (BenchmarkPerfSweep vs BenchmarkPerfSweepSimulate), the warm sweep at
 // -cpu 1,4,8 (BenchmarkPerfSweepWarm) and the fleet's batch kernels
-// against its scalar coders (BenchmarkCompareFleet). Locally,
+// against its scalar coders (BenchmarkCompareFleet).
+// BenchmarkPerfSweepDesign times the 168-config design sweep from warm
+// captures; it has no gate, and TestSweepSharedMemoCounters pins the
+// candidate sharing it rests on. Locally,
 // `go test -bench 'Perf|CompareFleet' -run - .` gives the numbers; the
 // end-to-end benchmark is `bash perfbench/run.sh`.
 
@@ -237,6 +240,61 @@ func BenchmarkPerfSweepWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// designCapacities are the (TT, BBIT) capacity pairs of the paper-config
+// design space.
+var designCapacities = [][2]int{{4, 4}, {8, 8}, {16, 16}, {32, 16}, {32, 32}, {64, 64}}
+
+// designSpace returns the paper-config design space in signature order:
+// k 2..8 × 8 or 16 functions × greedy or exact chaining × the six
+// capacity pairs, each point under the selection policies knapsack
+// returns for its capacity index (false is heat-greedy).
+func designSpace(knapsack func(capIdx int) []bool) []Config {
+	var out []Config
+	for k := 2; k <= 8; k++ {
+		for _, all := range []bool{false, true} {
+			for _, exact := range []bool{false, true} {
+				for ci, c := range designCapacities {
+					for _, knap := range knapsack(ci) {
+						out = append(out, Config{
+							BlockSize: k, TTEntries: c[0], BBITEntries: c[1],
+							AllFunctions: all, Exact: exact, Knapsack: knap,
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// BenchmarkPerfSweepDesign re-sweeps the 168-config design space (28
+// per-block signatures, each at the six capacity pairs, knapsack
+// selection at every other pair) over the six kernels from warm captures
+// at GOMAXPROCS grid workers. Each row's signature group selects from one
+// shared candidate list, so the sweep builds 168 lists, not 1008; the
+// lists/op metric reports the encode_candidates_built counter.
+func BenchmarkPerfSweepDesign(b *testing.B) {
+	b.ReportAllocs()
+	benches := testSuite()
+	cfgs := designSpace(func(ci int) []bool { return []bool{ci%2 == 1} })
+	if _, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{}); err != nil {
+		b.Fatal(err) // prime the capture cache
+	}
+	b.ResetTimer()
+	var lists uint64
+	for i := 0; i < b.N; i++ {
+		res, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
+		}
+		lists = res.Counters.Get("encode_candidates_built")
+	}
+	b.ReportMetric(float64(lists), "lists/op")
 }
 
 // BenchmarkCompareFleet times the six related-work schemes over the six

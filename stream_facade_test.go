@@ -66,10 +66,13 @@ var sharedSigConfigs = []Config{
 // memos across cells (replay_memo_shared > 0), record strictly fewer
 // blocks locally than four isolated single-config sweeps, and serve at
 // least as many replays from memo. Serial parallelism keeps the
-// record/adopt split deterministic. The six-kernel grid below, the
+// record/adopt split deterministic. The group builds one candidate list
+// per row (encode_candidates_built), at one worker and at four; each
+// isolated sweep builds one per cell. The six-kernel grid below, the
 // Figure 6 block sizes plus a four-way k=5 spread, must adopt memos and
 // serve more replays from memo than it records, with a wall time on every
-// cell, serially and at four workers alike.
+// cell and four candidate lists per row, serially and at four workers
+// alike.
 func TestSweepSharedMemoCounters(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "tri")), testScale(mustBench(t, "sor"))}
 	opts := SweepOptions{Parallelism: 1}
@@ -77,6 +80,19 @@ func TestSweepSharedMemoCounters(t *testing.T) {
 	shared, err := SweepMeasureCtx(context.Background(), benches, sharedSigConfigs, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := shared.Counters.Get("encode_candidates_built"); got != uint64(len(benches)) {
+		t.Errorf("signature group built %d candidate lists, want one per row (%d)", got, len(benches))
+	}
+	wide, err := SweepMeasureCtx(context.Background(), benches, sharedSigConfigs, SweepOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wide.Counters.Get("encode_candidates_built"); got != uint64(len(benches)) {
+		t.Errorf("parallelism 4: signature group built %d candidate lists, want one per row (%d)", got, len(benches))
+	}
+	if !reflect.DeepEqual(wide.Measurements, shared.Measurements) {
+		t.Error("signature-group measurements differ between parallelism 1 and 4")
 	}
 	var soloBlocks, soloHits uint64
 	solo := make([][]Measurement, len(benches))
@@ -90,6 +106,9 @@ func TestSweepSharedMemoCounters(t *testing.T) {
 		}
 		soloBlocks += res.Counters.Get("replay_memo_blocks")
 		soloHits += res.Counters.Get("replay_memo_hits")
+		if got := res.Counters.Get("encode_candidates_built"); got != uint64(len(benches)) {
+			t.Errorf("isolated sweep %v built %d candidate lists, want one per cell (%d)", c, got, len(benches))
+		}
 		for bi := range benches {
 			solo[bi][ci] = res.Measurements[bi][0]
 		}
@@ -134,6 +153,10 @@ func TestSweepSharedMemoCounters(t *testing.T) {
 		}
 		if hits <= blocks {
 			t.Errorf("parallelism %d: %d memo replays for %d recorded blocks", par, hits, blocks)
+		}
+		// k = 4, 6 and 7 are singleton groups; the five k=5 configs share one list.
+		if got, want := res.Counters.Get("encode_candidates_built"), uint64(4*len(suite)); got != want {
+			t.Errorf("parallelism %d: %d candidate lists built, want %d", par, got, want)
 		}
 		for bi := range suite {
 			for ci := range grid {

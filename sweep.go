@@ -186,6 +186,7 @@ func SweepMeasureCtx(ctx context.Context, benchmarks []Benchmark, cfgs []Config,
 	c.Add("replay_memo_blocks", uint64(memo.blocks))
 	c.Add("replay_memo_hits", memo.hits)
 	c.Add("replay_memo_shared", uint64(memo.shared))
+	c.Add("encode_candidates_built", uint64(run.candidatesBuilt))
 	run.addCheckpoint(c)
 	return res, run.interrupted("sweep")
 }
