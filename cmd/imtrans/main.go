@@ -280,7 +280,7 @@ func cmdMeasure(args []string) error {
 	if err != nil {
 		return err
 	}
-	ms, err := imtrans.MeasureProgram(p, nil, *cfg)
+	ms, err := imtrans.ReplayMeasure(p, nil, *cfg)
 	if err != nil {
 		return err
 	}

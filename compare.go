@@ -29,13 +29,15 @@ func (s SchemeSpec) params() scheme.Params {
 	return p
 }
 
-// Validate checks that the scheme exists and accepts the knobs.
+// Validate checks that the scheme exists and that its ConfigSpace
+// accepts the knobs: each one it lists is 0 or inside the listed range,
+// and every knob it does not list is 0.
 func (s SchemeSpec) Validate() error {
 	sc, err := scheme.Get(s.Name)
 	if err != nil {
 		return fmt.Errorf("imtrans: %w", err)
 	}
-	if err := sc.Validate(s.params()); err != nil {
+	if err := scheme.Validate(sc, s.params()); err != nil {
 		return fmt.Errorf("imtrans: %w", err)
 	}
 	return nil

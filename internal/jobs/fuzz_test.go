@@ -1,8 +1,55 @@
 package jobs
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"imtrans"
 )
+
+// outsideSpace names a knob of ref that the ConfigSpace imtrans.Schemes
+// advertises for its scheme does not admit, and reports whether the
+// scheme lists it: a listed knob out of range comes before a nonzero
+// knob the scheme does not list. It returns "" when every knob fits or
+// the name is not registered.
+func outsideSpace(ref SchemeRef) (knob string, listed bool) {
+	vals := map[string]int{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Struct:
+				walk(f)
+			case reflect.Int:
+				vals[name] = int(f.Int())
+			case reflect.Bool:
+				if f.Bool() {
+					vals[name] = 1
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(ref))
+	for _, info := range imtrans.Schemes() {
+		if info.Name != ref.Name {
+			continue
+		}
+		for name, v := range vals {
+			i := slices.IndexFunc(info.Knobs, func(k imtrans.SchemeKnob) bool { return k.Name == name })
+			switch {
+			case v == 0:
+			case i < 0:
+				knob = name
+			case v < info.Knobs[i].Min || v > info.Knobs[i].Max:
+				return name, true
+			}
+		}
+	}
+	return knob, false
+}
 
 // FuzzParseSpec asserts the spec decoder is total: arbitrary bytes either
 // parse into a spec that re-canonicalises stably or return an error —
@@ -23,6 +70,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"benchmarks":[{"name":"fft","n":3}]}`))
 	f.Add([]byte(`{"benchmarks":[{"name":"tri","n":1},{"name":"conv2d","n":2}]}`))
 	f.Add([]byte(`{"benchmarks":[{"name":"ej","iters":-1}],"kind":"compare","schemes":[{"name":"gray"}]}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"mmul"}],"kind":"compare","schemes":[{"name":"lwc","extra_lines":12}]}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"mmul"}],"configs":[{"tt_entries":4096,"bus_width":32}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpec(data)
 		if err != nil {
@@ -44,6 +93,19 @@ func FuzzParseSpec(f *testing.F) {
 				if _, err := b.Program(); err != nil {
 					t.Fatalf("accepted benchmark %+v the library refuses: %v", ref, err)
 				}
+			}
+		}
+		for _, c := range sp.Configs {
+			if knob, _ := outsideSpace(SchemeRef{Name: "paper", Config: c}); knob != "" {
+				t.Fatalf("accepted config knob %s outside the paper ConfigSpace: %+v", knob, c)
+			}
+		}
+		// The parser refuses a listed knob out of range; a knob the scheme
+		// does not list passes it and fails Check.
+		checked := sp.Check() == nil
+		for _, sc := range sp.Schemes {
+			if knob, listed := outsideSpace(sc); knob != "" && (listed || checked) {
+				t.Fatalf("accepted %s knob %s outside the scheme's ConfigSpace: %+v", sc.Name, knob, sc)
 			}
 		}
 	})

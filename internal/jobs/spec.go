@@ -19,10 +19,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"imtrans"
+	"imtrans/internal/scheme"
 	"imtrans/internal/stats"
 	"imtrans/internal/workloads"
 )
@@ -110,21 +112,10 @@ func (c ConfigRef) Config() imtrans.Config {
 	}
 }
 
-// Validate checks the configuration's knobs against their ranges.
+// Validate checks the configuration's knobs as the paper scheme's: its
+// ConfigSpace is the one declaration of their ranges.
 func (c ConfigRef) Validate() error {
-	if c.BlockSize != 0 && (c.BlockSize < 2 || c.BlockSize > 16) {
-		return fmt.Errorf("config: block_size %d out of range [2, 16]", c.BlockSize)
-	}
-	if c.TTEntries < 0 || c.TTEntries > 4096 {
-		return fmt.Errorf("config: tt_entries %d out of range [0, 4096]", c.TTEntries)
-	}
-	if c.BBITEntries < 0 || c.BBITEntries > 4096 {
-		return fmt.Errorf("config: bbit_entries %d out of range [0, 4096]", c.BBITEntries)
-	}
-	if c.BusWidth < 0 || c.BusWidth > 32 {
-		return fmt.Errorf("config: bus_width %d out of range [0, 32]", c.BusWidth)
-	}
-	return nil
+	return imtrans.SchemeSpec{Name: "paper", Config: c.Config()}.Validate()
 }
 
 // SchemeRef is the wire form of one encoding-scheme column of a compare
@@ -146,20 +137,19 @@ func (r SchemeRef) SchemeSpec() imtrans.SchemeSpec {
 	}
 }
 
-// Validate checks the scheme's knobs against their ranges; the scheme
-// name is resolved against the registry later, by Spec.Check.
+// Validate checks a registered scheme's knobs against the ranges its
+// ConfigSpace lists. An unknown name, or a knob the scheme does not read
+// (knob bleed), passes here and fails Spec.Check, so a submit refuses it
+// as a *SpecError.
 func (r SchemeRef) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("scheme: name is required")
 	}
-	if err := r.Config.Validate(); err != nil {
-		return fmt.Errorf("scheme %q: %w", r.Name, err)
+	if !imtrans.SchemeByName(r.Name) {
+		return nil
 	}
-	if r.Entries < 0 || r.Entries > 1<<16 {
-		return fmt.Errorf("scheme %q: entries %d out of range [0, %d]", r.Name, r.Entries, 1<<16)
-	}
-	if r.ExtraLines < 0 || r.ExtraLines > 16 {
-		return fmt.Errorf("scheme %q: extra_lines %d out of range [0, 16]", r.Name, r.ExtraLines)
+	if err := r.SchemeSpec().Validate(); !errors.Is(err, scheme.ErrUnlisted) {
+		return err
 	}
 	return nil
 }
@@ -206,7 +196,8 @@ type Spec struct {
 
 // Validate checks the spec against its bounds as a pure function of its
 // fields: kind, grid size, scales, knob ranges, duplicate scheme specs,
-// retries and deadline. Names are resolved by Check.
+// retries and deadline. Names are resolved, and knob bleed refused, by
+// Check.
 func (s *Spec) Validate() error {
 	switch s.Kind {
 	case "", KindSweep:

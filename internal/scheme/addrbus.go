@@ -30,13 +30,13 @@ type addrBusScheme struct {
 }
 
 func init() {
-	Register(addrBusScheme{
+	Register(&addrBusScheme{
 		name: "gray",
 		desc: "Gray-coded instruction address bus: sequential fetches toggle one line",
 		pick: (*baseline.AddrBus).Gray,
 		sel:  1,
 	})
-	Register(addrBusScheme{
+	Register(&addrBusScheme{
 		name: "t0",
 		desc: "T0 address code: an INC line freezes the address lines across sequential fetches (Benini et al.)",
 		pick: (*baseline.AddrBus).T0,
@@ -44,29 +44,16 @@ func init() {
 	})
 }
 
-func (s addrBusScheme) Name() string        { return s.name }
-func (s addrBusScheme) Description() string { return s.desc }
+func (s *addrBusScheme) Name() string        { return s.name }
+func (s *addrBusScheme) Description() string { return s.desc }
 
-func (s addrBusScheme) ConfigSpace() []Knob {
-	return []Knob{
-		{Name: "bus_width", Doc: "address lines modelled (0 = 32)", Min: 0, Max: 32},
-	}
+var addrBusKnobs = []Knob{
+	{Name: "bus_width", Doc: "address lines modelled (0 = 32)", Min: 0, Max: 32},
 }
 
-func (s addrBusScheme) Validate(p Params) error {
-	if p.BusWidth != 0 && (p.BusWidth < 1 || p.BusWidth > 32) {
-		return fmt.Errorf("scheme: %s: bus width %d out of range [1,32]", s.name, p.BusWidth)
-	}
-	if p.BlockSize != 0 || p.TTEntries != 0 || p.BBITEntries != 0 || p.AllFunctions || p.Exact || p.Knapsack {
-		return fmt.Errorf("scheme: %s: paper knobs are not address-bus knobs", s.name)
-	}
-	if p.Entries != 0 || p.ExtraLines != 0 {
-		return fmt.Errorf("scheme: %s: entries/extra_lines are not address-bus knobs", s.name)
-	}
-	return nil
-}
+func (*addrBusScheme) ConfigSpace() []Knob { return addrBusKnobs }
 
-func (s addrBusScheme) Spec(p Params) string {
+func (s *addrBusScheme) Spec(p Params) string {
 	width := p.BusWidth
 	if width == 0 {
 		width = 32
@@ -140,8 +127,8 @@ func (c *addrCoder) setState(idx int32, s fleetState) {
 	c.last = c.addr(idx)
 }
 
-func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
-	if err := s.Validate(p); err != nil {
+func (s *addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
+	if err := Validate(s, p); err != nil {
 		return nil, err
 	}
 	width := p.BusWidth
@@ -189,10 +176,6 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 			"bus_addr": 1, // marks the address bus: Baseline differs from data-bus schemes
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, diag, derivedHit)
 	return r, nil
 }

@@ -32,24 +32,11 @@ func (busInvertScheme) Description() string {
 	return "Bus-Invert coding: complement the word when more than half the lines would toggle (Stan & Burleson)"
 }
 
-func (busInvertScheme) ConfigSpace() []Knob {
-	return []Knob{
-		{Name: "bus_width", Doc: "data lines coded (0 = 32)", Min: 0, Max: 32},
-	}
+var busInvertKnobs = []Knob{
+	{Name: "bus_width", Doc: "data lines coded (0 = 32)", Min: 0, Max: 32},
 }
 
-func (busInvertScheme) Validate(p Params) error {
-	if p.BusWidth != 0 && (p.BusWidth < 1 || p.BusWidth > 32) {
-		return fmt.Errorf("scheme: businvert: bus width %d out of range [1,32]", p.BusWidth)
-	}
-	if p.BlockSize != 0 || p.TTEntries != 0 || p.BBITEntries != 0 || p.AllFunctions || p.Exact || p.Knapsack {
-		return fmt.Errorf("scheme: businvert: paper knobs are not bus-invert knobs")
-	}
-	if p.Entries != 0 || p.ExtraLines != 0 {
-		return fmt.Errorf("scheme: businvert: entries/extra_lines are not bus-invert knobs")
-	}
-	return nil
-}
+func (busInvertScheme) ConfigSpace() []Knob { return busInvertKnobs }
 
 func (busInvertScheme) Spec(p Params) string {
 	width := p.BusWidth
@@ -162,7 +149,7 @@ func (c *biCoder) setState(idx int32, s fleetState) {
 }
 
 func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
-	if err := s.Validate(p); err != nil {
+	if err := Validate(s, p); err != nil {
 		return nil, err
 	}
 	width := p.BusWidth
@@ -207,10 +194,6 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 			"invert_transitions": float64(inv),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, diag, derivedHit)
 	return r, nil
 }

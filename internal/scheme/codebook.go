@@ -37,24 +37,11 @@ func (codebookScheme) Description() string {
 	return "optimal memoryless codebook: frequent words get low-weight codewords (Chee & Colbourn)"
 }
 
-func (codebookScheme) ConfigSpace() []Knob {
-	return []Knob{
-		{Name: "entries", Doc: "codebook capacity (0 = map every distinct word)", Min: 0, Max: 1 << 16},
-	}
+var codebookKnobs = []Knob{
+	{Name: "entries", Doc: "codebook capacity (0 = map every distinct word)", Min: 0, Max: 1 << 16},
 }
 
-func (codebookScheme) Validate(p Params) error {
-	if p.Entries < 0 || p.Entries > 1<<16 {
-		return fmt.Errorf("scheme: codebook: entries %d out of range [0,%d]", p.Entries, 1<<16)
-	}
-	if p.BlockSize != 0 || p.TTEntries != 0 || p.BBITEntries != 0 || p.AllFunctions || p.Exact || p.Knapsack || p.BusWidth != 0 {
-		return fmt.Errorf("scheme: codebook: paper knobs are not codebook knobs")
-	}
-	if p.ExtraLines != 0 {
-		return fmt.Errorf("scheme: codebook: extra_lines is not a codebook knob")
-	}
-	return nil
-}
+func (codebookScheme) ConfigSpace() []Knob { return codebookKnobs }
 
 // wordFreq is one distinct instruction word with its dynamic execution
 // frequency and static first appearance (the deterministic tie-break).
@@ -236,7 +223,7 @@ func (c *cbCoder) state(int32) fleetState { return fleetState{} }
 func (c *cbCoder) setState(idx int32, _ fleetState) { c.lastIdx = idx }
 
 func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
-	if err := s.Validate(p); err != nil {
+	if err := Validate(s, p); err != nil {
 		return nil, err
 	}
 	cap := w.Cap
@@ -324,10 +311,6 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 			"hit_rate_percent": 100 * float64(hits) / float64(max(cap.Trace.N, 1)),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, diag, derivedHit)
 	return r, nil
 }

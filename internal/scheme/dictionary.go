@@ -30,24 +30,11 @@ func (dictionaryScheme) Description() string {
 	return "dictionary instruction compression: frequent words drive short indices into a processor-side table"
 }
 
-func (dictionaryScheme) ConfigSpace() []Knob {
-	return []Knob{
-		{Name: "entries", Doc: "dictionary capacity (0 = 256)", Min: 0, Max: 1 << 16},
-	}
+var dictionaryKnobs = []Knob{
+	{Name: "entries", Doc: "dictionary capacity (0 = 256)", Min: 0, Max: 1 << 16},
 }
 
-func (dictionaryScheme) Validate(p Params) error {
-	if p.Entries < 0 || p.Entries > 1<<16 {
-		return fmt.Errorf("scheme: dictionary: entries %d out of range [0,%d]", p.Entries, 1<<16)
-	}
-	if p.BlockSize != 0 || p.TTEntries != 0 || p.BBITEntries != 0 || p.AllFunctions || p.Exact || p.Knapsack || p.BusWidth != 0 {
-		return fmt.Errorf("scheme: dictionary: paper knobs are not dictionary knobs")
-	}
-	if p.ExtraLines != 0 {
-		return fmt.Errorf("scheme: dictionary: extra_lines is not a dictionary knob")
-	}
-	return nil
-}
+func (dictionaryScheme) ConfigSpace() []Knob { return dictionaryKnobs }
 
 func (dictionaryScheme) Spec(p Params) string {
 	entries := p.Entries
@@ -147,7 +134,7 @@ func (c *dictCoder) setState(_ int32, s fleetState) {
 }
 
 func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
-	if err := s.Validate(p); err != nil {
+	if err := Validate(s, p); err != nil {
 		return nil, err
 	}
 	entries := p.Entries
@@ -199,10 +186,6 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 			"entries":          float64(dict.Entries()),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, diag, derivedHit)
 	return r, nil
 }

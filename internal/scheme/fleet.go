@@ -362,7 +362,8 @@ func fleetStream(w *Workload) *Stream {
 	return NewStream(w.Cap)
 }
 
-// fleetFinish stamps the replay diagnostics onto a fleet result.
+// fleetFinish stamps the batch replay's diagnostics onto a fleet result
+// (both are zero after per-word replay) and finishes it.
 func fleetFinish(r *Result, d fleetDiag, derivedHit bool) {
 	r.MemoHits = d.ffIters + d.memoHits
 	if derivedHit {

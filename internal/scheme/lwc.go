@@ -45,25 +45,12 @@ func (lwcScheme) Description() string {
 	return "limited-weight code over transition signaling: frequent words get low-weight difference codewords (Valentini & Chiani)"
 }
 
-func (lwcScheme) ConfigSpace() []Knob {
-	return []Knob{
-		{Name: "extra_lines", Doc: "redundant bus lines added (0 = 4)", Min: 0, Max: 8},
-		{Name: "entries", Doc: "difference-codeword book capacity (0 = map every distinct word)", Min: 0, Max: 1 << 16},
-	}
+var lwcKnobs = []Knob{
+	{Name: "extra_lines", Doc: "redundant bus lines added (0 = 4)", Min: 0, Max: 8},
+	{Name: "entries", Doc: "difference-codeword book capacity (0 = map every distinct word)", Min: 0, Max: 1 << 16},
 }
 
-func (lwcScheme) Validate(p Params) error {
-	if p.ExtraLines < 0 || p.ExtraLines > 8 {
-		return fmt.Errorf("scheme: lwc: extra lines %d out of range [0,8]", p.ExtraLines)
-	}
-	if p.Entries < 0 || p.Entries > 1<<16 {
-		return fmt.Errorf("scheme: lwc: entries %d out of range [0,%d]", p.Entries, 1<<16)
-	}
-	if p.BlockSize != 0 || p.TTEntries != 0 || p.BBITEntries != 0 || p.AllFunctions || p.Exact || p.Knapsack || p.BusWidth != 0 {
-		return fmt.Errorf("scheme: lwc: paper knobs are not lwc knobs")
-	}
-	return nil
-}
+func (lwcScheme) ConfigSpace() []Knob { return lwcKnobs }
 
 // lwcCodewords enumerates the first n difference codewords over `lines`
 // bus lines in increasing weight, increasing value within a weight. The
@@ -258,7 +245,7 @@ func (c *lwcCoder) state(int32) fleetState { return fleetState{a: c.bus} }
 func (c *lwcCoder) setState(_ int32, s fleetState) { c.bus = s.a }
 
 func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
-	if err := s.Validate(p); err != nil {
+	if err := Validate(s, p); err != nil {
 		return nil, err
 	}
 	extraLines := p.ExtraLines
@@ -374,10 +361,6 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 			"escape_percent": 100 * float64(escapes) / float64(max(cap.Trace.N, 1)),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, diag, derivedHit)
 	return r, nil
 }

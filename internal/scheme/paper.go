@@ -87,33 +87,17 @@ func (paperScheme) Description() string {
 	return "application-specific TT/BBIT functional transformations (the source paper)"
 }
 
-func (paperScheme) ConfigSpace() []Knob {
-	return []Knob{
-		{Name: "block_size", Doc: "bit-line block size k", Min: 2, Max: 16},
-		{Name: "tt_entries", Doc: "transformation-table capacity (0 = 16)", Min: 0, Max: 4096},
-		{Name: "bbit_entries", Doc: "covered-basic-block capacity (0 = 16)", Min: 0, Max: 4096},
-		{Name: "all_functions", Doc: "search all 16 transformations", Min: 0, Max: 1},
-		{Name: "exact", Doc: "exact DP chaining instead of greedy", Min: 0, Max: 1},
-		{Name: "knapsack", Doc: "exact TT allocation instead of hottest-first", Min: 0, Max: 1},
-		{Name: "bus_width", Doc: "bus lines modelled (0 = 32)", Min: 0, Max: 32},
-	}
+var paperKnobs = []Knob{
+	{Name: "block_size", Doc: "bit-line block size k", Min: 2, Max: 16},
+	{Name: "tt_entries", Doc: "transformation-table capacity (0 = 16)", Min: 0, Max: 4096},
+	{Name: "bbit_entries", Doc: "covered-basic-block capacity (0 = 16)", Min: 0, Max: 4096},
+	{Name: "all_functions", Doc: "search all 16 transformations", Min: 0, Max: 1},
+	{Name: "exact", Doc: "exact DP chaining instead of greedy", Min: 0, Max: 1},
+	{Name: "knapsack", Doc: "exact TT allocation instead of hottest-first", Min: 0, Max: 1},
+	{Name: "bus_width", Doc: "bus lines modelled (0 = 32)", Min: 0, Max: 32},
 }
 
-func (paperScheme) Validate(p Params) error {
-	if p.BlockSize != 0 && (p.BlockSize < 2 || p.BlockSize > 16) {
-		return fmt.Errorf("scheme: paper: block size %d out of range [2,16]", p.BlockSize)
-	}
-	if p.TTEntries < 0 || p.BBITEntries < 0 {
-		return fmt.Errorf("scheme: paper: negative table capacity")
-	}
-	if p.BusWidth != 0 && (p.BusWidth < 1 || p.BusWidth > 32) {
-		return fmt.Errorf("scheme: paper: bus width %d out of range [1,32]", p.BusWidth)
-	}
-	if p.Entries != 0 || p.ExtraLines != 0 {
-		return fmt.Errorf("scheme: paper: entries/extra_lines are not paper knobs")
-	}
-	return nil
-}
+func (paperScheme) ConfigSpace() []Knob { return paperKnobs }
 
 // PaperSpec renders the paper knobs compactly, matching the root
 // Config.String form.
@@ -135,7 +119,7 @@ func PaperSpec(p Params) string {
 func (paperScheme) Spec(p Params) string { return PaperSpec(p) }
 
 func (ps paperScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result, error) {
-	if err := ps.Validate(p); err != nil {
+	if err := Validate(ps, p); err != nil {
 		return nil, err
 	}
 	out, err := MeasurePaper(ctx, w, CoreConfig(p))

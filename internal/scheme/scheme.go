@@ -12,7 +12,9 @@ package scheme
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,13 +24,14 @@ import (
 )
 
 // Params is the union of every registered scheme's tuning knobs. Each
-// scheme reads only the fields its ConfigSpace lists and validates them;
-// the zero value is every scheme's default operating point. Keeping one
-// flat struct (instead of per-scheme opaque blobs) is what lets the grid
-// machinery hash, journal and compare configurations uniformly.
+// scheme reads only the fields its ConfigSpace lists, and Validate
+// refuses the rest; the zero value is every scheme's default operating
+// point. Keeping one flat struct (instead of per-scheme opaque blobs) is
+// what lets the grid machinery hash, journal and compare configurations
+// uniformly.
 type Params struct {
 	// Paper TT/BBIT knobs, mirroring the root Config.
-	BlockSize    int  // k (2..16); 0 means 5
+	BlockSize    int  // k; 0 means 5
 	TTEntries    int  // transformation-table capacity; 0 means 16
 	BBITEntries  int  // covered-basic-block capacity; 0 means 16
 	AllFunctions bool // search all 16 transformations
@@ -42,12 +45,61 @@ type Params struct {
 }
 
 // Knob describes one Params field a scheme reads: its name, a one-line
-// doc, and the inclusive value range (booleans are 0..1).
+// doc, and the inclusive value range (booleans are 0..1). Zero is always
+// accepted as the scheme's default, whatever Min says.
 type Knob struct {
 	Name string `json:"name"`
 	Doc  string `json:"doc"`
 	Min  int    `json:"min"`
 	Max  int    `json:"max"`
+}
+
+// knobNames names every Params field as a ConfigSpace lists it, in the
+// order values returns them.
+var knobNames = [...]string{
+	"block_size", "tt_entries", "bbit_entries", "all_functions", "exact", "knapsack", "bus_width",
+	"entries", "extra_lines",
+}
+
+// values returns p's fields in knobNames order, booleans as 0 or 1.
+func (p *Params) values() [len(knobNames)]int {
+	b := func(v bool) int {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return [...]int{
+		p.BlockSize, p.TTEntries, p.BBITEntries, b(p.AllFunctions), b(p.Exact), b(p.Knapsack), p.BusWidth,
+		p.Entries, p.ExtraLines,
+	}
+}
+
+// ErrUnlisted marks a Validate failure for a nonzero Params field that
+// the scheme's ConfigSpace does not list.
+var ErrUnlisted = errors.New("not a knob the scheme reads")
+
+// Validate checks p against the scheme's ConfigSpace, the one
+// declaration of which knobs it reads and which values it accepts: a
+// listed knob is 0 (the scheme's default) or inside [Min, Max], and every
+// Params field the scheme does not list is 0. Range errors come first;
+// an unlisted field's error wraps ErrUnlisted. It allocates nothing on
+// success, so measurements call it once per cell.
+func Validate(s Scheme, p Params) error {
+	vals := p.values()
+	for _, k := range s.ConfigSpace() {
+		i := slices.Index(knobNames[:], k.Name)
+		if v := vals[i]; v != 0 && (v < k.Min || v > k.Max) {
+			return fmt.Errorf("scheme: %s: %s %d out of range [%d, %d]", s.Name(), k.Name, v, k.Min, k.Max)
+		}
+		vals[i] = 0
+	}
+	for i, v := range vals {
+		if v != 0 {
+			return fmt.Errorf("scheme: %s: %s: %w", s.Name(), knobNames[i], ErrUnlisted)
+		}
+	}
+	return nil
 }
 
 // Workload is one captured benchmark plus the execution environment a
@@ -119,12 +171,16 @@ func (r *Result) finish() {
 	r.EnergySavedOffChipJ, _ = power.OffChip.Saved(r.Baseline, r.Transitions)
 }
 
-// Scheme is one pluggable encoding backend: it names itself, describes
-// its configuration space, validates a parameter set, and measures a
-// captured workload under those parameters.
+// Scheme is one pluggable encoding backend: it names itself, declares
+// its configuration space, and measures a captured workload under a
+// parameter set that Validate accepted.
 type Scheme interface {
 	Name() string
 	Description() string
+
+	// ConfigSpace lists the Params fields the scheme reads with their
+	// ranges; Validate derives every knob check from it. It returns the
+	// same shared slice on every call, which callers must not modify.
 	ConfigSpace() []Knob
 
 	// Spec renders a parameter set compactly and deterministically — the
@@ -132,7 +188,6 @@ type Scheme interface {
 	// params) column by. It must be a pure function of p.
 	Spec(p Params) string
 
-	Validate(p Params) error
 	Measure(ctx context.Context, w *Workload, p Params) (*Result, error)
 }
 

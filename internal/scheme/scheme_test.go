@@ -115,10 +115,10 @@ func TestRegistry(t *testing.T) {
 		if s.Spec(Params{}) == "" {
 			t.Errorf("%s: empty zero-params spec", s.Name())
 		}
-		if err := s.Validate(Params{}); err != nil {
+		if err := Validate(s, Params{}); err != nil {
 			t.Errorf("%s: zero params rejected: %v", s.Name(), err)
 		}
-		if err := s.Validate(Params{BlockSize: 5, Entries: 64, ExtraLines: 2}); err == nil {
+		if err := Validate(s, Params{BlockSize: 5, Entries: 64, ExtraLines: 2}); err == nil {
 			t.Errorf("%s: accepted a params bleed across scheme knob sets", s.Name())
 		}
 	}

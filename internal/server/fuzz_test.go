@@ -100,6 +100,8 @@ func FuzzParseCompareRequest(f *testing.F) {
 		`{"benchmarks":[{"name":"mmul"}],"schemes":[{"name":"paper"},{"name":"paper"}]}`,
 		`{"benchmarks":[{"name":"mmul"}],"schemes":[{"name":"paper"}]} trailing`,
 		`{"benchmarks":[{"name":"mmul"}],"schemes":[{"name":"lwc","extra_lines":99}]}`,
+		`{"benchmarks":[{"name":"mmul"}],"schemes":[{"name":"lwc","extra_lines":9}]}`,
+		`{"benchmarks":[{"name":"mmul"}],"schemes":[{"name":"paper","config":{"tt_entries":4097}}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -118,6 +120,9 @@ func FuzzParseCompareRequest(f *testing.F) {
 		if r.Retries < 0 || r.Retries > jobs.MaxRetries {
 			t.Fatalf("accepted retries %d outside [0, %d]", r.Retries, jobs.MaxRetries)
 		}
+		// The parser refuses a listed knob out of range; a knob the scheme
+		// does not list passes it and fails Check.
+		checked := r.spec().Check() == nil
 		seen := map[string]bool{}
 		for _, sc := range r.Schemes {
 			if sc.Name == "" {
@@ -128,6 +133,9 @@ func FuzzParseCompareRequest(f *testing.F) {
 				t.Fatalf("accepted duplicate scheme spec %q", sc.Name)
 			}
 			seen[string(key)] = true
+			if knob, listed := outsideSpace(sc); knob != "" && (listed || checked) {
+				t.Fatalf("accepted %s knob %s outside the scheme's ConfigSpace: %+v", sc.Name, knob, sc)
+			}
 		}
 	})
 }

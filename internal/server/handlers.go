@@ -114,7 +114,7 @@ func (s *Server) serveGrid(ctx context.Context, sp *jobs.Spec, view func(*jobs.R
 	if err := sp.Check(); err != nil {
 		return errResult(http.StatusBadRequest, err.Error())
 	}
-	res, rs, err := sp.Run(ctx, imtrans.SweepOptions{Parallelism: s.cfg.MeasureParallelism})
+	res, rs, err := sp.Run(ctx, imtrans.SweepOptions{Parallelism: s.gridParallelism})
 	if err != nil {
 		return workErr(ctx, err)
 	}

@@ -61,11 +61,6 @@ type Config struct {
 	RateLimit float64
 	RateBurst int
 
-	// MeasureParallelism bounds each measure request's worker fan-out;
-	// <= 0 divides GOMAXPROCS across the request workers so concurrent
-	// grids don't oversubscribe the host.
-	MeasureParallelism int
-
 	// JobsDir enables the durable async job engine, rooted at this store
 	// directory; empty disables the /v1/jobs API.
 	JobsDir string
@@ -116,12 +111,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.MeasureParallelism <= 0 {
-		c.MeasureParallelism = runtime.GOMAXPROCS(0) / c.Workers
-		if c.MeasureParallelism < 1 {
-			c.MeasureParallelism = 1
-		}
-	}
 	if c.StoreScrubInterval <= 0 {
 		c.StoreScrubInterval = 10 * time.Minute
 	}
@@ -140,6 +129,11 @@ type Server struct {
 	limiter  *tokenBucket
 	jobs     *jobs.Engine // nil unless Config.JobsDir is set
 	store    *cas.Store   // nil unless Config.StoreDir is set
+
+	// gridParallelism bounds each synchronous grid request's fan-out:
+	// GOMAXPROCS divided across the request workers, so concurrent grids
+	// don't oversubscribe the host.
+	gridParallelism int
 
 	sem      chan struct{} // worker slots
 	waiting  atomic.Int64  // requests queued for a slot
@@ -172,6 +166,8 @@ func New(cfg Config) (*Server, error) {
 		sem:      make(chan struct{}, cfg.Workers),
 		draining: make(chan struct{}),
 		started:  time.Now(),
+
+		gridParallelism: max(runtime.GOMAXPROCS(0)/cfg.Workers, 1),
 	}
 	for _, ep := range []string{"encode", "measure", "compare", "deploy", "benchmarks", "schemes", "jobs"} {
 		s.hist[ep] = newHistogram()
