@@ -194,16 +194,20 @@ func (b Benchmark) Measure(cfgs ...Config) ([]Measurement, error) {
 }
 
 // MeasureCtx is Measure with cooperative cancellation: the context is
-// polled inside the profiling run, the encoder's bit-line pool and the
-// replay fetch loop, so a cancelled measurement stops within one task
-// granule. A cancelled run returns an error wrapping ctx.Err() and no
-// measurements.
+// polled inside the profiling run, before each bit line the encoder
+// encodes and in the replay fetch loop, so a cancelled measurement stops
+// within one task granule. A cancelled run returns an error wrapping
+// ctx.Err() and no measurements.
 func (b Benchmark) MeasureCtx(ctx context.Context, cfgs ...Config) ([]Measurement, error) {
+	cols, err := paperColumns(cfgs)
+	if err != nil {
+		return nil, err
+	}
 	p, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
-	ms, err := replayMeasureCtx(ctx, p, b.setup, b.captureSalt(), cfgs...)
+	ms, err := replayMeasureCtx(ctx, p, b.setup, b.captureSalt(), cols)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -55,6 +55,9 @@ type CacheMeasurement struct {
 // on the memory-side refill bus.
 func MeasureWithCache(p *Program, setup func(Memory) error, cacheCfg CacheConfig, encCfg Config) (*CacheMeasurement, error) {
 	ic := cacheCfg.internal()
+	if err := encCfg.validate(); err != nil {
+		return nil, err
+	}
 
 	// wordAt reads an instruction word from an image, with nop padding
 	// for line fragments beyond the text segment.

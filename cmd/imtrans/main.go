@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"imtrans"
 	"imtrans/internal/buildinfo"
@@ -32,49 +33,58 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
+	if err := run(os.Args[1], os.Args[2:]); err != nil {
+		fmt.Fprintln(os.Stderr, errorLine(err))
+		os.Exit(1)
+	}
+}
+
+// run dispatches one command.
+func run(cmd string, args []string) error {
 	switch cmd {
 	case "asm":
-		err = cmdAsm(args)
+		return cmdAsm(args)
 	case "run":
-		err = cmdRun(args)
+		return cmdRun(args)
 	case "plan":
-		err = cmdPlan(args)
+		return cmdPlan(args)
 	case "measure":
-		err = cmdMeasure(args)
+		return cmdMeasure(args)
 	case "bench":
-		err = cmdBench(args)
+		return cmdBench(args)
 	case "compare":
-		err = cmdCompare(args)
+		return cmdCompare(args)
 	case "schemes":
-		err = cmdSchemes(args)
+		return cmdSchemes(args)
 	case "encode":
-		err = cmdEncode(args)
+		return cmdEncode(args)
 	case "verify":
-		err = cmdVerify(args)
+		return cmdVerify(args)
 	case "rtl":
-		err = cmdRTL(args)
+		return cmdRTL(args)
 	case "trace":
-		err = cmdTrace(args)
+		return cmdTrace(args)
 	case "inject":
-		err = cmdInject(args)
+		return cmdInject(args)
 	case "loadgen":
-		err = cmdLoadgen(args)
+		return cmdLoadgen(args)
 	case "job":
-		err = cmdJob(args)
+		return cmdJob(args)
 	case "version", "-version", "--version":
 		fmt.Println(buildinfo.String("imtrans"))
 	case "help", "-h", "--help":
 		usage()
 	default:
 		usage()
-		err = fmt.Errorf("unknown command %q", cmd)
+		return fmt.Errorf("unknown command %q", cmd)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "imtrans:", err)
-		os.Exit(1)
-	}
+	return nil
+}
+
+// errorLine renders a failed command's error for stderr with exactly one
+// "imtrans: " prefix; errors from the imtrans package already carry it.
+func errorLine(err error) string {
+	return "imtrans: " + strings.TrimPrefix(err.Error(), "imtrans: ")
 }
 
 func usage() {

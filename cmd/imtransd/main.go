@@ -24,11 +24,12 @@
 //
 //	imtransd [-addr :8080] [-workers N] [-queue N] [-timeout 120s]
 //	         [-cache N] [-rate-rps N] [-rate-burst N] [-drain 30s]
-//	         [-parallelism N] [-jobs.dir DIR] [-jobs.max N]
-//	         [-jobs.deadline 1h] [-jobs.fsync] [-store.dir DIR]
-//	         [-store.max-bytes N] [-store.fsync] [-store.scrub 10m]
-//	         [-chaos.killafter D] [-chaos.seed N] [-chaos.jitter F]
-//	         [-cpuprofile FILE] [-memprofile FILE] [-version]
+//	         [-capture-cache N] [-jobs.dir DIR] [-jobs.max N]
+//	         [-jobs.parallelism N] [-jobs.deadline 1h] [-jobs.fsync]
+//	         [-store.dir DIR] [-store.max-bytes N] [-store.fsync]
+//	         [-store.scrub 10m] [-chaos.killafter D] [-chaos.seed N]
+//	         [-chaos.jitter F] [-cpuprofile FILE] [-memprofile FILE]
+//	         [-version]
 package main
 
 import (
@@ -61,7 +62,6 @@ func main() {
 	rateRPS := fs.Float64("rate-rps", 0, "token-bucket admission rate in requests/sec (0 = unlimited)")
 	rateBurst := fs.Int("rate-burst", 0, "token-bucket burst (0 = rate)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain bound after SIGINT/SIGTERM")
-	parallelism := fs.Int("parallelism", 0, "measurement-pipeline worker bound (0 = keep default)")
 	captureCache := fs.Int("capture-cache", 0, "fetch-trace capture cache entries (0 = keep default)")
 	jobsDir := fs.String("jobs.dir", "", "durable job store directory (empty = async job API disabled)")
 	jobsMax := fs.Int("jobs.max", 0, "concurrently executing jobs (0 = 1)")
@@ -96,9 +96,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *parallelism > 0 {
-		imtrans.SetParallelism(*parallelism)
-	}
 	if *captureCache > 0 {
 		imtrans.SetCaptureCacheLimit(*captureCache)
 	}

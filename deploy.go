@@ -61,6 +61,9 @@ func (d *Deployment) CoveredBlocks() int { return len(d.bbit) }
 // BuildDeployment plans an encoding from a profile (see Machine.Run) and
 // packages it for a target system.
 func BuildDeployment(p *Program, profile []uint64, c Config) (*Deployment, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	g, err := cfg.Build(p.TextBase, p.Text)
 	if err != nil {
 		return nil, err

@@ -49,6 +49,9 @@ type EncodingReport struct {
 // returned by Machine.Run or MeasureProgram) without running the dynamic
 // measurement. The encoding is statically verified before returning.
 func EncodeProgram(p *Program, profile []uint64, c Config) (*EncodingReport, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	g, err := cfg.Build(p.TextBase, p.Text)
 	if err != nil {
 		return nil, err

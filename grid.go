@@ -19,6 +19,21 @@ import (
 	"imtrans/internal/wsq"
 )
 
+// gridBound is the process-wide bound on grid workers; see SetParallelism.
+var gridBound atomic.Int32
+
+func init() { gridBound.Store(int32(runtime.GOMAXPROCS(0))) }
+
+// SetParallelism bounds the workers of every measurement grid — its
+// captures and its cells alike — and returns the previous bound. Values
+// below 1 (zero, negative) are clamped to 1, so a grid is always fully
+// serial at the bottom, never stalled; the default is GOMAXPROCS. Results
+// never depend on the setting — only wall-clock time does.
+func SetParallelism(n int) int { return int(gridBound.Swap(int32(max(n, 1)))) }
+
+// Parallelism reports the current grid worker bound.
+func Parallelism() int { return int(gridBound.Load()) }
+
 // gridSpec describes one supervised grid: each row is a captured program,
 // each column a measurement of a row's capture. SweepMeasureCtx,
 // CompareMeasureCtx and the ReplayMeasure family are adapters that build
@@ -82,7 +97,7 @@ type gridRun[T any] struct {
 	cells, restored, completed, cancelled int
 	failed, skipped, panics               int
 	recorded, ckErrs                      int
-	gridWorkers, innerWorkers             int
+	gridWorkers                           int
 
 	// candidatesBuilt counts the candidate lists the paper cells built:
 	// one per row and shared signature group that built its list, one
@@ -116,12 +131,16 @@ type columnTally struct {
 // interrupted run restores its cells instead of re-measuring them. The
 // error is non-nil only for an unreadable or mismatched checkpoint;
 // cancellation is left in ctxErr.
+//
+// One worker count bounds both phases: the requested parallelism (or
+// GOMAXPROCS), capped by the SetParallelism bound and by the cell count.
 func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gridRun[T], error) {
+	nr, nc := g.rows, len(g.cols)
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	nr, nc := g.rows, len(g.cols)
+	workers := max(1, min(par, Parallelism(), nr*nc))
 
 	type cellState struct {
 		val      T
@@ -175,7 +194,7 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 			rows[t/nc].pending = true
 		}
 	}
-	runPoolCtx(ctx, par, nr, func(ri int) {
+	runPoolCtx(ctx, workers, nr, func(ri int) {
 		r := &rows[ri]
 		if !r.pending {
 			return
@@ -194,16 +213,6 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 	// a work-stealing queue so a few expensive cells cannot strand the
 	// other workers. Failures stay in the cell — the pool keeps draining
 	// the rest of the grid.
-	//
-	// The SetParallelism clamp is split across the two nesting levels:
-	// grid workers get min(requested, clamp) and each cell's encoder
-	// narrows its bit-line fan-out to the quotient, so grid-workers x
-	// encode-workers never exceeds the clamp. Wide grids therefore run
-	// one cell per core with serial encoders; narrow grids keep the
-	// encoder fan-out instead.
-	clamp := core.Parallelism()
-	gridPar := max(1, min(par, clamp, nr*nc))
-	inner := max(1, clamp/gridPar)
 
 	// One shared store per row and sharing group of two or more columns,
 	// so cells that encode blocks identically build their candidate list
@@ -248,8 +257,8 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 
 	// One encoder arena per worker, reused across every cell the worker
 	// measures.
-	arenas := make([]core.Arena, gridPar)
-	runStealCtx(ctx, gridPar, nr*nc, func(worker, t int) {
+	arenas := make([]core.Arena, workers)
+	runStealCtx(ctx, workers, nr*nc, func(worker, t int) {
 		ri, ci := t/nc, t%nc
 		s := &cells[t]
 		if s.done || !rows[ri].pending || rows[ri].err != nil {
@@ -258,7 +267,6 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		col := &g.cols[ci]
 		w := &scheme.Workload{
 			Cap:         rows[ri].cap,
-			EncWorkers:  inner,
 			Shared:      memos[t],
 			EncArena:    &arenas[worker],
 			FleetShared: fleetMemos[t],
@@ -300,14 +308,13 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 	// Assemble in grid order: deterministic error ordering and counters at
 	// any parallelism.
 	run := &gridRun[T]{
-		vals:         make([][]T, nr),
-		done:         make([][]bool, nr),
-		cellNs:       make([][]int64, nr),
-		cells:        nr * nc,
-		gridWorkers:  gridPar,
-		innerWorkers: inner,
-		colTally:     make([]columnTally, nc),
-		ctxErr:       ctx.Err(),
+		vals:        make([][]T, nr),
+		done:        make([][]bool, nr),
+		cellNs:      make([][]int64, nr),
+		cells:       nr * nc,
+		gridWorkers: workers,
+		colTally:    make([]columnTally, nc),
+		ctxErr:      ctx.Err(),
 	}
 	fail := func(row, col int, stage string, err error) {
 		run.errs = append(run.errs, gridError{row: row, col: col, stage: stage, err: err})
@@ -393,7 +400,6 @@ func (r *gridRun[T]) addSupervision(c *stats.Counters, family string) {
 	c.Add(family+"_cancelled", uint64(r.cancelled))
 	c.Add(family+"_panics", uint64(r.panics))
 	c.Add(family+"_grid_workers", uint64(r.gridWorkers))
-	c.Add(family+"_inner_workers", uint64(r.innerWorkers))
 }
 
 // addCheckpoint writes the checkpoint-journal counters.

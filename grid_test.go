@@ -100,7 +100,7 @@ func TestGridSupervisionParity(t *testing.T) {
 		return out
 	}
 	supervision := []string{"cells", "completed", "failed", "skipped", "cancelled",
-		"panics", "grid_workers", "inner_workers"}
+		"panics", "grid_workers"}
 	counters := func(family string, get func(string) uint64) map[string]uint64 {
 		m := make(map[string]uint64)
 		for _, n := range supervision {

@@ -1,12 +1,14 @@
 package imtrans
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"imtrans/internal/replay"
+	"imtrans/internal/scheme"
 )
 
 const testLoop = `
@@ -258,6 +260,84 @@ func TestMeasureProgramBadConfig(t *testing.T) {
 	p, _ := Assemble(testLoop)
 	if _, err := MeasureProgram(p, nil, Config{BlockSize: 1}); err == nil {
 		t.Error("bad block size accepted")
+	}
+}
+
+// TestConfigOutsidePaperSpaceRefused walks the paper scheme's
+// ConfigSpace: for every integer knob, the value just below its range
+// (when that is not 0, which means the default) and just above it must be
+// refused by each root path that hands a Config to core, with an error
+// naming the knob. The grid and replay paths must refuse it before they
+// profile anything. The boolean knobs span 0..1, so a Config cannot leave
+// their range.
+func TestConfigOutsidePaperSpaceRefused(t *testing.T) {
+	p, err := Assemble(testLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := make([]uint64, len(p.Text))
+	set := map[string]func(*Config, int){
+		"block_size":   func(c *Config, v int) { c.BlockSize = v },
+		"tt_entries":   func(c *Config, v int) { c.TTEntries = v },
+		"bbit_entries": func(c *Config, v int) { c.BBITEntries = v },
+		"bus_width":    func(c *Config, v int) { c.BusWidth = v },
+	}
+	paths := map[string]func(Config) error{
+		"SweepMeasureCtx": func(c Config) error {
+			_, err := SweepMeasureCtx(context.Background(), []Benchmark{testScale(mustBench(t, "tri"))}, []Config{{}, c}, SweepOptions{})
+			return err
+		},
+		"ReplayMeasure": func(c Config) error {
+			_, err := ReplayMeasure(p, nil, c)
+			return err
+		},
+		"EncodeProgram": func(c Config) error {
+			_, err := EncodeProgram(p, profile, c)
+			return err
+		},
+		"BuildDeployment": func(c Config) error {
+			_, err := BuildDeployment(p, profile, c)
+			return err
+		},
+		"BuildDeploymentStatic": func(c Config) error {
+			_, err := BuildDeploymentStatic(p, c)
+			return err
+		},
+		"MeasureProgram": func(c Config) error {
+			_, err := MeasureProgram(p, nil, c)
+			return err
+		},
+	}
+	paper, err := scheme.Get("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ClearCaptureCache()
+	for _, k := range paper.ConfigSpace() {
+		setter, ok := set[k.Name]
+		if !ok {
+			if k.Min != 0 || k.Max != 1 {
+				t.Errorf("knob %s [%d, %d] has no Config setter in this test", k.Name, k.Min, k.Max)
+			}
+			continue
+		}
+		bad := []int{k.Max + 1}
+		if k.Min-1 != 0 {
+			bad = append(bad, k.Min-1)
+		}
+		for _, v := range bad {
+			var c Config
+			setter(&c, v)
+			for name, run := range paths {
+				err := run(c)
+				if err == nil || !strings.Contains(err.Error(), k.Name) {
+					t.Errorf("%s with %s %d: got %v, want an error naming the knob", name, k.Name, v, err)
+				}
+			}
+		}
+	}
+	if _, misses := CaptureCacheStats(); misses != 0 {
+		t.Errorf("refused configs still profiled %d programs", misses)
 	}
 }
 

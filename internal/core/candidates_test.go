@@ -160,7 +160,6 @@ func TestKnapsackEncodeBytes(t *testing.T) {
 	if n != 108 {
 		t.Fatalf("generated program has %d candidate blocks, want 108", n)
 	}
-	defer SetParallelism(SetParallelism(1))
 	c := Config{TTEntries: 4096, BBITEntries: 4096, Selection: Knapsack}
 	if _, err := Encode(g, prof, c); err != nil {
 		t.Fatal(err)
@@ -280,7 +279,7 @@ func TestCandidateSetConcurrentEncodes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = EncodeCtxOpts(context.Background(), g, prof, c, EncodeOpts{Candidates: set, Workers: 2})
+			got[i], errs[i] = EncodeCtxOpts(context.Background(), g, prof, c, EncodeOpts{Candidates: set})
 		}()
 	}
 	wg.Wait()

@@ -10,39 +10,14 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"imtrans/internal/bitline"
 	"imtrans/internal/cfg"
 	"imtrans/internal/code"
 	"imtrans/internal/transform"
 )
-
-// encodeParallelism bounds the worker pool that fans the independent
-// vertical bit-line encodings of each basic block out across cores. The
-// default is the machine's parallelism; SetParallelism(1) forces the fully
-// serial path.
-var encodeParallelism atomic.Int32
-
-func init() { encodeParallelism.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetParallelism bounds the number of workers Encode may use for the
-// per-bus-line chain encodings and returns the previous bound. Values
-// below 1 are clamped to 1 (fully serial); the pipeline is never left
-// with zero workers. Results are bit-identical at every setting; only
-// wall time changes.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(encodeParallelism.Swap(int32(n)))
-}
-
-// Parallelism returns the current Encode worker bound.
-func Parallelism() int { return int(encodeParallelism.Load()) }
 
 // Selection chooses how basic blocks compete for Transformation Table
 // capacity.
@@ -180,13 +155,11 @@ type Encoding struct {
 }
 
 // EncodeOpts tunes one encode call without changing its results. The
-// zero value matches EncodeCtx: bit-line fan-out bounded by
-// SetParallelism, the process-wide chain-table cache, pooled scratch.
+// zero value matches EncodeCtx: the process-wide chain-table cache,
+// pooled scratch.
 type EncodeOpts struct {
-	// Workers bounds this call's per-bus-line fan-out; <= 0 means the
-	// package-wide Parallelism() bound. Grid sweeps narrow it so
-	// grid-level workers times bit-line workers never oversubscribes the
-	// clamp (see the imtrans.SetParallelism contract).
+	// Deprecated: Workers is ignored. Every encode runs its bit lines in
+	// one serial loop; the field stays for source compatibility.
 	Workers int
 
 	// Tables overrides the chain-table cache; nil means code.SharedTables.
@@ -222,10 +195,10 @@ func Encode(g *cfg.Graph, profile []uint64, c Config) (*Encoding, error) {
 }
 
 // EncodeCtx is Encode with cooperative cancellation: the context is
-// checked before each candidate block and on every bit line inside the
-// encoding worker pool, so a cancelled sweep stops mid-plan instead of
-// finishing a large block. A cancelled encode returns ctx.Err(),
-// unwrapped, and no partial Encoding.
+// checked before each candidate block and before every bit line of a
+// block, so a cancelled sweep stops mid-plan instead of finishing a large
+// block. A cancelled encode returns ctx.Err(), unwrapped, and no partial
+// Encoding.
 func EncodeCtx(ctx context.Context, g *cfg.Graph, profile []uint64, c Config) (*Encoding, error) {
 	return EncodeCtxOpts(ctx, g, profile, c, EncodeOpts{})
 }
@@ -368,10 +341,6 @@ func buildCandidates(ctx context.Context, g *cfg.Graph, profile []uint64, c Conf
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = Parallelism()
-	}
 	heat := g.BlockHeat(profile)
 	hot := g.HotBlocks(profile)
 	cands := make([]Plan, 0, len(hot))
@@ -382,7 +351,7 @@ func buildCandidates(ctx context.Context, g *cfg.Graph, profile []uint64, c Conf
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		plan, err := encodeBlock(ctx, g, bi, c, tab, workers, opts.Arena)
+		plan, err := encodeBlock(ctx, g, bi, c, tab, opts.Arena)
 		if err != nil {
 			return nil, err
 		}
@@ -480,12 +449,12 @@ func knapsackValue(p *Plan) float64 {
 }
 
 // encScratch is the reusable working set of one encodeBlock call: the
-// packed source and destination matrices plus a flat line-major tau
-// buffer. Pooled so a warm Encode allocates only its outputs (the plan's
-// tau table and encoded image), never its scratch.
+// packed source and destination matrices plus one line's tau buffer.
+// Pooled so a warm Encode allocates only its outputs (the plan's tau
+// table and encoded image), never its scratch.
 type encScratch struct {
 	src, dst bitline.Matrix
-	taus     []transform.Func // line-major: taus[line*nb+e]
+	taus     []transform.Func
 }
 
 var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
@@ -495,9 +464,8 @@ var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
 // per-line chain encoders run directly on the lanes, and the encoded
 // image transposes back out. Lanes at or above the modelled bus width are
 // packed but not encoded, which preserves out-of-model bits verbatim.
-// maxWorkers bounds the per-line fan-out; arena (optional) replaces the
-// pooled scratch with caller-owned buffers.
-func encodeBlock(ctx context.Context, g *cfg.Graph, bi int, c Config, tab *code.ChainTable, maxWorkers int, arena *Arena) (Plan, error) {
+// arena (optional) replaces the pooled scratch with caller-owned buffers.
+func encodeBlock(ctx context.Context, g *cfg.Graph, bi int, c Config, tab *code.ChainTable, arena *Arena) (Plan, error) {
 	b := g.Blocks[bi]
 	words := g.Instructions(bi)
 	k := c.BlockSize
@@ -521,58 +489,8 @@ func encodeBlock(ctx context.Context, g *cfg.Graph, bi int, c Config, tab *code.
 	}
 	sc.src.Pack(words)
 	sc.dst.CopyFrom(&sc.src)
-	if need := c.BusWidth * nb; cap(sc.taus) < need {
-		sc.taus = make([]transform.Func, need)
-	} else {
-		sc.taus = sc.taus[:need]
-	}
-	// The vertical lanes are fully independent and word-aligned in the
-	// shared matrices, so their chain encodings fan out over a bounded
-	// worker pool with no write sharing; the merge below runs in line
-	// order, keeping results and error selection deterministic at any
-	// parallelism.
-	var (
-		chainErrs [32]error
-		tauCounts [32]int
-		origT     [32]int
-		codeT     [32]int
-	)
-	encodeLines := func(first, stride int) {
-		for line := first; line < c.BusWidth; line += stride {
-			if ctx.Err() != nil {
-				return // per-line cancellation granule inside the pool
-			}
-			srcLane := sc.src.Lane(line)
-			dstLane := sc.dst.Lane(line)
-			tauBuf := sc.taus[line*nb : line*nb : (line+1)*nb]
-			taus, err := tab.AppendChain(dstLane, srcLane, c.Funcs, tauBuf)
-			if err != nil {
-				chainErrs[line] = err
-				continue
-			}
-			tauCounts[line] = len(taus)
-			origT[line] = srcLane.Transitions()
-			codeT[line] = dstLane.Transitions()
-		}
-	}
-	if workers := min(maxWorkers, c.BusWidth); workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				encodeLines(w, workers)
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		encodeLines(0, 1)
-	}
-	// Check cancellation after the join, before the merge: a worker that
-	// bailed leaves zero-value results, which must never be mistaken for a
-	// shape error on a cancelled encode.
-	if err := ctx.Err(); err != nil {
-		return Plan{}, err
+	if cap(sc.taus) < nb {
+		sc.taus = make([]transform.Func, 0, nb)
 	}
 	// Plan outputs: one flat backing for the whole tau table (entry-major
 	// rows into it), one image slice.
@@ -581,19 +499,31 @@ func encodeBlock(ctx context.Context, g *cfg.Graph, bi int, c Config, tab *code.
 	for e := range plan.Taus {
 		plan.Taus[e] = flat[e*c.BusWidth : (e+1)*c.BusWidth]
 	}
+	// The vertical lanes are independent and encode one after another, in
+	// line order, so the first failing line is the one reported.
 	for line := 0; line < c.BusWidth; line++ {
-		if err := chainErrs[line]; err != nil {
+		if err := ctx.Err(); err != nil {
+			return Plan{}, err
+		}
+		srcLane := sc.src.Lane(line)
+		dstLane := sc.dst.Lane(line)
+		taus, err := tab.AppendChain(dstLane, srcLane, c.Funcs, sc.taus[:0])
+		if err != nil {
 			return Plan{}, fmt.Errorf("core: block %d line %d: %w", bi, line, err)
 		}
-		if tauCounts[line] != nb {
+		if len(taus) != nb {
 			return Plan{}, fmt.Errorf("core: block %d line %d: %d chain blocks, want %d",
-				bi, line, tauCounts[line], nb)
+				bi, line, len(taus), nb)
 		}
-		for e := 0; e < nb; e++ {
-			plan.Taus[e][line] = sc.taus[line*nb+e]
+		for e, tau := range taus {
+			flat[e*c.BusWidth+line] = tau
 		}
-		plan.OrigTransitions += origT[line]
-		plan.CodeTransitions += codeT[line]
+		plan.OrigTransitions += srcLane.Transitions()
+		plan.CodeTransitions += dstLane.Transitions()
+	}
+	// A cancellation during the last line's chain must not return a plan.
+	if err := ctx.Err(); err != nil {
+		return Plan{}, err
 	}
 	plan.Encoded = make([]uint32, len(words))
 	sc.dst.Unpack(plan.Encoded)

@@ -370,12 +370,9 @@ func TestVerticalStreamsMatchWords(t *testing.T) {
 // TestEncodeWarmAllocs pins the pooled-scratch contract of the packed
 // encoder: once the scratch pool is primed, a whole Encode allocates only
 // its outputs (plans, tau tables, encoded image, block table), bounded by
-// a small fixed budget. Run serially so the worker pool does not add
-// goroutine allocations to the count.
+// a small fixed budget.
 func TestEncodeWarmAllocs(t *testing.T) {
 	g, profile := buildAndProfile(t, loopSrc)
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
 	if _, err := Encode(g, profile, Config{}); err != nil {
 		t.Fatal(err) // prime the scratch pool
 	}

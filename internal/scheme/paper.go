@@ -55,7 +55,7 @@ type PaperOutcome struct {
 // every call. Errors are returned unwrapped; callers attach their
 // configuration context.
 func MeasurePaper(ctx context.Context, w *Workload, cc core.Config) (PaperOutcome, error) {
-	encOpts := core.EncodeOpts{Workers: w.EncWorkers, Arena: w.EncArena, Candidates: w.Shared.Candidates()}
+	encOpts := core.EncodeOpts{Arena: w.EncArena, Candidates: w.Shared.Candidates()}
 	enc, err := core.EncodeCtxOpts(ctx, w.Cap.Graph, w.Cap.Profile, cc, encOpts)
 	if err != nil {
 		return PaperOutcome{}, err

@@ -103,11 +103,10 @@ func Validate(s Scheme, p Params) error {
 }
 
 // Workload is one captured benchmark plus the execution environment a
-// measurement runs in: the encoder fan-out bound, and the optional shared
-// memo store (which also carries its signature group's candidate list)
-// and encoder arena the sweep machinery threads through. Only the paper
-// scheme uses the environment fields; trace-replay schemes read just the
-// capture.
+// measurement runs in: the optional shared memo store (which also carries
+// its signature group's candidate list) and encoder arena the sweep
+// machinery threads through. Only the paper scheme uses the environment
+// fields; trace-replay schemes read just the capture.
 type Workload struct {
 	Cap *replay.Capture
 
@@ -115,9 +114,12 @@ type Workload struct {
 	// model; the field stays for source compatibility.
 	Streaming bool
 
+	// Deprecated: EncWorkers is ignored. The encoder runs a block's bit
+	// lines in one serial loop; the field stays for source compatibility.
 	EncWorkers int
-	Shared     *replay.MemoStore
-	EncArena   *core.Arena
+
+	Shared   *replay.MemoStore
+	EncArena *core.Arena
 
 	// Stream is the capture's shared transition stream. Grid machinery
 	// materialises it once per benchmark and attaches it to every fleet

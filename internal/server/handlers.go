@@ -57,7 +57,7 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 // handleMeasure evaluates a configuration grid: benchmarks go through
 // the equal job spec's supervised sweep (per-cell fault isolation), an
 // inline source through the replay engine. Both paths poll ctx inside
-// the profiling run, the encoder's bit-line pool and the replay fetch
+// the profiling run, the encoder's per-line loop and the replay fetch
 // loop.
 func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult, error) {
 	req, err := ParseMeasureRequest(body)

@@ -49,7 +49,7 @@ type Config struct {
 	QueueDepth int
 
 	// RequestTimeout is the per-request deadline threaded into the
-	// simulator, the encoder's bit-line pool and the replay fetch loop;
+	// simulator, the encoder's per-line loop and the replay fetch loop;
 	// <= 0 means 120 s.
 	RequestTimeout time.Duration
 

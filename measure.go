@@ -47,6 +47,11 @@ func (c Config) coreConfig() core.Config {
 	return scheme.CoreConfig(c.schemeParams())
 }
 
+// validate checks c against the paper scheme's ConfigSpace, as a paper
+// SchemeSpec is checked. Every root path that hands a Config to core
+// calls it before it profiles or encodes anything.
+func (c Config) validate() error { return SchemeSpec{Name: "paper", Config: c}.Validate() }
+
 // String renders the configuration compactly.
 func (c Config) String() string { return scheme.PaperSpec(c.schemeParams()) }
 
@@ -105,6 +110,11 @@ func (m Measurement) ReductionPercent() float64 { return m.Percent }
 func MeasureProgram(p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
 	if len(cfgs) == 0 {
 		cfgs = []Config{{}}
+	}
+	for _, c := range cfgs {
+		if err := c.validate(); err != nil {
+			return nil, err
+		}
 	}
 	// Run 1: profile + baseline.
 	m1, err := newMachine(p, setup)

@@ -219,8 +219,8 @@ func BenchmarkPerfSweepSimulate(b *testing.B) {
 }
 
 // BenchmarkPerfSweepWarm re-sweeps the grid from warm captures with the
-// grid and encoder parallelism set to GOMAXPROCS, so `-cpu 1,4,8` times
-// a strong-scaling ladder of the encode and replay pipeline.
+// grid parallelism set to GOMAXPROCS, so `-cpu 1,4,8` times a
+// strong-scaling ladder of the encode and replay pipeline.
 func BenchmarkPerfSweepWarm(b *testing.B) {
 	b.ReportAllocs()
 	procs := runtime.GOMAXPROCS(0)

@@ -39,6 +39,9 @@ type PhasedMeasurement struct {
 // fetch stream enters a block owned by a different phase. The single-
 // deployment measurement on the same program is included for comparison.
 func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasurement, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	// Run 1: profile + baseline.
 	m1, err := newMachine(p, setup)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"imtrans/internal/cfg"
-	"imtrans/internal/core"
 	"imtrans/internal/power"
 	"imtrans/internal/replay"
 	"imtrans/internal/scheme"
@@ -32,35 +31,30 @@ func SetFleetBatchReplay(on bool) bool { return scheme.SetBatchReplay(on) }
 // every covered-block fetch with full restoration checks, while uncovered
 // sequential stretches and periodic loop bodies are totalled analytically
 // from the static image. Configurations are evaluated concurrently (see
-// core.SetParallelism) with deterministic output ordering.
+// SetParallelism) with deterministic output ordering. A configuration
+// outside the paper scheme's ConfigSpace is refused before the profiling
+// run.
 //
 // The setup callback must be a deterministic function of the program, the
 // same contract MeasureProgram imposes; callers whose setup varies
 // independently of the program image must route the variation through the
 // program (or use MeasureProgram, which never caches).
 func ReplayMeasure(p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
-	return replayMeasureCtx(context.Background(), p, setup, "", cfgs...)
+	return ReplayMeasureCtx(context.Background(), p, setup, cfgs...)
 }
 
 // ReplayMeasureCtx is ReplayMeasure with cooperative cancellation: the
-// context is polled inside the profiling run, the encoder's bit-line
-// pool and the replay fetch loop, so cancellation takes effect within
-// one task granule. A cancelled run returns ctx.Err() (possibly wrapped)
-// and no results.
+// context is polled inside the profiling run, before each bit line the
+// encoder encodes and in the replay fetch loop, so cancellation takes
+// effect within one task granule. A cancelled run returns ctx.Err()
+// (possibly wrapped) and no results.
 func ReplayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
-	return replayMeasureCtx(ctx, p, setup, "", cfgs...)
+	cols, err := paperColumns(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	return replayMeasureCtx(ctx, p, setup, "", cols)
 }
-
-// SetParallelism bounds the worker pools of the measurement pipeline — the
-// encoder's per-bit-line fan-out and ReplayMeasure's per-configuration
-// fan-out — and returns the previous bound. Values below 1 (zero,
-// negative) are clamped to 1, so the pipeline is always fully serial at
-// the bottom, never stalled; the default is GOMAXPROCS. Results never
-// depend on the setting — only wall-clock time does.
-func SetParallelism(n int) int { return core.SetParallelism(n) }
-
-// Parallelism reports the current measurement-pipeline worker bound.
-func Parallelism() int { return core.Parallelism() }
 
 // CaptureCacheStats reports hits and misses of the process-wide fetch-trace
 // capture cache (misses equal full profiling simulations performed).
@@ -81,15 +75,13 @@ func PurgeCaptureCache() { replay.Shared.Purge() }
 // cache statistics.
 func ClearCaptureCache() { replay.Shared.Clear() }
 
-func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, salt string, cfgs ...Config) ([]Measurement, error) {
-	if len(cfgs) == 0 {
-		cfgs = []Config{{}}
-	}
+// replayMeasureCtx measures one program's paper columns as a one-row grid.
+func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, salt string, cols []gridColumn[Measurement]) ([]Measurement, error) {
 	run, err := runGrid(ctx, &gridSpec[Measurement]{
 		rows:    1,
 		capture: func(ctx context.Context, _ int) (*replay.Capture, error) { return captureProgram(ctx, p, setup, salt) },
-		cols:    paperColumns(cfgs),
-	}, SweepOptions{Parallelism: core.Parallelism()})
+		cols:    cols,
+	}, SweepOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +210,19 @@ func memoSig(c Config) string {
 	return string(b)
 }
 
-// paperColumns returns one paper-pipeline grid column per configuration;
-// columns with equal memo signatures share block-outcome memos.
-func paperColumns(cfgs []Config) []gridColumn[Measurement] {
+// paperColumns returns one paper-pipeline grid column per configuration
+// (the default configuration when cfgs is empty); columns with equal memo
+// signatures share block-outcome memos. A configuration outside the
+// paper ConfigSpace is refused before any column exists.
+func paperColumns(cfgs []Config) ([]gridColumn[Measurement], error) {
+	if len(cfgs) == 0 {
+		cfgs = []Config{{}}
+	}
 	cols := make([]gridColumn[Measurement], len(cfgs))
 	for i, c := range cfgs {
+		if err := c.validate(); err != nil {
+			return nil, err
+		}
 		cols[i] = gridColumn[Measurement]{
 			measure: func(ctx context.Context, w *scheme.Workload) (Measurement, cellMemo, error) {
 				return replayOneCtx(ctx, w, c)
@@ -230,16 +230,16 @@ func paperColumns(cfgs []Config) []gridColumn[Measurement] {
 			share: gridShare{key: memoSig(c)},
 		}
 	}
-	return cols
+	return cols, nil
 }
 
 // replayOneCtx evaluates one configuration against a workload's capture
 // by running the paper pipeline through internal/scheme — plan the
 // encoding from the cached profile, statically verify it, then replay the
-// trace through a fresh strict decoder. Cancellation is polled inside both
-// the encoder's bit-line pool and the replay fetch loop; a cancelled cell
-// returns ctx.Err() wrapped with the configuration. The memo diagnostics
-// accompany the Measurement for the grid counters.
+// trace through a fresh strict decoder. Cancellation is polled before
+// each bit line the encoder encodes and inside the replay fetch loop; a
+// cancelled cell returns ctx.Err() wrapped with the configuration. The
+// memo diagnostics accompany the Measurement for the grid counters.
 func replayOneCtx(ctx context.Context, w *scheme.Workload, c Config) (Measurement, cellMemo, error) {
 	out, err := scheme.MeasurePaper(ctx, w, c.coreConfig())
 	if err != nil {

@@ -80,7 +80,11 @@ func (b Benchmark) RunProgram(p *Program) (*RunResult, error) {
 // Like Measure, it goes through the capture/replay engine; the variant's
 // content hash keys its own cached capture.
 func (b Benchmark) MeasureModified(p *Program, cfgs ...Config) ([]Measurement, error) {
-	ms, err := replayMeasureCtx(context.Background(), p, b.setup, b.captureSalt(), cfgs...)
+	cols, err := paperColumns(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	ms, err := replayMeasureCtx(context.Background(), p, b.setup, b.captureSalt(), cols)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -4,30 +4,29 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"imtrans/internal/replay"
+	"imtrans/internal/scheme"
 )
 
-// TestSweepWorkerClamp pins the two-level parallelism contract: the
-// sweep's grid fan-out times each cell's encoder fan-out never exceeds
-// the SetParallelism clamp, whatever combination of clamp, requested
-// sweep parallelism and grid size is in play. The counters the sweep
-// publishes are the observable.
+// TestSweepWorkerClamp pins the one parallelism bound: a grid runs
+// min(requested, SetParallelism bound, cells) workers, published as
+// sweep_grid_workers, and its capture phase never runs more captures at
+// once than that.
 func TestSweepWorkerClamp(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "tri"))}
 	cfgs := []Config{{BlockSize: 5}, {BlockSize: 6}, {BlockSize: 4}}
 	cases := []struct {
-		clamp, par          int
-		wantGrid, wantInner uint64
+		clamp, par int
+		want       uint64
 	}{
-		// Wide clamp, narrow grid: grid workers bounded by the cell count,
-		// leftover clamp goes to the encoders.
-		{clamp: 8, par: 8, wantGrid: 3, wantInner: 2},
-		// Clamp narrower than the request: the clamp wins.
-		{clamp: 2, par: 8, wantGrid: 2, wantInner: 1},
-		// Serial clamp: everything single-threaded.
-		{clamp: 1, par: 8, wantGrid: 1, wantInner: 1},
-		// Request narrower than the clamp: encoders soak up the quotient.
-		{clamp: 6, par: 2, wantGrid: 2, wantInner: 3},
+		{clamp: 8, par: 8, want: 3}, // the cell count binds
+		{clamp: 2, par: 8, want: 2}, // the bound binds
+		{clamp: 1, par: 8, want: 1},
+		{clamp: 6, par: 2, want: 2}, // the request binds
 	}
 	for _, tc := range cases {
 		prev := SetParallelism(tc.clamp)
@@ -37,15 +36,52 @@ func TestSweepWorkerClamp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("clamp=%d par=%d: %v", tc.clamp, tc.par, err)
 		}
-		grid := res.Counters.Get("sweep_grid_workers")
-		inner := res.Counters.Get("sweep_inner_workers")
-		if grid != tc.wantGrid || inner != tc.wantInner {
-			t.Errorf("clamp=%d par=%d: grid=%d inner=%d, want grid=%d inner=%d",
-				tc.clamp, tc.par, grid, inner, tc.wantGrid, tc.wantInner)
+		if got := res.Counters.Get("sweep_grid_workers"); got != tc.want {
+			t.Errorf("clamp=%d par=%d: sweep_grid_workers=%d, want %d", tc.clamp, tc.par, got, tc.want)
 		}
-		if grid*inner > uint64(tc.clamp) {
-			t.Errorf("clamp=%d par=%d: grid(%d) x inner(%d) exceeds the clamp",
-				tc.clamp, tc.par, grid, inner)
+	}
+
+	// Each capture holds its row until the bound's worth of captures has
+	// been in flight at once, then a little longer, so a capture phase
+	// that ran wider than the bound would show it in the peak.
+	for _, tc := range []struct{ clamp, par, rows int }{
+		{clamp: 1, par: 4, rows: 4},
+		{clamp: 2, par: 8, rows: 6},
+		{clamp: 4, par: 2, rows: 4},
+		{clamp: 8, par: 8, rows: 3},
+	} {
+		bound := int32(min(tc.clamp, tc.par, tc.rows))
+		var inFlight, peak atomic.Int32
+		g := &gridSpec[int]{
+			rows: tc.rows,
+			capture: func(ctx context.Context, _ int) (*replay.Capture, error) {
+				n := inFlight.Add(1)
+				defer inFlight.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				for deadline := time.Now().Add(time.Second); peak.Load() < bound && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(5 * time.Millisecond)
+				return &replay.Capture{}, nil
+			},
+			cols: []gridColumn[int]{{measure: func(context.Context, *scheme.Workload) (int, cellMemo, error) {
+				return 1, cellMemo{}, nil
+			}}},
+		}
+		prev := SetParallelism(tc.clamp)
+		run, err := runGrid(context.Background(), g, SweepOptions{Parallelism: tc.par})
+		SetParallelism(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.gridWorkers != int(bound) || run.completed != tc.rows {
+			t.Errorf("clamp=%d par=%d rows=%d: %d grid workers and %d cells done, want %d and %d",
+				tc.clamp, tc.par, tc.rows, run.gridWorkers, run.completed, bound, tc.rows)
+		}
+		if got := peak.Load(); got != bound {
+			t.Errorf("clamp=%d par=%d rows=%d: %d captures ran at once, want the bound %d",
+				tc.clamp, tc.par, tc.rows, got, bound)
 		}
 	}
 }
@@ -174,8 +210,6 @@ func TestSweepSharedMemoCounters(t *testing.T) {
 // state scales with the covered-block count, never the trace or the
 // instruction stream.
 func TestStreamingReplayWarmAllocs(t *testing.T) {
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
 	ClearCaptureCache()
 	small := mustBench(t, "tri").WithScale(32, 4)
 	large := mustBench(t, "tri").WithScale(32, 40)

@@ -131,15 +131,17 @@ func sweepGrid(benchmarks []Benchmark, cfgs []Config) (grid string, benchNames, 
 // recover() guard, so one poisoned cell yields a typed SweepError entry
 // while the rest of the grid completes. Cancelling the context stops the
 // sweep within one task granule — workers poll it inside the profiling
-// run, the encoder's bit-line pool and the replay fetch loop — and
-// returns the partial SweepResult alongside an error wrapping
+// run, before each bit line the encoder encodes and in the replay fetch
+// loop — and returns the partial SweepResult alongside an error wrapping
 // ctx.Err(). With opts.Checkpoint set, completed cells are journalled
 // atomically and an interrupted run resumes exactly where it stopped,
 // bit-identical to an uninterrupted run.
 //
-// The returned error is non-nil only for setup failures (an unreadable
-// or mismatched checkpoint) and cancellation; isolated cell failures are
-// reported in SweepResult.Errors, in deterministic grid order.
+// The returned error is non-nil only for setup failures (a configuration
+// outside the paper ConfigSpace, refused before any capture, or an
+// unreadable or mismatched checkpoint) and cancellation; isolated cell
+// failures are reported in SweepResult.Errors, in deterministic grid
+// order.
 func SweepMeasureCtx(ctx context.Context, benchmarks []Benchmark, cfgs []Config, opts SweepOptions) (*SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -147,10 +149,14 @@ func SweepMeasureCtx(ctx context.Context, benchmarks []Benchmark, cfgs []Config,
 	if len(cfgs) == 0 {
 		cfgs = []Config{{}}
 	}
+	cols, err := paperColumns(cfgs)
+	if err != nil {
+		return nil, err
+	}
 	run, err := runGrid(ctx, &gridSpec[Measurement]{
 		rows:     len(benchmarks),
 		capture:  benchCapture(benchmarks),
-		cols:     paperColumns(cfgs),
+		cols:     cols,
 		identity: func() (string, []string, []string) { return sweepGrid(benchmarks, cfgs) },
 	}, opts)
 	if err != nil {

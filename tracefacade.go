@@ -51,6 +51,9 @@ func TraceProgram(p *Program, setup func(Memory) error, c Config, maxFetches int
 	if maxFetches <= 0 {
 		maxFetches = 100
 	}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	m1, err := newMachine(p, setup)
 	if err != nil {
 		return nil, err
