@@ -1,9 +1,9 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 
-	"imtrans/internal/baseline"
 	"imtrans/internal/power"
 )
 
@@ -23,35 +23,45 @@ type AddressBusReport struct {
 	T0Percent   float64
 }
 
-// MeasureAddressBus simulates the program once and measures its fetch
-// address stream under all three address codings.
+// MeasureAddressBus measures the program's fetch address stream under all
+// three address codings. It reads the shared capture (see ReplayMeasure,
+// whose setup contract applies) through the registered gray and t0 fleet
+// schemes, whose baseline is the binary address bus.
 func MeasureAddressBus(p *Program, setup func(Memory) error) (*AddressBusReport, error) {
-	m, err := newMachine(p, setup)
+	return measureAddressBus(p, setup, "")
+}
+
+// measureAddressBus is MeasureAddressBus over the capture cached under
+// salt.
+func measureAddressBus(p *Program, setup func(Memory) error, salt string) (*AddressBusReport, error) {
+	ctx := context.Background()
+	cap, err := captureProgram(ctx, p, setup, salt)
 	if err != nil {
 		return nil, err
 	}
-	bus := baseline.NewAddrBus(32, 4)
-	m.OnFetch = func(pc, word uint32) { bus.Transfer(pc) }
-	if err := m.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: address-bus run: %w", err)
+	res, err := measureDefaults(ctx, cap, "gray", "t0")
+	if err != nil {
+		return nil, err
 	}
+	binary, gray, t0 := res[0].Baseline, res[0].Transitions, res[1].Transitions
 	return &AddressBusReport{
-		Fetches:     bus.Words(),
-		Binary:      bus.Binary(),
-		Gray:        bus.Gray(),
-		T0:          bus.T0(),
-		GrayPercent: power.Reduction(bus.Binary(), bus.Gray()),
-		T0Percent:   power.Reduction(bus.Binary(), bus.T0()),
+		Fetches:     cap.Instructions,
+		Binary:      binary,
+		Gray:        gray,
+		T0:          t0,
+		GrayPercent: power.Reduction(binary, gray),
+		T0Percent:   power.Reduction(binary, t0),
 	}, nil
 }
 
-// MeasureAddressBus runs the address-bus study on the benchmark.
+// MeasureAddressBus runs the address-bus study on the benchmark, over the
+// capture its Measure calls share.
 func (b Benchmark) MeasureAddressBus() (*AddressBusReport, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
-	r, err := MeasureAddressBus(p, b.setup)
+	r, err := measureAddressBus(p, b.setup, b.captureSalt())
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

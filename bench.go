@@ -163,14 +163,14 @@ func (b Benchmark) Run() (*RunResult, error) {
 	return res, nil
 }
 
-// MeasureWithCache runs the cached-system pipeline (see MeasureWithCache)
-// on the benchmark.
+// MeasureWithCache runs the cached-system study (see MeasureWithCache)
+// on the benchmark, over the capture its Measure calls share.
 func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasurement, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
-	cm, err := MeasureWithCache(p, b.setup, cache, enc)
+	cm, err := measureWithCache(p, b.setup, b.captureSalt(), cache, enc)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -114,6 +114,9 @@ func (b Benchmark) Deployment(c Config) (*Deployment, error) {
 // run it has to make polls ctx, and a cancelled one returns ctx.Err()
 // wrapped.
 func (b Benchmark) DeploymentCtx(ctx context.Context, c Config) (*Deployment, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	p, err := b.Program()
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)

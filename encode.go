@@ -115,6 +115,9 @@ func (b Benchmark) Encode(c Config) (*EncodingReport, error) {
 // EncodeCtx is Encode with cooperative cancellation: a profiling run it
 // has to make polls ctx, and a cancelled one returns ctx.Err() wrapped.
 func (b Benchmark) EncodeCtx(ctx context.Context, c Config) (*EncodingReport, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	p, err := b.Program()
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)

@@ -141,6 +141,9 @@ func (d *Deployment) FaultCampaign(p *Program, setup func(Memory) error, c Fault
 // campaign over the resulting deployment with the benchmark's memory
 // setup. It returns the report together with the deployment it stressed.
 func (b Benchmark) FaultCampaign(cfg Config, fc FaultCampaignConfig) (*FaultReport, *Deployment, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	p, err := b.Program()
 	if err != nil {
 		return nil, nil, err

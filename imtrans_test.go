@@ -3,6 +3,7 @@ package imtrans
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -267,8 +268,8 @@ func TestMeasureProgramBadConfig(t *testing.T) {
 // ConfigSpace: for every integer knob, the value just below its range
 // (when that is not 0, which means the default) and just above it must be
 // refused by each root path that hands a Config to core, with an error
-// naming the knob. The grid and replay paths must refuse it before they
-// profile anything. The boolean knobs span 0..1, so a Config cannot leave
+// naming the knob. The grid, replay and study paths must refuse it
+// before they profile anything. The boolean knobs span 0..1, so a Config cannot leave
 // their range.
 func TestConfigOutsidePaperSpaceRefused(t *testing.T) {
 	p, err := Assemble(testLoop)
@@ -305,6 +306,18 @@ func TestConfigOutsidePaperSpaceRefused(t *testing.T) {
 		},
 		"MeasureProgram": func(c Config) error {
 			_, err := MeasureProgram(p, nil, c)
+			return err
+		},
+		"MeasureWithCache": func(c Config) error {
+			_, err := MeasureWithCache(p, nil, CacheConfig{}, c)
+			return err
+		},
+		"MeasurePhased": func(c Config) error {
+			_, err := MeasurePhased(p, nil, c)
+			return err
+		},
+		"TraceProgram": func(c Config) error {
+			_, err := TraceProgram(p, nil, c, 0)
 			return err
 		},
 	}
@@ -599,6 +612,27 @@ func TestTraceProgram(t *testing.T) {
 	}
 	if len(entries) != 100 {
 		t.Errorf("default cap gave %d entries", len(entries))
+	}
+}
+
+// TestLeadingFetchesIsIndicesPrefix requires the early-stopping walk
+// behind TraceProgram and VerilogTestbench to return exactly the first n
+// indices of the full expansion, for n up to and past the end of the run.
+func TestLeadingFetchesIsIndicesPrefix(t *testing.T) {
+	p, err := Assemble(testLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := captureProgram(context.Background(), p, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []int32
+	cap.Trace.Indices(func(idx int32) { all = append(all, idx) })
+	for _, n := range []int{0, 1, 2, 7, len(all) - 1, len(all), len(all) + 5} {
+		if got := leadingFetches(cap.Trace, n); !slices.Equal(got, all[:min(n, len(all))]) {
+			t.Errorf("n=%d: %d indices differ from the expansion's prefix", n, len(got))
+		}
 	}
 }
 

@@ -112,9 +112,10 @@ func runOps(ops []Op, fn func(delta int32, count int64) bool) bool {
 }
 
 // Indices calls fn for every fetched text index in stream order, fully
-// expanded: the per-fetch reference walk tests and benchmark checks drive
-// naive coders with. Captures and the replay engines work on runs and
-// repeat groups instead.
+// expanded. Tests and benchmark checks drive naive coders with it, and
+// the studies that keep per-fetch state of their own (the instruction
+// cache's tags, the loaded table phase) walk it over a capture. Captures
+// and the replay engines work on runs and repeat groups instead.
 func (t *Trace) Indices(fn func(idx int32)) {
 	if t.N == 0 {
 		return

@@ -1,9 +1,9 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 
-	"imtrans/internal/cfg"
 	"imtrans/internal/core"
 	"imtrans/internal/hw"
 	"imtrans/internal/power"
@@ -35,29 +35,18 @@ type PhasedMeasurement struct {
 
 // MeasurePhased runs the phase-switched pipeline: outermost loops are
 // detected from the CFG, each is encoded independently with the full table
-// budget, and the measurement run switches decoder tables whenever the
-// fetch stream enters a block owned by a different phase. The single-
-// deployment measurement on the same program is included for comparison.
+// budget, and a walk of the fetch stream switches decoder tables whenever
+// it enters a block owned by a different phase, checking every restored
+// word. The single-deployment measurement on the same program is included
+// for comparison. It reads the shared capture (see ReplayMeasure, whose
+// setup contract applies): the CFG, the profile, the baseline, the
+// single-deployment replay and the fetch stream the phased walk follows.
 func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasurement, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	// Run 1: profile + baseline.
-	m1, err := newMachine(p, setup)
+	cap, single, err := capturePaper(context.Background(), p, setup, "", c)
 	if err != nil {
 		return nil, err
 	}
-	baseBus := trace.NewBus(32)
-	m1.OnFetch = func(pc, word uint32) { baseBus.Transfer(word) }
-	if err := m1.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: phased profiling run: %w", err)
-	}
-	profile := m1.Profile()
-
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
+	g, profile := cap.Graph, cap.Profile
 
 	// One encoding per outermost loop: restrict the profile to the loop's
 	// blocks so each phase competes only with itself for table capacity.
@@ -67,7 +56,7 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 	}
 	var phases []phase
 	blockPhase := map[int]int{} // cfg block index -> phase index
-	merged := append([]uint32(nil), p.Text...)
+	merged := append([]uint32(nil), cap.Words...)
 	for _, loop := range g.OutermostLoops() {
 		masked := make([]uint64, len(profile))
 		for _, bi := range loop.Blocks {
@@ -110,28 +99,18 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 		phaseAt[g.Blocks[bi].Start] = pi
 	}
 
-	// Reference: the single-deployment measurement on the same program.
-	single, err := MeasureProgram(p, setup, c)
-	if err != nil {
-		return nil, err
-	}
-
-	// Run 2: phase-switched measurement. Every entry into a phase other
-	// than the currently loaded one costs that phase's table upload.
+	// The phase-switched walk. Every entry into a phase other than the
+	// currently loaded one costs that phase's table upload.
 	perPhaseUpload := make([]uint64, len(phases))
 	for i, ph := range phases {
 		perPhaseUpload[i] = uint64(ph.dec.Overhead().UploadWords)
 	}
-	m2, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
 	encBus := trace.NewBus(32)
 	current := -1
 	var switches, uploads uint64
-	var hookErr error
-	m2.OnFetch = func(pc, word uint32) {
-		busWord := merged[int(pc-p.TextBase)/4]
+	var walkErr error
+	cap.Trace.Indices(func(idx int32) {
+		pc, word, busWord := cap.Base+uint32(idx)*4, cap.Words[idx], merged[idx]
 		encBus.Transfer(busWord)
 		if pi, ok := phaseAt[pc]; ok && pi != current {
 			if current >= 0 {
@@ -144,28 +123,25 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 			return // before the first hot spot: everything passes through
 		}
 		restored, err := phases[current].dec.OnFetch(pc, busWord)
-		if err != nil && hookErr == nil {
-			hookErr = err
+		if err != nil && walkErr == nil {
+			walkErr = err
 		}
-		if restored != word && hookErr == nil {
-			hookErr = fmt.Errorf("imtrans: phase %d restored %#08x at pc %#x, want %#08x",
+		if restored != word && walkErr == nil {
+			walkErr = fmt.Errorf("imtrans: phase %d restored %#08x at pc %#x, want %#08x",
 				current, restored, pc, word)
 		}
-	}
-	if err := m2.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: phased measurement run: %w", err)
-	}
-	if hookErr != nil {
-		return nil, hookErr
+	})
+	if walkErr != nil {
+		return nil, walkErr
 	}
 
 	res := &PhasedMeasurement{
 		Config:        c,
 		Phases:        len(phases),
-		Instructions:  m2.InstCount,
-		Baseline:      baseBus.Total(),
+		Instructions:  cap.Instructions,
+		Baseline:      cap.BaselineTotal,
 		Encoded:       encBus.Total(),
-		SinglePercent: single[0].Percent,
+		SinglePercent: power.Reduction(cap.BaselineTotal, single.Rep.Encoded),
 		Switches:      switches,
 	}
 	res.Percent = power.Reduction(res.Baseline, res.Encoded)

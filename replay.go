@@ -170,28 +170,58 @@ func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*rep
 // of its body instead of one per fetch: the raw bus from the
 // identity-encoding replay, and the comparators from the fleet's
 // businvert (32 lines) and dictionary (256 entries) schemes at their
-// defaults, over one shared stream. Each walks the fetch stream
-// MeasureProgram's in-loop comparators see, so the totals are the same.
+// defaults. Each walks the fetch stream MeasureProgram's in-loop
+// comparators see, so the totals are the same.
 func deriveTotals(ctx context.Context, c *replay.Capture) error {
 	raw, err := replay.MeasureBaseline(ctx, c)
 	if err != nil {
 		return err
 	}
 	c.BaselineTotal, c.BaselinePerLine = raw.Encoded, raw.PerLineEncoded
+	res, err := measureDefaults(ctx, c, "businvert", "dictionary")
+	if err != nil {
+		return err
+	}
+	c.BusInvertTotal = res[0].Transitions
+	c.DictionaryTotal, c.DictionaryBits = res[1].Transitions, res[1].OverheadBits
+	return nil
+}
+
+// measureDefaults measures a capture under the named fleet schemes at
+// their default parameters, over one shared transition stream.
+func measureDefaults(ctx context.Context, c *replay.Capture, names ...string) ([]*scheme.Result, error) {
 	w := &scheme.Workload{Cap: c, Stream: scheme.NewStream(c)}
-	var res [2]*scheme.Result
-	for i, name := range []string{"businvert", "dictionary"} {
+	res := make([]*scheme.Result, len(names))
+	for i, name := range names {
 		sc, err := scheme.Get(name)
 		if err == nil {
 			res[i], err = sc.Measure(ctx, w, scheme.Params{})
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	c.BusInvertTotal = res[0].Transitions
-	c.DictionaryTotal, c.DictionaryBits = res[1].Transitions, res[1].OverheadBits
-	return nil
+	return res, nil
+}
+
+// capturePaper profiles the program through the shared capture cache and
+// runs the paper pipeline on the capture: the verified encoding, and a
+// strict-decoder replay of the whole fetch stream that checks every
+// restored word. A configuration outside the paper ConfigSpace is refused
+// before the profiling run.
+func capturePaper(ctx context.Context, p *Program, setup func(Memory) error, salt string, c Config) (*replay.Capture, scheme.PaperOutcome, error) {
+	if err := c.validate(); err != nil {
+		return nil, scheme.PaperOutcome{}, err
+	}
+	cap, err := captureProgram(ctx, p, setup, salt)
+	if err != nil {
+		return nil, scheme.PaperOutcome{}, err
+	}
+	out, err := scheme.MeasurePaper(ctx, &scheme.Workload{Cap: cap}, c.coreConfig())
+	if err != nil {
+		return nil, scheme.PaperOutcome{}, fmt.Errorf("imtrans: %v: %w", c, err)
+	}
+	return cap, out, nil
 }
 
 // memoSig returns the per-block encoding signature of a configuration.

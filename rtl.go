@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 
 	"imtrans/internal/rtl"
@@ -16,8 +17,9 @@ func (d *Deployment) Verilog(moduleName string) (string, error) {
 
 // VerilogTestbench renders a self-checking testbench for the deployment's
 // decoder. Test vectors — fetch address, encoded bus word, expected
-// restored instruction — are captured from an actual simulation of the
-// program (capped at maxVectors; 0 means 1000), so a Verilog simulator
+// restored instruction — are the program's first fetches (capped at
+// maxVectors; 0 means 1000), read from the shared capture (see
+// ReplayMeasure, whose setup contract applies), so a Verilog simulator
 // reproduces exactly the behaviour measured by this library.
 func (d *Deployment) VerilogTestbench(p *Program, setup func(Memory) error, moduleName string, maxVectors int) (string, error) {
 	if d.TextBase != p.TextBase || len(d.Encoded) != len(p.Text) {
@@ -26,23 +28,13 @@ func (d *Deployment) VerilogTestbench(p *Program, setup func(Memory) error, modu
 	if maxVectors <= 0 {
 		maxVectors = 1000
 	}
-	m, err := newMachine(p, setup)
+	cap, err := captureProgram(context.Background(), p, setup, "")
 	if err != nil {
 		return "", err
 	}
 	var vectors []rtl.Vector
-	m.OnFetch = func(pc, word uint32) {
-		if len(vectors) >= maxVectors {
-			return
-		}
-		vectors = append(vectors, rtl.Vector{
-			PC:   pc,
-			Bus:  d.Encoded[int(pc-d.TextBase)/4],
-			Want: word,
-		})
-	}
-	if err := m.Run(); err != nil {
-		return "", fmt.Errorf("imtrans: vector capture run: %w", err)
+	for _, idx := range leadingFetches(cap.Trace, maxVectors) {
+		vectors = append(vectors, rtl.Vector{PC: cap.Base + uint32(idx)*4, Bus: d.Encoded[idx], Want: cap.Words[idx]})
 	}
 	return rtl.Testbench(moduleName, d.BusWidth, vectors)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"imtrans/internal/cfg"
-	"imtrans/internal/core"
 	"imtrans/internal/hw"
 	"imtrans/internal/isa"
 	"imtrans/internal/replay"
@@ -43,75 +41,66 @@ func TraceText(p *Program, setup func(Memory) error) ([]byte, error) {
 	return text, nil
 }
 
-// TraceProgram profiles the program, plans the encoding, and replays
-// execution with the decoder in the loop, returning the first maxFetches
-// fetches annotated — the debugging view of what the bus and the decoder
-// are doing cycle by cycle.
+// TraceProgram plans the encoding from the program's profile and returns
+// the first maxFetches fetches annotated — the debugging view of what the
+// bus and the decoder are doing cycle by cycle. It reads the shared
+// capture (see ReplayMeasure, whose setup contract applies): the paper
+// replay drives a strict decoder over the whole fetch stream and checks
+// every restored word, and a fresh strict decoder then annotates only the
+// leading fetches.
 func TraceProgram(p *Program, setup func(Memory) error, c Config, maxFetches int) ([]TraceEntry, error) {
 	if maxFetches <= 0 {
 		maxFetches = 100
 	}
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	m1, err := newMachine(p, setup)
+	cap, out, err := capturePaper(context.Background(), p, setup, "", c)
 	if err != nil {
 		return nil, err
 	}
-	if err := m1.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: trace profiling run: %w", err)
-	}
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := core.Encode(g, m1.Profile(), c.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	dec, err := hw.NewDecoder(enc)
+	dec, err := hw.NewDecoder(out.Enc)
 	if err != nil {
 		return nil, err
 	}
 	dec.Strict = true
-	m2, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
-	var out []TraceEntry
+	var entries []TraceEntry
 	var last uint32
-	have := false
-	var hookErr error
-	m2.OnFetch = func(pc, word uint32) {
-		busWord := enc.EncodedWords[int(pc-p.TextBase)/4]
-		restored, err := dec.OnFetch(pc, busWord)
-		if err != nil && hookErr == nil {
-			hookErr = err
+	for n, idx := range leadingFetches(cap.Trace, maxFetches) {
+		pc, word, busWord := cap.Base+uint32(idx)*4, cap.Words[idx], out.Enc.EncodedWords[idx]
+		if _, err := dec.OnFetch(pc, busWord); err != nil {
+			return nil, err
 		}
-		if restored != word && hookErr == nil {
-			hookErr = fmt.Errorf("imtrans: trace decoder mismatch at pc %#x", pc)
+		flips := 0
+		if n > 0 {
+			flips = bits.OnesCount32(busWord ^ last)
 		}
-		if len(out) < maxFetches {
-			flips := 0
-			if have {
-				flips = bits.OnesCount32(busWord ^ last)
-			}
-			out = append(out, TraceEntry{
-				PC:            pc,
-				Instruction:   isa.Disassemble(word),
-				Original:      word,
-				Bus:           busWord,
-				Flips:         flips,
-				DecoderActive: dec.Active() || busWord != word,
-			})
+		entries = append(entries, TraceEntry{
+			PC:            pc,
+			Instruction:   isa.Disassemble(word),
+			Original:      word,
+			Bus:           busWord,
+			Flips:         flips,
+			DecoderActive: dec.Active() || busWord != word,
+		})
+		last = busWord
+	}
+	return entries, nil
+}
+
+// leadingFetches returns the text indices of a trace's first n fetches
+// (every fetch of a shorter run). It expands the trace's runs only as far
+// as n reaches, where Trace.Indices walks the whole stream.
+func leadingFetches(t *replay.Trace, n int) []int32 {
+	n = min(n, int(t.N))
+	if n <= 0 {
+		return nil
+	}
+	out := make([]int32, 1, n)
+	out[0] = t.First
+	t.Runs(func(delta int32, count int64) bool {
+		for idx := out[len(out)-1]; count > 0 && len(out) < n; count-- {
+			idx += delta
+			out = append(out, idx)
 		}
-		last, have = busWord, true
-	}
-	if err := m2.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: trace run: %w", err)
-	}
-	if hookErr != nil {
-		return nil, hookErr
-	}
-	return out, nil
+		return len(out) < n
+	})
+	return out
 }
