@@ -435,12 +435,13 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// runPoolCtx runs f(0..n-1) over at most `workers` goroutines with
-// strided assignment: worker w takes indices w, w+workers, ... Each index
-// is processed exactly once; callers that need determinism write into
-// index-addressed slots. Once ctx is done, workers stop picking up new
-// indices; skipped indices keep their zero-value slots, so callers must
-// consult ctx.Err() before trusting the output.
+// runPoolCtx runs f(0..n-1) over at most `workers` goroutines, handing
+// the next index to whichever worker is free, so one costly index cannot
+// strand the indices queued behind it. Each index is processed exactly
+// once; callers that need determinism write into index-addressed slots.
+// Once ctx is done, workers stop picking up new indices; skipped indices
+// keep their zero-value slots, so callers must consult ctx.Err() before
+// trusting the output.
 func runPoolCtx(ctx context.Context, workers, n int, f func(i int)) {
 	if workers > n {
 		workers = n
@@ -454,18 +455,20 @@ func runPoolCtx(ctx context.Context, workers, n int, f func(i int)) {
 		}
 		return
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(first int) {
+		go func() {
 			defer wg.Done()
-			for i := first; i < n; i += workers {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
 				f(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -9,10 +9,43 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"imtrans/internal/stats"
 )
+
+// TestRunPoolCtxFeedsFreeWorker: at two workers, an index that runs long
+// does not hold up the indices after it, because each goes to whichever
+// worker is free. Index 0 waits (at most five seconds) until every other
+// index has run; a strided pool would queue 2, 4, ... behind it. Each
+// index still runs exactly once.
+func TestRunPoolCtxFeedsFreeWorker(t *testing.T) {
+	const n = 7
+	var ran [n]atomic.Int32
+	var others atomic.Int32
+	allRan := make(chan struct{})
+	runPoolCtx(context.Background(), 2, n, func(i int) {
+		ran[i].Add(1)
+		if i != 0 {
+			if others.Add(1) == n-1 {
+				close(allRan)
+			}
+			return
+		}
+		select {
+		case <-allRan:
+		case <-time.After(5 * time.Second):
+			t.Errorf("index 0 waited 5s for %d of the %d other indices", n-1-others.Load(), n-1)
+		}
+	})
+	for i := range ran {
+		if got := ran[i].Load(); got != 1 {
+			t.Errorf("index %d ran %d times, want once", i, got)
+		}
+	}
+}
 
 // TestGridCheckpointIdentityPinned pins the journal identities of a fixed
 // 2-kernel x 2-column sweep and comparison. A checkpoint journal records

@@ -7,7 +7,6 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Conventional segment bases, matching the SPIM/SimpleScalar layout the
@@ -18,83 +17,52 @@ const (
 	StackBase uint32 = 0x7fffeffc
 )
 
-// DataTableBytes is the span above DataBase whose pages are found through
-// a flat table rather than the page map: the most data a kernel may lay
-// out (workloads.MaxDataBytes).
-const DataTableBytes = 1 << 28
-
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 
-	dataPage   = DataBase >> pageShift       // page number of DataBase
-	tablePages = DataTableBytes >> pageShift // pages the flat table can hold
+	// A page number splits into a directory index (its top dirBits
+	// bits) and an index into one page table (the rest).
+	dirBits   = 10
+	tableBits = 32 - pageShift - dirBits
 )
 
 // Memory is a sparse byte-addressable memory. The zero value is ready to
 // use. Memory is not safe for concurrent mutation.
 type Memory struct {
-	// data holds the data segment's pages, indexed by page number above
-	// DataBase and grown on demand: kernels walk several arrays at once,
-	// and a map lookup per access would cost more than the access.
-	data  []*pageBytes
-	ndata int // non-nil pages in data
-	pages map[uint32]*pageBytes
-	// last-page cache avoids a map lookup on the common sequential access
-	// pattern of the simulator's loads and stores outside the table.
-	lastIdx  uint32
-	lastPage *pageBytes
+	// dir is a two-level page table over the whole 32-bit space: each
+	// entry covers 4 MiB of addresses and points to the table of its
+	// pages once one is touched. A lookup is two loads and no call, so
+	// every access inlines it: kernels walk several arrays at once, and
+	// a map lookup per access would cost more than the access.
+	dir   [1 << dirBits]*pageTable
+	pages int // allocated pages
 }
+
+// pageTable maps the pages of one directory entry.
+type pageTable [1 << tableBits]*pageBytes
 
 // pageBytes is the storage of one page.
 type pageBytes [pageSize]byte
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[uint32]*pageBytes)}
-}
+func New() *Memory { return new(Memory) }
 
-// page returns the page holding addr, allocating it on first touch. A
-// data page already in the table costs a bounds check and a load.
+// page returns the page holding addr, allocating it (and its page table)
+// on first touch.
 func (m *Memory) page(addr uint32) *pageBytes {
-	if d := addr>>pageShift - dataPage; d < uint32(len(m.data)) {
-		if p := m.data[d]; p != nil {
-			return p
-		}
+	t := m.dir[addr>>(32-dirBits)]
+	if t == nil {
+		t = new(pageTable)
+		m.dir[addr>>(32-dirBits)] = t
 	}
-	return m.pageSlow(addr)
-}
-
-// pageSlow serves the lookups page cannot: a data page not yet
-// allocated, and every page outside the table, which goes through the
-// last-page cache and the page map.
-func (m *Memory) pageSlow(addr uint32) *pageBytes {
-	idx := addr >> pageShift
-	if d := idx - dataPage; d < tablePages {
-		if n := int(d) + 1; n > len(m.data) {
-			m.data = append(m.data, make([]*pageBytes, n-len(m.data))...)
-		}
-		p := m.data[d]
-		if p == nil {
-			p = new(pageBytes)
-			m.data[d] = p
-			m.ndata++
-		}
-		return p
-	}
-	if m.lastPage != nil && m.lastIdx == idx {
-		return m.lastPage
-	}
-	if m.pages == nil {
-		m.pages = make(map[uint32]*pageBytes)
-	}
-	p, ok := m.pages[idx]
-	if !ok {
+	p := t[addr>>pageShift&(1<<tableBits-1)]
+	if p == nil {
 		p = new(pageBytes)
-		m.pages[idx] = p
+		t[addr>>pageShift&(1<<tableBits-1)] = p
+		m.pages++
 	}
-	m.lastIdx, m.lastPage = idx, p
 	return p
 }
 
@@ -232,22 +200,22 @@ func (m *Memory) LoadString(addr uint32, max int) string {
 // Footprint returns the number of distinct pages touched and the total
 // bytes they occupy — a cheap capacity diagnostic.
 func (m *Memory) Footprint() (pages int, bytes int) {
-	n := len(m.pages) + m.ndata
-	return n, n * pageSize
+	return m.pages, m.pages * pageSize
 }
 
 // TouchedPages lists the base addresses of allocated pages in ascending
 // order. Useful in tests and debug dumps.
 func (m *Memory) TouchedPages() []uint32 {
-	out := make([]uint32, 0, len(m.pages)+m.ndata)
-	for idx := range m.pages {
-		out = append(out, idx<<pageShift)
-	}
-	for d, p := range m.data {
-		if p != nil {
-			out = append(out, (dataPage+uint32(d))<<pageShift)
+	out := make([]uint32, 0, m.pages)
+	for d, t := range m.dir {
+		if t == nil {
+			continue
+		}
+		for i, p := range t {
+			if p != nil {
+				out = append(out, uint32(d)<<(32-dirBits)|uint32(i)<<pageShift)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

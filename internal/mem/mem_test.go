@@ -180,10 +180,12 @@ func TestWordQuickProperty(t *testing.T) {
 }
 
 // TestPageTablesMatchReference drives loads and stores across page edges
-// of the flat data table — its first page, its last page, one page past
-// it (the page map) — and of pages below DataBase and on the stack,
-// against a byte map. Every access touches its page, loads included, so
-// Footprint and TouchedPages must list exactly the pages accessed.
+// of the two-level page table — the first and last page of a page table
+// and the pages either side of a table boundary, at DataBase, at the end
+// of the most data a kernel may lay out, below DataBase, on the stack and
+// at the top of the address space — against a byte map. Every access
+// touches its page, loads included, so Footprint and TouchedPages must
+// list exactly the pages accessed.
 func TestPageTablesMatchReference(t *testing.T) {
 	m := New()
 	ref := map[uint32]byte{}
@@ -193,11 +195,13 @@ func TestPageTablesMatchReference(t *testing.T) {
 			touched[(addr+uint32(i))&^pageMask] = true
 		}
 	}
+	const dataEnd = DataBase + 1<<28 // workloads.MaxDataBytes above DataBase
+	const tableSpan = 1 << (32 - dirBits)
 	edges := []uint32{
-		0, 8 * pageSize,
+		0, 8 * pageSize, tableSpan - pageSize, tableSpan,
 		DataBase - pageSize, DataBase, DataBase + pageSize, DataBase + 0x8000,
-		DataBase + DataTableBytes - 2*pageSize, DataBase + DataTableBytes - pageSize,
-		DataBase + DataTableBytes, DataBase + DataTableBytes + pageSize,
+		DataBase&^(tableSpan-1) + tableSpan,
+		dataEnd - 2*pageSize, dataEnd - pageSize, dataEnd, dataEnd + pageSize,
 		StackBase&^pageMask - pageSize, StackBase &^ pageMask,
 		0xffffe000, 0xfffff000,
 	}
@@ -243,7 +247,7 @@ func TestPageTablesMatchReference(t *testing.T) {
 		access(a, 4)
 	}
 	// A load of a page never stored to reads zero and still touches it.
-	for _, addr := range []uint32{DataBase + 5*pageSize, DataBase + DataTableBytes + 9*pageSize, StackBase - 64*pageSize} {
+	for _, addr := range []uint32{DataBase + 5*pageSize, dataEnd + 9*pageSize, StackBase - 64*pageSize} {
 		if w, err := m.LoadWord(addr); err != nil || w != 0 {
 			t.Errorf("untouched word at %#x = %#x, %v", addr, w, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"imtrans"
+	"imtrans/internal/asm"
 	"imtrans/internal/cpu"
 	"imtrans/internal/mem"
 	"imtrans/internal/replay"
@@ -82,4 +83,59 @@ func TestCaptureRunMatchesNaiveFold(t *testing.T) {
 				w.Name, p, got.NumOps(), want.NumOps())
 		}
 	}
+}
+
+// BenchmarkBuilderSpans times the fold on its own: the straight-line
+// spans of mmul and lu at the root tests' scales are recorded once, and
+// each iteration folds both span streams through fresh Builders, as a
+// capture's OnSpan hook does.
+func BenchmarkBuilderSpans(b *testing.B) {
+	var streams [][][2]int
+	spans := 0
+	for _, k := range []struct {
+		name string
+		p    workloads.Params
+	}{{"mmul", workloads.Params{N: 24}}, {"lu", workloads.Params{N: 24}}} {
+		w, err := workloads.ByName(k.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := w.Fill(k.p)
+		obj, err := asm.Assemble(w.Source(p))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := mem.New()
+		for i, v := range obj.Data {
+			m.StoreByte(obj.DataBase+uint32(i), v)
+		}
+		if err := w.Setup(m, p); err != nil {
+			b.Fatal(err)
+		}
+		c, err := cpu.New(cpu.Program{Base: obj.TextBase, Words: obj.TextWords}, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var stream [][2]int
+		c.OnSpan = func(first, last uint32) {
+			stream = append(stream, [2]int{int(first-obj.TextBase) / 4, int(last-obj.TextBase) / 4})
+		}
+		if err := c.Run(); err != nil {
+			b.Fatalf("%s: %v", k.name, err)
+		}
+		streams = append(streams, stream)
+		spans += len(stream)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, stream := range streams {
+			fold := replay.NewBuilder()
+			for _, s := range stream {
+				fold.Span(s[0], s[1])
+			}
+			fold.Trace()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
 }

@@ -36,12 +36,32 @@ func traceCases() [][]int {
 		}
 		nested = append(nested, 10, 0)
 	}
+	// A loop of four tokens per iteration whose last iteration leaves
+	// after three of them: the loop-body cursor breaks mid-body.
+	var midBody []int
+	for it := 0; it < 7; it++ {
+		midBody = append(midBody, 10, 11, 12, 20, 21)
+	}
+	midBody = append(midBody, 30, 31, 32)
+	// An outer loop around inner loops of 4, 4, 6, 4 and 4 trips: the
+	// inner group's count reaches an earlier inner group's (a hazard),
+	// once where the scan then folds the outer loop and once, in the
+	// six-trip loop, where it finds nothing and the cursor carries on.
+	hazard := []int{0}
+	for _, trips := range []int{4, 4, 6, 4, 4} {
+		for i := 0; i < trips; i++ {
+			hazard = append(hazard, 3, 4, 5)
+		}
+		hazard = append(hazard, 9, 0)
+	}
 	return [][]int{
 		{5},
 		{0, 1, 2, 3, 4, 5, 6, 7},
 		{3, 9, 2, 2, 2, 7, 1, 0, 4},
 		loop,
 		nested,
+		midBody,
+		hazard,
 	}
 }
 

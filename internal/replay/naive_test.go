@@ -75,7 +75,7 @@ func (b *naiveBuilder) collapseTail() bool {
 	}
 	// Fold: ... body body  =>  ... Repeat{body; 2}.
 	for w := 1; w <= maxTandemWindow && 2*w <= n; w++ {
-		if !leafEqual(b.ops[n-1], b.ops[n-1-w]) {
+		if !leafEqual(&b.ops[n-1], &b.ops[n-1-w]) {
 			continue // cheap precheck on the last op of each window
 		}
 		if !opsEqual(b.ops[n-2*w:n-w], b.ops[n-w:]) {

@@ -31,13 +31,14 @@ type Op struct {
 }
 
 // leafEqual reports whether two ops are equal without descending into
-// bodies — the cheap precheck of the tandem-repeat scan.
-func leafEqual(a, b Op) bool {
+// bodies — the cheap precheck of the tandem-repeat scan. It compares in
+// place: an Op is 48 bytes, and the scan runs it on every push.
+func leafEqual(a, b *Op) bool {
 	return a.Delta == b.Delta && a.Count == b.Count && a.Repeat == b.Repeat &&
 		(a.Repeat == 0 || len(a.Body) == len(b.Body))
 }
 
-func opEqual(a, b Op) bool {
+func opEqual(a, b *Op) bool {
 	if !leafEqual(a, b) {
 		return false
 	}
@@ -52,7 +53,7 @@ func opsEqual(a, b []Op) bool {
 		return false
 	}
 	for i := range a {
-		if !opEqual(a[i], b[i]) {
+		if !opEqual(&a[i], &b[i]) {
 			return false
 		}
 	}
@@ -167,11 +168,14 @@ type Builder struct {
 	ops      []Op
 
 	// The loop-body cursor: when cursor is set, ops[at] is a group whose
-	// body holds only leaves and the ops above it are a prefix of that
-	// body, and hazards are the repeat counts at which a copy of ops[at]
-	// below it could join a collapse.
+	// body holds only leaves, the ops above it are a prefix of that body,
+	// and hazards are the repeat counts at which a copy of ops[at] below
+	// it could join a collapse. The cursor appends no op it matches
+	// outside a hazard: it counts them in pend (no op sits above ops[at]
+	// then) and settle appends them once the cursor breaks.
 	cursor  bool
 	at      int
+	pend    int
 	hazards []int64
 }
 
@@ -216,22 +220,24 @@ func (b *Builder) flushRun() {
 	if b.curCount == 0 {
 		return
 	}
-	b.push(Op{Delta: b.curDelta, Count: b.curCount})
+	b.push(b.curDelta, b.curCount)
 	b.curCount = 0
 }
 
-// push appends a finished leaf op and eagerly collapses tandem repeats at
-// the tail of the op stack: through the loop-body cursor when op is the
-// next token of its body and no hazard matches, else through the window
-// scan. Amortised cost per scanned op is O(maxTandemWindow): the window
-// scans are O(1) prechecks, and the full window comparison runs at most
-// once per successful collapse.
-func (b *Builder) push(op Op) {
-	next := false // op continues the cursor's body
+// push appends a finished leaf, count fetches stepping delta, and eagerly
+// collapses tandem repeats at the tail of the op stack: through the
+// loop-body cursor when the leaf is the next token of its body and no
+// hazard matches, else through the window scan. Amortised cost per
+// scanned op is O(maxTandemWindow): the window scans are O(1) prechecks,
+// and the full window comparison runs at most once per successful
+// collapse.
+func (b *Builder) push(delta int32, count int64) {
+	next := false // the leaf continues the cursor's body
 	if b.cursor {
 		g := &b.ops[b.at]
-		t := len(b.ops) - b.at - 1
-		next = leafEqual(op, g.Body[t])
+		t := len(b.ops) - b.at - 1 + b.pend
+		e := &g.Body[t] // a leaf: the cursor's body holds only leaves
+		next = e.Delta == delta && e.Count == count
 		if next {
 			done := t+1 == len(g.Body)
 			r := g.Repeat
@@ -242,14 +248,16 @@ func (b *Builder) push(op Op) {
 				if done {
 					g.Repeat = r
 					b.ops = b.ops[:b.at+1]
+					b.pend = 0
 				} else {
-					b.ops = append(b.ops, op)
+					b.pend++
 				}
 				return
 			}
 		}
+		b.settle()
 	}
-	b.ops = append(b.ops, op)
+	b.ops = append(b.ops, Op{Delta: delta, Count: count})
 	if !b.collapseTail() {
 		b.cursor = b.cursor && next
 		return
@@ -257,6 +265,14 @@ func (b *Builder) push(op Op) {
 	for b.collapseTail() {
 	}
 	b.aim()
+}
+
+// settle appends the body ops the cursor has matched but not pushed.
+func (b *Builder) settle() {
+	if b.pend > 0 {
+		b.ops = append(b.ops, b.ops[b.at].Body[:b.pend]...)
+		b.pend = 0
+	}
 }
 
 // aim points the cursor at the top op if it is a group whose body holds
@@ -309,7 +325,7 @@ func (b *Builder) collapseTail() bool {
 	}
 	// Fold: ... body body  =>  ... Repeat{body; 2}.
 	for w := 1; w <= maxTandemWindow && 2*w <= n; w++ {
-		if !leafEqual(b.ops[n-1], b.ops[n-1-w]) {
+		if !leafEqual(&b.ops[n-1], &b.ops[n-1-w]) {
 			continue // cheap precheck on the last op of each window
 		}
 		if !opsEqual(b.ops[n-2*w:n-w], b.ops[n-w:]) {
@@ -327,5 +343,6 @@ func (b *Builder) collapseTail() bool {
 // be used afterwards.
 func (b *Builder) Trace() *Trace {
 	b.flushRun()
+	b.settle()
 	return &Trace{First: b.first, N: b.n, Ops: b.ops}
 }

@@ -64,9 +64,7 @@ type Workload struct {
 // gigabytes before the first instruction runs (ej at n = 10500 with one
 // sweep lays out 0.88 GB). 256 MiB is the smallest power of two above
 // every kernel's largest scale at its default iteration count (sor and
-// iir, about 157 MB each). The memory's flat data-page table spans the
-// same bytes (mem.DataTableBytes), so a valid scale's data pages never
-// fall back to the page map.
+// iir, about 157 MB each).
 const MaxDataBytes = 1 << 28
 
 // Fill completes p with the workload's defaults.

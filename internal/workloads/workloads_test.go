@@ -224,15 +224,6 @@ func TestDataCapRefusesEJ(t *testing.T) {
 	}
 }
 
-// TestDataCapMatchesMemTable keeps the data cap and the memory's flat
-// data-page table in step: every page a valid scale lays out is then
-// found through the table, never the page map.
-func TestDataCapMatchesMemTable(t *testing.T) {
-	if MaxDataBytes != mem.DataTableBytes {
-		t.Errorf("MaxDataBytes = %d, mem.DataTableBytes = %d", MaxDataBytes, mem.DataTableBytes)
-	}
-}
-
 // TestDomainBoundaries pins each kernel's scale domain by its boundary
 // pairs: the last rejected and first accepted n at the small end, and the
 // last accepted and first rejected n at the instruction cap with the
