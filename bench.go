@@ -146,21 +146,7 @@ func (b Benchmark) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc, err := NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.setup(mc.Memory()); err != nil {
-		return nil, err
-	}
-	res, err := mc.Run()
-	if err != nil {
-		return nil, err
-	}
-	if err := b.w.Check(mc.Memory().m, b.params()); err != nil {
-		return nil, fmt.Errorf("imtrans: %s: golden check: %w", b.Name, err)
-	}
-	return res, nil
+	return b.RunProgram(p)
 }
 
 // MeasureWithCache runs the cached-system study (see MeasureWithCache)

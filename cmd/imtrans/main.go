@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -145,6 +146,34 @@ func loadProgram(path string) (*imtrans.Program, error) {
 	return imtrans.Assemble(string(src))
 }
 
+// loadProfiled assembles the source at path and profiles it with one
+// bare run (see imtrans.ProfileProgram).
+func loadProfiled(path string) (*imtrans.Program, []uint64, error) {
+	p, err := loadProgram(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	profile, err := imtrans.ProfileProgram(context.Background(), p, nil)
+	return p, profile, err
+}
+
+// buildVerified plans the deployment of the source at path under c and
+// checks it end to end before encode or rtl writes anything.
+func buildVerified(path string, c imtrans.Config) (*imtrans.Program, *imtrans.Deployment, error) {
+	p, profile, err := loadProfiled(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := imtrans.BuildDeployment(p, profile, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.Verify(p, nil); err != nil {
+		return nil, nil, fmt.Errorf("deployment failed self-verification: %w", err)
+	}
+	return p, d, nil
+}
+
 func cmdAsm(args []string) error {
 	fs := flag.NewFlagSet("asm", flag.ExitOnError)
 	if err := fs.Parse(args); err != nil {
@@ -244,19 +273,11 @@ func cmdPlan(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("plan wants one source file")
 	}
-	p, err := loadProgram(fs.Arg(0))
+	p, profile, err := loadProfiled(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	m, err := imtrans.NewMachine(p)
-	if err != nil {
-		return err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return err
-	}
-	rep, err := imtrans.EncodeProgram(p, res.Profile, *cfg)
+	rep, err := imtrans.EncodeProgram(p, profile, *cfg)
 	if err != nil {
 		return err
 	}
@@ -349,24 +370,9 @@ func cmdEncode(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("encode wants one source file")
 	}
-	p, err := loadProgram(fs.Arg(0))
+	_, d, err := buildVerified(fs.Arg(0), *cfg)
 	if err != nil {
 		return err
-	}
-	m, err := imtrans.NewMachine(p)
-	if err != nil {
-		return err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return err
-	}
-	d, err := imtrans.BuildDeployment(p, res.Profile, *cfg)
-	if err != nil {
-		return err
-	}
-	if err := d.Verify(p, nil); err != nil {
-		return fmt.Errorf("deployment failed self-verification: %w", err)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -422,24 +428,9 @@ func cmdRTL(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("rtl wants one source file")
 	}
-	p, err := loadProgram(fs.Arg(0))
+	p, d, err := buildVerified(fs.Arg(0), *cfg)
 	if err != nil {
 		return err
-	}
-	m, err := imtrans.NewMachine(p)
-	if err != nil {
-		return err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return err
-	}
-	d, err := imtrans.BuildDeployment(p, res.Profile, *cfg)
-	if err != nil {
-		return err
-	}
-	if err := d.Verify(p, nil); err != nil {
-		return fmt.Errorf("deployment failed self-verification: %w", err)
 	}
 	v, err := d.Verilog(*module)
 	if err != nil {
@@ -561,20 +552,12 @@ func cmdInject(args []string) error {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("inject wants one source file (or -bench <name>)")
 		}
-		p, err := loadProgram(fs.Arg(0))
+		p, profile, err := loadProfiled(fs.Arg(0))
 		if err != nil {
 			return err
 		}
 		name = fs.Arg(0)
-		m, err := imtrans.NewMachine(p)
-		if err != nil {
-			return err
-		}
-		res, err := m.Run()
-		if err != nil {
-			return err
-		}
-		d, err := imtrans.BuildDeployment(p, res.Profile, *cfg)
+		d, err := imtrans.BuildDeployment(p, profile, *cfg)
 		if err != nil {
 			return err
 		}

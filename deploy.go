@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"imtrans/internal/cfg"
-	"imtrans/internal/core"
 	"imtrans/internal/hw"
 	"imtrans/internal/objfile"
 	"imtrans/internal/transform"
@@ -58,24 +56,10 @@ func (d *Deployment) TTEntries() int { return len(d.tt) }
 // CoveredBlocks returns the number of basic blocks the deployment encodes.
 func (d *Deployment) CoveredBlocks() int { return len(d.bbit) }
 
-// BuildDeployment plans an encoding from a profile (see Machine.Run) and
-// packages it for a target system.
+// BuildDeployment plans an encoding from a profile (see ProfileProgram)
+// and packages it for a target system.
 func BuildDeployment(p *Program, profile []uint64, c Config) (*Deployment, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := core.Encode(g, profile, c.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := enc.Verify(); err != nil {
-		return nil, err
-	}
-	dec, err := hw.NewDecoder(enc)
+	enc, dec, err := planProgram(p, profile, c)
 	if err != nil {
 		return nil, err
 	}

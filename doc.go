@@ -10,10 +10,10 @@
 //     EncodeBitStream, RandomStreamExperiment);
 //   - an MR32 embedded processor substrate — a MIPS-I-subset ISA, a two-pass
 //     assembler and a functional simulator (Assemble, NewMachine, Run);
-//   - the application pipeline: profile a program, select hot basic blocks
-//     under a Transformation Table budget, encode the instruction image and
-//     measure dynamic bus transitions with the fetch-side decoder in the
-//     loop (Measure, MeasureProgram);
+//   - the application pipeline: profile a program (ProfileProgram), select
+//     hot basic blocks under a Transformation Table budget, encode the
+//     instruction image and measure dynamic bus transitions with the
+//     fetch-side decoder in the loop (Measure, MeasureProgram);
 //   - the paper's six DSP/numerical benchmarks with golden references
 //     (Benchmarks), a Bus-Invert comparator and an energy model.
 //

@@ -46,24 +46,10 @@ type EncodingReport struct {
 }
 
 // EncodeProgram plans the power encoding of a program from a profile (as
-// returned by Machine.Run or MeasureProgram) without running the dynamic
+// ProfileProgram or Machine.Run returns it) without running the dynamic
 // measurement. The encoding is statically verified before returning.
 func EncodeProgram(p *Program, profile []uint64, c Config) (*EncodingReport, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := core.Encode(g, profile, c.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := enc.Verify(); err != nil {
-		return nil, fmt.Errorf("imtrans: static verification: %w", err)
-	}
-	dec, err := hw.NewDecoder(enc)
+	enc, dec, err := planProgram(p, profile, c)
 	if err != nil {
 		return nil, err
 	}
@@ -102,6 +88,31 @@ func EncodeProgram(p *Program, profile []uint64, c Config) (*EncodingReport, err
 		rep.Plans = append(rep.Plans, pi)
 	}
 	return rep, nil
+}
+
+// planProgram is the planning step behind EncodeProgram, BuildDeployment
+// and MeasurePhased: it checks c, encodes p's text under profile,
+// statically verifies the encoding and builds its decoder.
+func planProgram(p *Program, profile []uint64, c Config) (*core.Encoding, *hw.Decoder, error) {
+	if err := c.validate(); err != nil {
+		return nil, nil, err
+	}
+	g, err := cfg.Build(p.TextBase, p.Text)
+	if err != nil {
+		return nil, nil, err
+	}
+	enc, err := core.Encode(g, profile, c.coreConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := enc.Verify(); err != nil {
+		return nil, nil, fmt.Errorf("imtrans: static verification: %w", err)
+	}
+	dec, err := hw.NewDecoder(enc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return enc, dec, nil
 }
 
 // Encode plans the power encoding of the benchmark at its configured

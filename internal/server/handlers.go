@@ -16,7 +16,8 @@ import (
 )
 
 // handleEncode plans an encoding for a source program or benchmark:
-// profile (through the capture cache), encode, statically verify, report.
+// profile (a benchmark through the capture cache, an inline source with
+// one bare run), encode, statically verify, report.
 func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, error) {
 	req, err := ParseEncodeRequest(body)
 	if err != nil {
@@ -34,19 +35,15 @@ func (s *Server) handleEncode(ctx context.Context, body []byte) (*cachedResult, 
 			return workErr(ctx, err), nil
 		}
 	} else {
-		p, err := imtrans.Assemble(req.Source)
-		if err != nil {
-			return errResult(http.StatusBadRequest, err.Error()), nil
+		p, bad := assembleSource(req.Source)
+		if bad != nil {
+			return bad, nil
 		}
-		m, err := imtrans.NewMachine(p)
-		if err != nil {
-			return errResult(http.StatusBadRequest, err.Error()), nil
-		}
-		res, err := m.RunCtx(ctx)
+		profile, err := imtrans.ProfileProgram(ctx, p, nil)
 		if err != nil {
 			return workErr(ctx, err), nil
 		}
-		rep, err = imtrans.EncodeProgram(p, res.Profile, cfg)
+		rep, err = imtrans.EncodeProgram(p, profile, cfg)
 		if err != nil {
 			return workErr(ctx, err), nil
 		}
@@ -70,9 +67,9 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult,
 		}), nil
 	}
 
-	p, err := imtrans.Assemble(req.Source)
-	if err != nil {
-		return errResult(http.StatusBadRequest, err.Error()), nil
+	p, bad := assembleSource(req.Source)
+	if bad != nil {
+		return bad, nil
 	}
 	cfgs := req.spec().SweepConfigs()
 	ms, err := imtrans.ReplayMeasureCtx(ctx, p, nil, cfgs...)
@@ -171,22 +168,18 @@ func (s *Server) handleDeploy(ctx context.Context, body []byte) (*cachedResult, 
 			verified = true
 		}
 	} else {
-		p, err := imtrans.Assemble(req.Source)
-		if err != nil {
-			return errResult(http.StatusBadRequest, err.Error()), nil
+		p, bad := assembleSource(req.Source)
+		if bad != nil {
+			return bad, nil
 		}
 		if req.Static {
 			d, err = imtrans.BuildDeploymentStatic(p, cfg)
 		} else {
-			m, merr := imtrans.NewMachine(p)
-			if merr != nil {
-				return errResult(http.StatusBadRequest, merr.Error()), nil
+			profile, perr := imtrans.ProfileProgram(ctx, p, nil)
+			if perr != nil {
+				return workErr(ctx, perr), nil
 			}
-			res, rerr := m.RunCtx(ctx)
-			if rerr != nil {
-				return workErr(ctx, rerr), nil
-			}
-			d, err = imtrans.BuildDeployment(p, res.Profile, cfg)
+			d, err = imtrans.BuildDeployment(p, profile, cfg)
 		}
 		if err != nil {
 			return workErr(ctx, err), nil
@@ -219,6 +212,19 @@ func (s *Server) handleDeploy(ctx context.Context, body []byte) (*cachedResult, 
 		ImageWords:    len(d.Encoded),
 		Verified:      verified,
 	}), nil
+}
+
+// assembleSource assembles a request's inline source. A source that
+// does not assemble, or assembles to no instructions, answers 400.
+func assembleSource(src string) (*imtrans.Program, *cachedResult) {
+	p, err := imtrans.Assemble(src)
+	if err != nil {
+		return nil, errResult(http.StatusBadRequest, err.Error())
+	}
+	if p.Instructions() == 0 {
+		return nil, errResult(http.StatusBadRequest, "imtrans: empty program")
+	}
+	return p, nil
 }
 
 // handleBenchmarks lists the built-in kernels: the paper's six plus the

@@ -221,22 +221,28 @@ func TestPanicBecomesTyped500(t *testing.T) {
 }
 
 // TestBadRequests walks the malformed-input surface: every case is a 400
-// with a JSON error body, never anything worse.
+// with a JSON error body, never anything worse. An inline source with no
+// instructions gets the same answer on every endpoint that takes one.
 func TestBadRequests(t *testing.T) {
 	s := mustNew(t, Config{})
+	const comments = `"# only a comment\n"`
 	cases := []struct {
-		name, path, body string
+		name, path, body, want string
 	}{
-		{"not json", "/v1/encode", `{`},
-		{"trailing data", "/v1/encode", `{"benchmark":{"name":"mmul"}} extra`},
-		{"unknown field", "/v1/encode", `{"benchmark":{"name":"mmul"},"bogus":1}`},
-		{"neither source nor benchmark", "/v1/encode", `{}`},
-		{"both source and benchmark", "/v1/encode", `{"source":"nop","benchmark":{"name":"mmul"}}`},
-		{"unknown benchmark", "/v1/encode", `{"benchmark":{"name":"nope"}}`},
-		{"bad block size", "/v1/encode", `{"benchmark":{"name":"mmul"},"config":{"block_size":99}}`},
-		{"oversize grid", "/v1/measure", oversizeGrid()},
-		{"bad retries", "/v1/measure", `{"benchmarks":[{"name":"mmul"}],"retries":99}`},
-		{"bad assembly", "/v1/encode", `{"source":"this is not mr32"}`},
+		{"not json", "/v1/encode", `{`, ""},
+		{"trailing data", "/v1/encode", `{"benchmark":{"name":"mmul"}} extra`, ""},
+		{"unknown field", "/v1/encode", `{"benchmark":{"name":"mmul"},"bogus":1}`, ""},
+		{"neither source nor benchmark", "/v1/encode", `{}`, ""},
+		{"both source and benchmark", "/v1/encode", `{"source":"nop","benchmark":{"name":"mmul"}}`, ""},
+		{"unknown benchmark", "/v1/encode", `{"benchmark":{"name":"nope"}}`, ""},
+		{"bad block size", "/v1/encode", `{"benchmark":{"name":"mmul"},"config":{"block_size":99}}`, ""},
+		{"oversize grid", "/v1/measure", oversizeGrid(), ""},
+		{"bad retries", "/v1/measure", `{"benchmarks":[{"name":"mmul"}],"retries":99}`, ""},
+		{"bad assembly", "/v1/encode", `{"source":"this is not mr32"}`, ""},
+		{"empty source encode", "/v1/encode", `{"source":` + comments + `}`, "imtrans: empty program"},
+		{"empty source measure", "/v1/measure", `{"source":` + comments + `}`, "imtrans: empty program"},
+		{"empty source deploy", "/v1/deploy", `{"source":` + comments + `}`, "imtrans: empty program"},
+		{"empty source static deploy", "/v1/deploy", `{"source":` + comments + `,"static":true}`, "imtrans: empty program"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,6 +255,9 @@ func TestBadRequests(t *testing.T) {
 			}
 			if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
 				t.Errorf("error body %q is not a JSON error", w.Body)
+			}
+			if tc.want != "" && er.Error != tc.want {
+				t.Errorf("error %q, want %q", er.Error, tc.want)
 			}
 		})
 	}

@@ -47,7 +47,6 @@ const DataBase = mem.DataBase
 // initialise memory, Run once, inspect results.
 type Machine struct {
 	c      *cpu.CPU
-	prog   *Program
 	stdout bytes.Buffer
 	ran    bool
 }
@@ -55,6 +54,36 @@ type Machine struct {
 // NewMachine loads the program (text pre-decoded, data segment copied into
 // memory) and returns a ready-to-run machine.
 func NewMachine(p *Program) (*Machine, error) {
+	c, err := newMachine(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	mc := &Machine{c: c}
+	c.Stdout = &mc.stdout
+	return mc, nil
+}
+
+// ProfileProgram makes one bare profiling run of p and returns its
+// per-static-instruction execution counts, the profile EncodeProgram and
+// BuildDeployment plan from. setup, if non-nil, initialises data memory
+// first. The run drives no bus model and keeps no fetch trace, so its
+// memory does not grow with the program's dynamic length; a cancelled
+// ctx stops it with an error wrapping ctx.Err().
+func ProfileProgram(ctx context.Context, p *Program, setup func(Memory) error) ([]uint64, error) {
+	c, err := newMachine(p, setup)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.RunCtx(ctx); err != nil {
+		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
+	}
+	return append([]uint64(nil), c.Profile()...), nil
+}
+
+// newMachine loads p into a fresh CPU, running setup, if non-nil, over
+// its data memory first. Every simulation in this package loads through
+// it.
+func newMachine(p *Program, setup func(Memory) error) (*cpu.CPU, error) {
 	if p == nil || len(p.Text) == 0 {
 		return nil, fmt.Errorf("imtrans: empty program")
 	}
@@ -62,13 +91,12 @@ func NewMachine(p *Program) (*Machine, error) {
 	for i, b := range p.Data {
 		m.StoreByte(p.DataBase+uint32(i), b)
 	}
-	c, err := cpu.New(cpu.Program{Base: p.TextBase, Words: p.Text}, m)
-	if err != nil {
-		return nil, err
+	if setup != nil {
+		if err := setup(Memory{m}); err != nil {
+			return nil, fmt.Errorf("imtrans: setup: %w", err)
+		}
 	}
-	mc := &Machine{c: c, prog: p}
-	c.Stdout = &mc.stdout
-	return mc, nil
+	return cpu.New(cpu.Program{Base: p.TextBase, Words: p.Text}, m)
 }
 
 // Memory gives access to the machine's data memory.

@@ -6,9 +6,7 @@ import (
 	"imtrans/internal/baseline"
 	"imtrans/internal/cfg"
 	"imtrans/internal/core"
-	"imtrans/internal/cpu"
 	"imtrans/internal/hw"
-	"imtrans/internal/mem"
 	"imtrans/internal/power"
 	"imtrans/internal/scheme"
 	"imtrans/internal/trace"
@@ -222,17 +220,4 @@ func MeasureProgram(p *Program, setup func(Memory) error, cfgs ...Config) ([]Mea
 		out[i] = res
 	}
 	return out, nil
-}
-
-func newMachine(p *Program, setup func(Memory) error) (*cpu.CPU, error) {
-	m := mem.New()
-	for i, b := range p.Data {
-		m.StoreByte(p.DataBase+uint32(i), b)
-	}
-	if setup != nil {
-		if err := setup(Memory{m}); err != nil {
-			return nil, fmt.Errorf("imtrans: setup: %w", err)
-		}
-	}
-	return cpu.New(cpu.Program{Base: p.TextBase, Words: p.Text}, m)
 }

@@ -64,19 +64,13 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 			start := int(b.Start-g.Base) / 4
 			copy(masked[start:start+b.Count], profile[start:start+b.Count])
 		}
-		enc, err := core.Encode(g, masked, c.coreConfig())
+		// planProgram builds p's CFG again, with g's block numbering.
+		enc, dec, err := planProgram(p, masked, c)
 		if err != nil {
 			return nil, err
 		}
 		if len(enc.Plans) == 0 {
 			continue // loop never ran or has nothing encodable
-		}
-		if err := enc.Verify(); err != nil {
-			return nil, err
-		}
-		dec, err := hw.NewDecoder(enc)
-		if err != nil {
-			return nil, err
 		}
 		dec.Strict = true
 		pi := len(phases)
