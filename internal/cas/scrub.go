@@ -19,40 +19,34 @@ type ScrubReport struct {
 // entries strictly decoded — and quarantines whatever fails, so latent
 // disk corruption is found before a request trips over it. Scrubbing
 // never deletes: the damaged file moves to quarantine/ as evidence and
-// the live tree simply misses, degrading to recompute. The walk polls
-// ctx between files, so a draining daemon stops a scrub promptly.
+// the live tree simply misses, degrading to recompute. Temp files are
+// skipped: each is a write in flight that is about to be renamed into
+// place (Open clears those a crash left). The walk polls ctx between
+// files, so a draining daemon stops a scrub promptly.
 func (s *Store) Scrub(ctx context.Context) (ScrubReport, error) {
 	var rep ScrubReport
-	err := filepath.Walk(filepath.Join(s.dir, blobsDir), func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		rep.Blobs++
-		if !s.scrubBlob(path) {
-			rep.Corrupt++
-		}
-		return nil
-	})
-	if err != nil {
+	walk := func(sub string, count *int, verify func(path string) bool) error {
+		return filepath.Walk(filepath.Join(s.dir, sub), func(path string, info os.FileInfo, err error) error {
+			if isTemp(path) {
+				return nil // even if it was renamed away after the listing
+			}
+			if err != nil || info.IsDir() {
+				return err
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			*count++
+			if !verify(path) {
+				rep.Corrupt++
+			}
+			return nil
+		})
+	}
+	if err := walk(blobsDir, &rep.Blobs, s.scrubBlob); err != nil {
 		return rep, fmt.Errorf("cas: scrub: %w", err)
 	}
-	err = filepath.Walk(filepath.Join(s.dir, indexDir), func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		rep.IndexEntries++
-		if !s.scrubIndex(path) {
-			rep.Corrupt++
-		}
-		return nil
-	})
-	if err != nil {
+	if err := walk(indexDir, &rep.IndexEntries, s.scrubIndex); err != nil {
 		return rep, fmt.Errorf("cas: scrub: %w", err)
 	}
 	s.opts.Counters.Add("cas_scrubs_total", 1)

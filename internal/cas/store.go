@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -71,11 +72,19 @@ const (
 	quarantineDir = "quarantine"
 )
 
+// tempPrefix starts the name of every temp file writeFileAtomic lands
+// data in before renaming it over its target.
+const tempPrefix = ".cas-"
+
+// isTemp reports whether path names a writeFileAtomic temp file.
+func isTemp(path string) bool { return strings.HasPrefix(filepath.Base(path), tempPrefix) }
+
 // Open creates (or reopens) the store rooted at dir, scanning the blob
 // tree to rebuild the byte accounting and the LRU clock (from file
 // mtimes, which Get refreshes on every hit). A file in the blob tree
 // whose name is not a digest is quarantined on sight — nothing with an
-// unverifiable identity stays in the live tree.
+// unverifiable identity stays in the live tree — and so is a temp file
+// in the index tree: no writer exists yet, so it was left by a crash.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cas: store directory is required")
@@ -104,6 +113,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.bytes += payloadSize(info.Size())
 		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cas: %w", err)
+	}
+	err = filepath.Walk(filepath.Join(dir, indexDir), func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() && isTemp(path) {
+			s.quarantine(path)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cas: %w", err)
@@ -401,7 +419,7 @@ func (s *Store) writeFileAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return s.writeErr(path, err)
 	}
-	tmp, err := os.CreateTemp(dir, ".cas-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return s.writeErr(path, err)
 	}

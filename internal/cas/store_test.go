@@ -188,6 +188,65 @@ func TestScrubQuarantinesFlippedBlob(t *testing.T) {
 	}
 }
 
+// TestScrubSkipsInFlightWrites: a temp file in either tree is another
+// goroutine's write about to be renamed into place, so Scrub leaves it
+// alone; only a reopen, which runs before any writer exists, clears it.
+func TestScrubSkipsInFlightWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.PutNamed("entry", []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var temps []string
+	for _, target := range []string{s.blobPath(key), s.indexPath("entry")} {
+		tmp, err := os.CreateTemp(filepath.Dir(target), tempPrefix+"*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tmp.WriteString("half a write"); err != nil {
+			t.Fatal(err)
+		}
+		tmp.Close()
+		temps = append(temps, tmp.Name())
+	}
+
+	rep, err := s.Scrub(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != (ScrubReport{Blobs: 1, IndexEntries: 1}) {
+		t.Fatalf("ScrubReport = %+v, want 1 blob, 1 index entry, 0 corrupt", rep)
+	}
+	for _, tmp := range temps {
+		if _, err := os.Stat(tmp); err != nil {
+			t.Fatalf("scrub moved an in-flight write: %v", err)
+		}
+	}
+	if q := listFiles(t, filepath.Join(dir, quarantineDir)); len(q) != 0 {
+		t.Fatalf("quarantine holds %v after scrub, want nothing", q)
+	}
+
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tmp := range temps {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("reopen left stale temp %s (stat: %v)", tmp, err)
+		}
+	}
+	if q := listFiles(t, filepath.Join(dir, quarantineDir)); len(q) != 2 {
+		t.Fatalf("quarantine holds %v after reopen, want the two temps", q)
+	}
+	if got, err := s.GetNamed("entry"); err != nil || string(got) != "payload" {
+		t.Fatalf("entry after reopen: (%q, %v)", got, err)
+	}
+}
+
 func TestScrubHonoursCancellation(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -19,6 +19,18 @@ func benchStream(n int) []uint8 {
 	return s
 }
 
+// candTableSink keeps BenchmarkCandidateOrders' result alive.
+var candTableSink [MaxBlockSize + 1][2][]uint32
+
+// BenchmarkCandidateOrders builds every h=1 candidate order up to
+// MaxBlockSize, the whole of the package's initialisation work.
+func BenchmarkCandidateOrders(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		candTableSink = buildCandTable()
+	}
+}
+
 // BenchmarkEncodeBlock is the innermost hot path: choosing the optimal
 // (code word, transformation) pair for one k=5 block.
 func BenchmarkEncodeBlock(b *testing.B) {

@@ -16,7 +16,6 @@ package code
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"imtrans/internal/transform"
 )
@@ -91,11 +90,12 @@ func feasibleTau(c, b uint32, k int, funcs []transform.Func) (transform.Func, bo
 // bit 0, ordered by (transition count ascending, written value ascending).
 // This is the deterministic search order that reproduces the code-word
 // choices of the paper's Figures 2 and 4. All orders up to MaxBlockSize are
-// precomputed at init (about 128K words in total), so the hot block-search
-// loop reads an immutable table with no synchronisation. Each entry packs
-// the candidate's written value in the low 16 bits and its transition
-// count above candTransShift, so the search loop never recounts.
-var candTable [MaxBlockSize + 1][2][]uint32
+// built at package initialisation by counting (about 128K words in total,
+// about a millisecond), so the hot block-search loop reads an immutable
+// table with no synchronisation. Each entry packs the candidate's written
+// value in the low 16 bits and its transition count above candTransShift,
+// so the search loop never recounts.
+var candTable = buildCandTable()
 
 // candTransShift positions a candidate's transition count above its
 // written value (written values need at most MaxBlockSize = 16 bits).
@@ -104,28 +104,43 @@ const candTransShift = 16
 func candValue(e uint32) uint32 { return e & (1<<candTransShift - 1) }
 func candTrans(e uint32) int    { return int(e >> candTransShift) }
 
-func init() {
+// buildCandTable builds every h=1 search order up to MaxBlockSize.
+func buildCandTable() (t [MaxBlockSize + 1][2][]uint32) {
 	for k := 1; k <= MaxBlockSize; k++ {
 		for b0 := uint32(0); b0 < 2; b0++ {
-			cands := make([]uint32, 0, 1<<uint(k-1))
-			for v := uint32(0); v < 1<<uint(k); v++ {
-				if v&1 == b0 {
-					cands = append(cands, v)
-				}
-			}
-			sort.Slice(cands, func(i, j int) bool {
-				ti, tj := transitionsOf(cands[i], k), transitionsOf(cands[j], k)
-				if ti != tj {
-					return ti < tj
-				}
-				return cands[i] < cands[j]
-			})
-			for i, v := range cands {
-				cands[i] = v | uint32(transitionsOf(v, k))<<candTransShift
-			}
-			candTable[k][b0] = cands
+			t[k][b0] = countingOrder(k, 1, b0)
 		}
 	}
+	return t
+}
+
+// countingOrder returns every written value of width k whose low `fixed`
+// bits equal low, ordered by (transition count, value) and packed as
+// candTable entries. The order is a counting sort, not a comparison sort:
+// one pass sizes each transition class, a prefix sum turns the sizes into
+// class offsets, and a second pass in ascending value order drops each
+// word into its class's next slot, which keeps value order within a
+// class.
+func countingOrder(k, fixed int, low uint32) []uint32 {
+	step, end := uint32(1)<<uint(fixed), uint32(1)<<uint(k)
+	mask := end>>1 - 1 // transitionsOf's mask, hoisted out of both passes
+	class := func(v uint32) int { return bits.OnesCount32((v ^ v>>1) & mask) }
+	// next[t+1] counts class t; after the prefix sum next[t] is the
+	// first free slot of class t.
+	var next [MaxBlockSize + 1]int
+	for v := low; v < end; v += step {
+		next[class(v)+1]++
+	}
+	for t := 1; t < len(next); t++ {
+		next[t] += next[t-1]
+	}
+	order := make([]uint32, end>>uint(fixed))
+	for v := low; v < end; v += step {
+		t := class(v)
+		order[next[t]] = v | uint32(t)<<candTransShift
+		next[t]++
+	}
+	return order
 }
 
 // candidateOrder returns the precomputed search order for (k, bit0) as

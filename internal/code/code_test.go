@@ -1,8 +1,10 @@
 package code
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +113,53 @@ func TestEncodeBlockDegenerate(t *testing.T) {
 	long := make([]uint8, MaxBlockSize+1)
 	if _, ok := EncodeBlock(long, 0, transform.Canonical8); ok {
 		t.Error("oversize block reported feasible")
+	}
+}
+
+// TestCandidateOrderMatchesDefinition pins the counting-built search
+// orders to their definition: every word of width k with the fixed low
+// bits, sorted by (transitions, value) and packed as candTable entries.
+// It covers the whole h=1 table and the h=2 orders Reduction2 searches.
+func TestCandidateOrderMatchesDefinition(t *testing.T) {
+	byDefinition := func(k, fixed int, low uint32) []uint32 {
+		var want []uint32
+		for v := uint32(0); v < 1<<uint(k); v++ {
+			if v&(1<<uint(fixed)-1) == low {
+				want = append(want, v)
+			}
+		}
+		slices.SortFunc(want, func(a, b uint32) int {
+			if c := cmp.Compare(transitionsOf(a, k), transitionsOf(b, k)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for i, v := range want {
+			want[i] = v | uint32(transitionsOf(v, k))<<candTransShift
+		}
+		return want
+	}
+	check := func(k, fixed int, low uint32, got []uint32) {
+		t.Helper()
+		want := byDefinition(k, fixed, low)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d low bits %0*b: %d words, want %d", k, fixed, low, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d low bits %0*b: entry %d is %#x, want %#x", k, fixed, low, i, got[i], want[i])
+			}
+		}
+	}
+	for k := 1; k <= MaxBlockSize; k++ {
+		for b0 := uint8(0); b0 < 2; b0++ {
+			check(k, 1, uint32(b0), candidateOrder(k, b0))
+		}
+	}
+	for k := 3; k <= MaxTableBlockSize; k++ {
+		for low := uint32(0); low < 4; low++ {
+			check(k, 2, low, countingOrder(k, 2, low))
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package code
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"imtrans/internal/transform"
 )
@@ -44,18 +44,23 @@ func Reduction2(k int) (Reduction, []Func2, error) {
 		return Reduction{}, nil, fmt.Errorf("code: h=2 block size %d out of range [3,%d]", k, MaxTableBlockSize)
 	}
 	r := Reduction{K: k}
+	// Candidates share the word's low two bits (passthrough prefix), so
+	// four search orders serve every word.
+	var orders [4][]uint32
+	for low := range orders {
+		orders[low] = countingOrder(k, 2, uint32(low))
+	}
 	used := map[Func2]bool{}
 	for v := uint32(0); v < 1<<uint(k); v++ {
 		r.TTN += transitionsOf(v, k)
 		best := -1
 		var bestFn Func2
-		// Candidates share the word's low two bits (passthrough prefix).
-		for _, c := range candidateOrder2(k, uint8(v)&3) {
-			t := transitionsOf(c, k)
+		for _, e := range orders[v&3] {
+			t := candTrans(e)
 			if best >= 0 && t >= best {
 				break
 			}
-			if fn, ok := solveTau2(c, v, k); ok {
+			if fn, ok := solveTau2(candValue(e), v, k); ok {
 				best, bestFn = t, fn
 			}
 		}
@@ -72,7 +77,7 @@ func Reduction2(k int) (Reduction, []Func2, error) {
 	for f := range used {
 		fns = append(fns, f)
 	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i] < fns[j] })
+	slices.Sort(fns)
 	return r, fns, nil
 }
 
@@ -98,26 +103,6 @@ func solveTau2(c, b uint32, k int) (Func2, bool) {
 		value |= bi << idx
 	}
 	return Func2(value), true
-}
-
-// candidateOrder2 returns all width-k written values with the given low
-// two bits, ordered by (transition count, value) — the h=2 analogue of
-// candidateOrder.
-func candidateOrder2(k int, low2 uint8) []uint32 {
-	cands := make([]uint32, 0, 1<<uint(k-2))
-	for v := uint32(0); v < 1<<uint(k); v++ {
-		if uint8(v)&3 == low2&3 {
-			cands = append(cands, v)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		ti, tj := transitionsOf(cands[i], k), transitionsOf(cands[j], k)
-		if ti != tj {
-			return ti < tj
-		}
-		return cands[i] < cands[j]
-	})
-	return cands
 }
 
 // HistoryComparison contrasts the paper's h=1 codes with the h=2

@@ -3,7 +3,6 @@ package code
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"imtrans/internal/transform"
 )
@@ -203,7 +202,6 @@ func maskToFuncs(mask uint16) []transform.Func {
 			fs = append(fs, transform.Func(f))
 		}
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
 	return fs
 }
 
