@@ -354,7 +354,9 @@ func (c *CPU) transfer(next uint32) {
 // segment: only the one at end may transfer control. It calls OnFetch
 // before each, leaves c.PC at the last instruction it executed (the
 // faulting one on error) and returns that instruction's successor. It
-// neither counts nor checks bounds; its callers do.
+// neither counts nor checks bounds; its callers do. Register indices are
+// masked to five bits, which decoded fields never exceed, so the register
+// files are indexed with no bounds check.
 func (c *CPU) exec(i, end int) (uint32, error) {
 	fetch := c.OnFetch
 	seg := c.decoded[i : end+1]
@@ -367,22 +369,22 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 		next := c.PC + 4
 		switch in.Op {
 		case isa.OpSLL:
-			c.setGPR(in.Rd, c.GPR[in.Rt]<<in.Shamt)
+			c.setGPR(in.Rd, c.GPR[in.Rt&31]<<in.Shamt)
 		case isa.OpSRL:
-			c.setGPR(in.Rd, c.GPR[in.Rt]>>in.Shamt)
+			c.setGPR(in.Rd, c.GPR[in.Rt&31]>>in.Shamt)
 		case isa.OpSRA:
-			c.setGPR(in.Rd, uint32(int32(c.GPR[in.Rt])>>in.Shamt))
+			c.setGPR(in.Rd, uint32(int32(c.GPR[in.Rt&31])>>in.Shamt))
 		case isa.OpSLLV:
-			c.setGPR(in.Rd, c.GPR[in.Rt]<<(c.GPR[in.Rs]&31))
+			c.setGPR(in.Rd, c.GPR[in.Rt&31]<<(c.GPR[in.Rs&31]&31))
 		case isa.OpSRLV:
-			c.setGPR(in.Rd, c.GPR[in.Rt]>>(c.GPR[in.Rs]&31))
+			c.setGPR(in.Rd, c.GPR[in.Rt&31]>>(c.GPR[in.Rs&31]&31))
 		case isa.OpSRAV:
-			c.setGPR(in.Rd, uint32(int32(c.GPR[in.Rt])>>(c.GPR[in.Rs]&31)))
+			c.setGPR(in.Rd, uint32(int32(c.GPR[in.Rt&31])>>(c.GPR[in.Rs&31]&31)))
 		case isa.OpJR:
-			next = c.GPR[in.Rs]
+			next = c.GPR[in.Rs&31]
 		case isa.OpJALR:
 			c.setGPR(in.Rd, c.PC+4)
-			next = c.GPR[in.Rs]
+			next = c.GPR[in.Rs&31]
 		case isa.OpSYSCALL:
 			if err := c.syscall(); err != nil {
 				return 0, err
@@ -392,54 +394,54 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 		case isa.OpMFHI:
 			c.setGPR(in.Rd, c.HI)
 		case isa.OpMTHI:
-			c.HI = c.GPR[in.Rs]
+			c.HI = c.GPR[in.Rs&31]
 		case isa.OpMFLO:
 			c.setGPR(in.Rd, c.LO)
 		case isa.OpMTLO:
-			c.LO = c.GPR[in.Rs]
+			c.LO = c.GPR[in.Rs&31]
 		case isa.OpMULT:
-			prod := int64(int32(c.GPR[in.Rs])) * int64(int32(c.GPR[in.Rt]))
+			prod := int64(int32(c.GPR[in.Rs&31])) * int64(int32(c.GPR[in.Rt&31]))
 			c.LO, c.HI = uint32(prod), uint32(prod>>32)
 		case isa.OpMULTU:
-			prod := uint64(c.GPR[in.Rs]) * uint64(c.GPR[in.Rt])
+			prod := uint64(c.GPR[in.Rs&31]) * uint64(c.GPR[in.Rt&31])
 			c.LO, c.HI = uint32(prod), uint32(prod>>32)
 		case isa.OpDIV:
-			d := int32(c.GPR[in.Rt])
+			d := int32(c.GPR[in.Rt&31])
 			if d == 0 {
 				return 0, fmt.Errorf("cpu: integer divide by zero at pc %#x", c.PC)
 			}
-			n := int32(c.GPR[in.Rs])
+			n := int32(c.GPR[in.Rs&31])
 			c.LO, c.HI = uint32(n/d), uint32(n%d)
 		case isa.OpDIVU:
-			d := c.GPR[in.Rt]
+			d := c.GPR[in.Rt&31]
 			if d == 0 {
 				return 0, fmt.Errorf("cpu: integer divide by zero at pc %#x", c.PC)
 			}
-			n := c.GPR[in.Rs]
+			n := c.GPR[in.Rs&31]
 			c.LO, c.HI = n/d, n%d
 		case isa.OpADD, isa.OpADDU:
 			// Overflow traps are not modelled; ADD behaves as ADDU.
-			c.setGPR(in.Rd, c.GPR[in.Rs]+c.GPR[in.Rt])
+			c.setGPR(in.Rd, c.GPR[in.Rs&31]+c.GPR[in.Rt&31])
 		case isa.OpSUB, isa.OpSUBU:
-			c.setGPR(in.Rd, c.GPR[in.Rs]-c.GPR[in.Rt])
+			c.setGPR(in.Rd, c.GPR[in.Rs&31]-c.GPR[in.Rt&31])
 		case isa.OpAND:
-			c.setGPR(in.Rd, c.GPR[in.Rs]&c.GPR[in.Rt])
+			c.setGPR(in.Rd, c.GPR[in.Rs&31]&c.GPR[in.Rt&31])
 		case isa.OpOR:
-			c.setGPR(in.Rd, c.GPR[in.Rs]|c.GPR[in.Rt])
+			c.setGPR(in.Rd, c.GPR[in.Rs&31]|c.GPR[in.Rt&31])
 		case isa.OpXOR:
-			c.setGPR(in.Rd, c.GPR[in.Rs]^c.GPR[in.Rt])
+			c.setGPR(in.Rd, c.GPR[in.Rs&31]^c.GPR[in.Rt&31])
 		case isa.OpNOR:
-			c.setGPR(in.Rd, ^(c.GPR[in.Rs] | c.GPR[in.Rt]))
+			c.setGPR(in.Rd, ^(c.GPR[in.Rs&31] | c.GPR[in.Rt&31]))
 		case isa.OpSLT:
-			c.setGPR(in.Rd, b2u(int32(c.GPR[in.Rs]) < int32(c.GPR[in.Rt])))
+			c.setGPR(in.Rd, b2u(int32(c.GPR[in.Rs&31]) < int32(c.GPR[in.Rt&31])))
 		case isa.OpSLTU:
-			c.setGPR(in.Rd, b2u(c.GPR[in.Rs] < c.GPR[in.Rt]))
+			c.setGPR(in.Rd, b2u(c.GPR[in.Rs&31] < c.GPR[in.Rt&31]))
 		case isa.OpBLTZ:
-			if int32(c.GPR[in.Rs]) < 0 {
+			if int32(c.GPR[in.Rs&31]) < 0 {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpBGEZ:
-			if int32(c.GPR[in.Rs]) >= 0 {
+			if int32(c.GPR[in.Rs&31]) >= 0 {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpJ:
@@ -448,47 +450,47 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 			c.setGPR(isa.RA, c.PC+4)
 			next = (c.PC+4)&0xf0000000 | in.Target<<2
 		case isa.OpBEQ:
-			if c.GPR[in.Rs] == c.GPR[in.Rt] {
+			if c.GPR[in.Rs&31] == c.GPR[in.Rt&31] {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpBNE:
-			if c.GPR[in.Rs] != c.GPR[in.Rt] {
+			if c.GPR[in.Rs&31] != c.GPR[in.Rt&31] {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpBLEZ:
-			if int32(c.GPR[in.Rs]) <= 0 {
+			if int32(c.GPR[in.Rs&31]) <= 0 {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpBGTZ:
-			if int32(c.GPR[in.Rs]) > 0 {
+			if int32(c.GPR[in.Rs&31]) > 0 {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpADDI, isa.OpADDIU:
-			c.setGPR(in.Rt, c.GPR[in.Rs]+uint32(in.Imm))
+			c.setGPR(in.Rt, c.GPR[in.Rs&31]+uint32(in.Imm))
 		case isa.OpSLTI:
-			c.setGPR(in.Rt, b2u(int32(c.GPR[in.Rs]) < in.Imm))
+			c.setGPR(in.Rt, b2u(int32(c.GPR[in.Rs&31]) < in.Imm))
 		case isa.OpSLTIU:
-			c.setGPR(in.Rt, b2u(c.GPR[in.Rs] < uint32(in.Imm)))
+			c.setGPR(in.Rt, b2u(c.GPR[in.Rs&31] < uint32(in.Imm)))
 		case isa.OpANDI:
-			c.setGPR(in.Rt, c.GPR[in.Rs]&uint32(uint16(in.Imm)))
+			c.setGPR(in.Rt, c.GPR[in.Rs&31]&uint32(uint16(in.Imm)))
 		case isa.OpORI:
-			c.setGPR(in.Rt, c.GPR[in.Rs]|uint32(uint16(in.Imm)))
+			c.setGPR(in.Rt, c.GPR[in.Rs&31]|uint32(uint16(in.Imm)))
 		case isa.OpXORI:
-			c.setGPR(in.Rt, c.GPR[in.Rs]^uint32(uint16(in.Imm)))
+			c.setGPR(in.Rt, c.GPR[in.Rs&31]^uint32(uint16(in.Imm)))
 		case isa.OpLUI:
 			c.setGPR(in.Rt, uint32(uint16(in.Imm))<<16)
 		case isa.OpLB:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
 			b := c.Mem.LoadByte(addr)
 			c.data(addr, uint32(b), false)
 			c.setGPR(in.Rt, uint32(int32(int8(b))))
 		case isa.OpLBU:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
 			b := c.Mem.LoadByte(addr)
 			c.data(addr, uint32(b), false)
 			c.setGPR(in.Rt, uint32(b))
 		case isa.OpLH:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
 			v, err := c.Mem.LoadHalf(addr)
 			if err != nil {
 				return 0, c.memErr(err)
@@ -496,7 +498,7 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 			c.data(addr, uint32(v), false)
 			c.setGPR(in.Rt, uint32(int32(int16(v))))
 		case isa.OpLHU:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
 			v, err := c.Mem.LoadHalf(addr)
 			if err != nil {
 				return 0, c.memErr(err)
@@ -504,7 +506,7 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 			c.data(addr, uint32(v), false)
 			c.setGPR(in.Rt, uint32(v))
 		case isa.OpLW:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
 			v, err := c.Mem.LoadWord(addr)
 			if err != nil {
 				return 0, c.memErr(err)
@@ -512,39 +514,39 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 			c.data(addr, v, false)
 			c.setGPR(in.Rt, v)
 		case isa.OpSB:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
-			c.data(addr, uint32(byte(c.GPR[in.Rt])), true)
-			c.Mem.StoreByte(addr, byte(c.GPR[in.Rt]))
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
+			c.data(addr, uint32(byte(c.GPR[in.Rt&31])), true)
+			c.Mem.StoreByte(addr, byte(c.GPR[in.Rt&31]))
 		case isa.OpSH:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
-			if err := c.Mem.StoreHalf(addr, uint16(c.GPR[in.Rt])); err != nil {
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
+			if err := c.Mem.StoreHalf(addr, uint16(c.GPR[in.Rt&31])); err != nil {
 				return 0, c.memErr(err)
 			}
-			c.data(addr, uint32(uint16(c.GPR[in.Rt])), true)
+			c.data(addr, uint32(uint16(c.GPR[in.Rt&31])), true)
 		case isa.OpSW:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
-			if err := c.Mem.StoreWord(addr, c.GPR[in.Rt]); err != nil {
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
+			if err := c.Mem.StoreWord(addr, c.GPR[in.Rt&31]); err != nil {
 				return 0, c.memErr(err)
 			}
-			c.data(addr, c.GPR[in.Rt], true)
+			c.data(addr, c.GPR[in.Rt&31], true)
 		case isa.OpLWC1:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
 			v, err := c.Mem.LoadWord(addr)
 			if err != nil {
 				return 0, c.memErr(err)
 			}
 			c.data(addr, v, false)
-			c.FPR[in.Ft] = math.Float32frombits(v)
+			c.FPR[in.Ft&31] = math.Float32frombits(v)
 		case isa.OpSWC1:
-			addr := c.GPR[in.Rs] + uint32(in.Imm)
-			if err := c.Mem.StoreWord(addr, math.Float32bits(c.FPR[in.Ft])); err != nil {
+			addr := c.GPR[in.Rs&31] + uint32(in.Imm)
+			if err := c.Mem.StoreWord(addr, math.Float32bits(c.FPR[in.Ft&31])); err != nil {
 				return 0, c.memErr(err)
 			}
-			c.data(addr, math.Float32bits(c.FPR[in.Ft]), true)
+			c.data(addr, math.Float32bits(c.FPR[in.Ft&31]), true)
 		case isa.OpMFC1:
-			c.setGPR(in.Rt, math.Float32bits(c.FPR[in.Fs]))
+			c.setGPR(in.Rt, math.Float32bits(c.FPR[in.Fs&31]))
 		case isa.OpMTC1:
-			c.FPR[in.Fs] = math.Float32frombits(c.GPR[in.Rt])
+			c.FPR[in.Fs&31] = math.Float32frombits(c.GPR[in.Rt&31])
 		case isa.OpBC1F:
 			if !c.FCC {
 				next = c.branchTarget(in.Imm)
@@ -554,31 +556,31 @@ func (c *CPU) exec(i, end int) (uint32, error) {
 				next = c.branchTarget(in.Imm)
 			}
 		case isa.OpADDS:
-			c.FPR[in.Fd] = c.FPR[in.Fs] + c.FPR[in.Ft]
+			c.FPR[in.Fd&31] = c.FPR[in.Fs&31] + c.FPR[in.Ft&31]
 		case isa.OpSUBS:
-			c.FPR[in.Fd] = c.FPR[in.Fs] - c.FPR[in.Ft]
+			c.FPR[in.Fd&31] = c.FPR[in.Fs&31] - c.FPR[in.Ft&31]
 		case isa.OpMULS:
-			c.FPR[in.Fd] = c.FPR[in.Fs] * c.FPR[in.Ft]
+			c.FPR[in.Fd&31] = c.FPR[in.Fs&31] * c.FPR[in.Ft&31]
 		case isa.OpDIVS:
-			c.FPR[in.Fd] = c.FPR[in.Fs] / c.FPR[in.Ft]
+			c.FPR[in.Fd&31] = c.FPR[in.Fs&31] / c.FPR[in.Ft&31]
 		case isa.OpSQRTS:
-			c.FPR[in.Fd] = float32(math.Sqrt(float64(c.FPR[in.Fs])))
+			c.FPR[in.Fd&31] = float32(math.Sqrt(float64(c.FPR[in.Fs&31])))
 		case isa.OpABSS:
-			c.FPR[in.Fd] = float32(math.Abs(float64(c.FPR[in.Fs])))
+			c.FPR[in.Fd&31] = float32(math.Abs(float64(c.FPR[in.Fs&31])))
 		case isa.OpMOVS:
-			c.FPR[in.Fd] = c.FPR[in.Fs]
+			c.FPR[in.Fd&31] = c.FPR[in.Fs&31]
 		case isa.OpNEGS:
-			c.FPR[in.Fd] = -c.FPR[in.Fs]
+			c.FPR[in.Fd&31] = -c.FPR[in.Fs&31]
 		case isa.OpCVTWS:
-			c.FPR[in.Fd] = math.Float32frombits(uint32(int32(c.FPR[in.Fs])))
+			c.FPR[in.Fd&31] = math.Float32frombits(uint32(int32(c.FPR[in.Fs&31])))
 		case isa.OpCVTSW:
-			c.FPR[in.Fd] = float32(int32(math.Float32bits(c.FPR[in.Fs])))
+			c.FPR[in.Fd&31] = float32(int32(math.Float32bits(c.FPR[in.Fs&31])))
 		case isa.OpCEQS:
-			c.FCC = c.FPR[in.Fs] == c.FPR[in.Ft]
+			c.FCC = c.FPR[in.Fs&31] == c.FPR[in.Ft&31]
 		case isa.OpCLTS:
-			c.FCC = c.FPR[in.Fs] < c.FPR[in.Ft]
+			c.FCC = c.FPR[in.Fs&31] < c.FPR[in.Ft&31]
 		case isa.OpCLES:
-			c.FCC = c.FPR[in.Fs] <= c.FPR[in.Ft]
+			c.FCC = c.FPR[in.Fs&31] <= c.FPR[in.Ft&31]
 		default:
 			return 0, fmt.Errorf("cpu: unimplemented op %s at pc %#x", in.Op, c.PC)
 		}
@@ -598,7 +600,7 @@ func (c *CPU) data(addr, v uint32, store bool) {
 
 func (c *CPU) setGPR(r isa.Reg, v uint32) {
 	if r != isa.Zero {
-		c.GPR[r] = v
+		c.GPR[r&31] = v
 	}
 }
 

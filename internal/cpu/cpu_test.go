@@ -421,8 +421,12 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"div zero", "li $t0, 1\nli $t1, 0\ndiv $t0, $t1" + exitSeq, "divide by zero"},
 		{"bad syscall", "li $v0, 99\nsyscall", "unknown syscall"},
-		{"unaligned lw", "li $t0, 2\nlw $t1, 0($t0)", "unaligned"},
-		{"unaligned sw", "li $t0, 2\nsw $t1, 0($t0)", "unaligned"},
+		// Unaligned word accesses quote the faulting pc, then the
+		// memory's message with the address, verbatim.
+		{"unaligned lw", "li $t0, 2\nlw $t1, 0($t0)", "cpu: pc 0x400004: mem: unaligned word load at 0x2"},
+		{"unaligned sw", "li $t0, 0x10010001\nsw $t1, 4($t0)", "cpu: pc 0x400008: mem: unaligned word store at 0x10010005"},
+		{"unaligned lwc1", "li $t0, 0x10010003\nlwc1 $f2, -8($t0)", "cpu: pc 0x400008: mem: unaligned word load at 0x1000fffb"},
+		{"unaligned swc1", "li $t0, 6\nswc1 $f2, 0($t0)", "cpu: pc 0x400004: mem: unaligned word store at 0x6"},
 		{"break", "break", "break"},
 		{"fall off end", "nop", "outside text segment"},
 		{"wild jump", "li $t0, 0x20000000\njr $t0", "outside text segment"},

@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -34,8 +35,9 @@ type Memory struct {
 	// dir is a two-level page table over the whole 32-bit space: each
 	// entry covers 4 MiB of addresses and points to the table of its
 	// pages once one is touched. A lookup is two loads and no call, so
-	// every access inlines it: kernels walk several arrays at once, and
-	// a map lookup per access would cost more than the access.
+	// every access inlines it, and the word accessors inline into the
+	// simulator: kernels walk several arrays at once, and a map lookup or
+	// a call per access would cost more than the access.
 	dir   [1 << dirBits]*pageTable
 	pages int // allocated pages
 }
@@ -50,20 +52,19 @@ type pageBytes [pageSize]byte
 func New() *Memory { return new(Memory) }
 
 // page returns the page holding addr, allocating it (and its page table)
-// on first touch.
+// on first touch. It works through the two slots' addresses, which the
+// inliner charges less than indexing each slot twice.
 func (m *Memory) page(addr uint32) *pageBytes {
-	t := m.dir[addr>>(32-dirBits)]
-	if t == nil {
-		t = new(pageTable)
-		m.dir[addr>>(32-dirBits)] = t
+	t := &m.dir[addr>>(32-dirBits)]
+	if *t == nil {
+		*t = new(pageTable)
 	}
-	p := t[addr>>pageShift&(1<<tableBits-1)]
-	if p == nil {
-		p = new(pageBytes)
-		t[addr>>pageShift&(1<<tableBits-1)] = p
+	p := &(*t)[addr>>pageShift&(1<<tableBits-1)]
+	if *p == nil {
+		*p = new(pageBytes)
 		m.pages++
 	}
-	return p
+	return *p
 }
 
 // LoadByte returns the byte at addr.
@@ -104,26 +105,36 @@ func (m *Memory) StoreHalf(addr uint32, v uint16) error {
 // 4-byte aligned.
 func (m *Memory) LoadWord(addr uint32) (uint32, error) {
 	if addr&3 != 0 {
-		return 0, fmt.Errorf("mem: unaligned word load at %#x", addr)
+		return 0, wordLoadError(addr)
 	}
-	p := m.page(addr)
-	off := addr & pageMask
-	return uint32(p[off]) | uint32(p[off+1])<<8 | uint32(p[off+2])<<16 | uint32(p[off+3])<<24, nil
+	return binary.LittleEndian.Uint32(m.page(addr)[addr&pageMask:]), nil
 }
 
 // StoreWord writes the little-endian 32-bit value at addr. addr must be
 // 4-byte aligned.
 func (m *Memory) StoreWord(addr uint32, v uint32) error {
 	if addr&3 != 0 {
-		return fmt.Errorf("mem: unaligned word store at %#x", addr)
+		return wordStoreError(addr)
 	}
-	p := m.page(addr)
-	off := addr & pageMask
-	p[off] = byte(v)
-	p[off+1] = byte(v >> 8)
-	p[off+2] = byte(v >> 16)
-	p[off+3] = byte(v >> 24)
+	binary.LittleEndian.PutUint32(m.page(addr)[addr&pageMask:], v)
 	return nil
+}
+
+// wordLoadError and wordStoreError are an unaligned word access at their
+// address. LoadWord and StoreWord return them as plain values, which
+// keeps both under the inliner's budget: the message is formatted only
+// when it is read.
+type (
+	wordLoadError  uint32
+	wordStoreError uint32
+)
+
+func (e wordLoadError) Error() string {
+	return fmt.Sprintf("mem: unaligned word load at %#x", uint32(e))
+}
+
+func (e wordStoreError) Error() string {
+	return fmt.Sprintf("mem: unaligned word store at %#x", uint32(e))
 }
 
 // LoadFloat returns the float32 stored at addr.

@@ -43,19 +43,27 @@ func TestHalfRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAlignmentErrors pins the unaligned-access messages verbatim: the
+// simulator's errors quote them.
 func TestAlignmentErrors(t *testing.T) {
 	m := New()
-	if _, err := m.LoadWord(2); err == nil {
-		t.Error("unaligned word load accepted")
-	}
-	if err := m.StoreWord(1, 0); err == nil {
-		t.Error("unaligned word store accepted")
-	}
-	if _, err := m.LoadHalf(1); err == nil {
-		t.Error("unaligned half load accepted")
-	}
-	if err := m.StoreHalf(3, 0); err == nil {
-		t.Error("unaligned half store accepted")
+	_, lw := m.LoadWord(0x10010002)
+	_, lf := m.LoadFloat(0x7fffeffe)
+	_, lh := m.LoadHalf(1)
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{lw, "mem: unaligned word load at 0x10010002"},
+		{m.StoreWord(1, 0), "mem: unaligned word store at 0x1"},
+		{lf, "mem: unaligned word load at 0x7fffeffe"},
+		{m.StoreFloat(0xffffffff, 0), "mem: unaligned word store at 0xffffffff"},
+		{lh, "mem: unaligned halfword load at 0x1"},
+		{m.StoreHalf(3, 0), "mem: unaligned halfword store at 0x3"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("err = %v, want %q", c.err, c.want)
+		}
 	}
 }
 

@@ -85,57 +85,95 @@ func TestCaptureRunMatchesNaiveFold(t *testing.T) {
 	}
 }
 
-// BenchmarkBuilderSpans times the fold on its own: the straight-line
-// spans of mmul and lu at the root tests' scales are recorded once, and
-// each iteration folds both span streams through fresh Builders, as a
-// capture's OnSpan hook does.
+// branchySource is a loop whose 32-bit xorshift state picks one of two
+// paths on every iteration, as cmd/imtrans/testdata/branchy.s does: its
+// taken branches follow no fixed period, so its spans rarely repeat the
+// span before them.
+const branchySource = `
+	li   $t0, 20000
+	li   $t1, 2463534242
+	li   $t2, 0
+	li   $t3, 0
+loop:
+	sll  $t4, $t1, 13
+	xor  $t1, $t1, $t4
+	srl  $t4, $t1, 17
+	xor  $t1, $t1, $t4
+	sll  $t4, $t1, 5
+	xor  $t1, $t1, $t4
+	andi $t5, $t1, 1
+	beqz $t5, even
+	addu $t2, $t2, $t1
+	srl  $t6, $t1, 3
+	xor  $t2, $t2, $t6
+	b    next
+even:
+	subu $t3, $t3, $t1
+	sll  $t6, $t1, 2
+	or   $t3, $t3, $t6
+next:
+	addiu $t0, $t0, -1
+	bgtz $t0, loop
+	li $v0, 10
+	syscall
+`
+
+// recordSpans runs a program and returns the text-index spans its OnSpan
+// hook reports.
+func recordSpans(b *testing.B, src string, setup func(*mem.Memory) error) [][2]int {
+	obj, err := asm.Assemble(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := mem.New()
+	for i, v := range obj.Data {
+		m.StoreByte(obj.DataBase+uint32(i), v)
+	}
+	if err := setup(m); err != nil {
+		b.Fatal(err)
+	}
+	c, err := cpu.New(cpu.Program{Base: obj.TextBase, Words: obj.TextWords}, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var spans [][2]int
+	c.OnSpan = func(first, last uint32) {
+		spans = append(spans, [2]int{int(first-obj.TextBase) / 4, int(last-obj.TextBase) / 4})
+	}
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return spans
+}
+
+// BenchmarkBuilderSpans times the fold on its own, in ns/span per stream:
+// the straight-line spans of mmul and lu at the root tests' scales, whose
+// inner loops are one span each, and of branchySource, whose spans follow
+// no period. Each stream is recorded once, and each iteration folds it
+// through a fresh Builder, as a capture's OnSpan hook does.
 func BenchmarkBuilderSpans(b *testing.B) {
-	var streams [][][2]int
-	spans := 0
-	for _, k := range []struct {
-		name string
-		p    workloads.Params
-	}{{"mmul", workloads.Params{N: 24}}, {"lu", workloads.Params{N: 24}}} {
-		w, err := workloads.ByName(k.name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := w.Fill(k.p)
-		obj, err := asm.Assemble(w.Source(p))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mem.New()
-		for i, v := range obj.Data {
-			m.StoreByte(obj.DataBase+uint32(i), v)
-		}
-		if err := w.Setup(m, p); err != nil {
-			b.Fatal(err)
-		}
-		c, err := cpu.New(cpu.Program{Base: obj.TextBase, Words: obj.TextWords}, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var stream [][2]int
-		c.OnSpan = func(first, last uint32) {
-			stream = append(stream, [2]int{int(first-obj.TextBase) / 4, int(last-obj.TextBase) / 4})
-		}
-		if err := c.Run(); err != nil {
-			b.Fatalf("%s: %v", k.name, err)
-		}
-		streams = append(streams, stream)
-		spans += len(stream)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, stream := range streams {
-			fold := replay.NewBuilder()
-			for _, s := range stream {
-				fold.Span(s[0], s[1])
+	for _, name := range []string{"mmul", "lu", "branchy"} {
+		var spans [][2]int
+		if name == "branchy" {
+			spans = recordSpans(b, branchySource, func(*mem.Memory) error { return nil })
+		} else {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-			fold.Trace()
+			p := w.Fill(workloads.Params{N: 24})
+			spans = recordSpans(b, w.Source(p), func(m *mem.Memory) error { return w.Setup(m, p) })
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fold := replay.NewBuilder()
+				for _, s := range spans {
+					fold.Span(s[0], s[1])
+				}
+				fold.Trace()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spans)), "ns/span")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
 }

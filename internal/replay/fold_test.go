@@ -189,7 +189,53 @@ func FuzzBuilderMatchesNaive(f *testing.F) {
 	f.Add([]byte{4, 2, 20, 1, 0xc3, 5, 30, 0, 0xc5, 7})
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 2, 3, 0xc2, 9, 5, 1, 0xc7, 4})
 	f.Add([]byte{7, 1, 0xc0, 31, 8, 2, 0xc0, 31, 0xc4, 3})
+	// Long runs of one span, alone and around a different span.
+	f.Add([]byte{5, 3, 0xc3, 31, 0xc3, 31, 0xc3, 31, 0xc3, 31, 0xc3, 31})
+	f.Add([]byte{5, 3, 0xc3, 7, 40, 1, 5, 3, 0xc3, 31, 0xc3, 31, 0xc3, 31, 40, 1, 5, 3, 0xc3, 7})
+	f.Add([]byte{9, 1, 0xc1, 31, 0xc1, 31, 9, 0, 0xc0, 31, 9, 1, 0xc1, 31, 0xc1, 31})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFolds(t, "fuzz", fuzzStream(data))
 	})
+}
+
+// TestBuilderAbsorbsRepeatedSpans bounds the per-token work of a loop of
+// one span: once the loop's group forms, Span adds further repeats to its
+// count in one step, so a million more of them reach the per-token path
+// as often as a hundred more do, past the hazard counts the loops before
+// it leave, and the whole stream takes at most four per-token spans more
+// than it has spans before the run. Each trace must equal the Add-fed
+// Builder's.
+func TestBuilderAbsorbsRepeatedSpans(t *testing.T) {
+	s, x, y := [2]int{10, 13}, [2]int{20, 21}, [2]int{30, 32}
+	for pi, prefix := range [][][2]int{
+		{x, s, s, s},
+		{s, s, s, x, s, s, s, s, s, x, s, s, s, s, y, s, s, s},
+		{s, x, s, s, x, s, s, s, y, s, s},
+	} {
+		slow := func(more int) int {
+			spans, adds := NewBuilder(), NewBuilder()
+			feed := func(sp [2]int) {
+				spans.Span(sp[0], sp[1])
+				for i := sp[0]; i <= sp[1]; i++ {
+					adds.Add(i)
+				}
+			}
+			for _, sp := range prefix {
+				feed(sp)
+			}
+			for i := 0; i < more; i++ {
+				feed(s)
+			}
+			if got, want := spans.Trace(), adds.Trace(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("prefix %d, %d more: Span-fed trace differs from the Add-fed one\n got: %s\nwant: %s",
+					pi, more, traceText(got), traceText(want))
+			}
+			return spans.tokenSpans
+		}
+		few, many := slow(100), slow(1_000_000)
+		if many != few || many > len(prefix)+4 {
+			t.Errorf("prefix %d: %d and %d spans through the per-token path after 100 and 10^6 repeats, want the same count, at most %d",
+				pi, few, many, len(prefix)+4)
+		}
+	}
 }

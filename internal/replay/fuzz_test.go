@@ -54,7 +54,7 @@ func traceCases() [][]int {
 		}
 		hazard = append(hazard, 9, 0)
 	}
-	return [][]int{
+	cases := [][]int{
 		{5},
 		{0, 1, 2, 3, 4, 5, 6, 7},
 		{3, 9, 2, 2, 2, 7, 1, 0, 4},
@@ -63,6 +63,31 @@ func traceCases() [][]int {
 		midBody,
 		hazard,
 	}
+	// Loops of one span S, as S×a X S×b X S×c Y S×a: the earlier loops'
+	// groups are fold and extend partners of the later ones at every
+	// count a Span-fed Builder could add in one step.
+	spans := func(out []int, first, last, reps int) []int {
+		for ; reps > 0; reps-- {
+			for i := first; i <= last; i++ {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	for a := 1; a <= 7; a++ {
+		for b := 1; b <= 12; b++ {
+			for c := 1; c <= 12; c++ {
+				s := spans(nil, 10, 13, a)
+				s = spans(s, 20, 21, 1)
+				s = spans(s, 10, 13, b)
+				s = spans(s, 20, 21, 1)
+				s = spans(s, 10, 13, c)
+				s = spans(s, 30, 32, 1)
+				cases = append(cases, spans(s, 10, 13, a))
+			}
+		}
+	}
+	return cases
 }
 
 func TestTraceTextRoundTrip(t *testing.T) {

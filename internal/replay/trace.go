@@ -159,6 +159,16 @@ const maxTandemWindow = 24
 // The last two kinds differ from G only in their repeat count: the
 // cursor lists those counts once when G becomes the top, compares G's
 // count with them at each step, and sends any hit to the scan.
+//
+// Span does less still for a loop of one straight-line span, which most
+// hot inner loops are. It only counts a run of identical consecutive
+// spans and feeds the run to the fold when a different span arrives, when
+// Add is called, or in Trace. Each span after the first of such a loop
+// is two tokens, the jump back (first−last, 1) and the straight run
+// (1, last−first), and extends the group of that two-token body by one.
+// So once the cursor holds that group, the release adds the run's
+// remaining spans to its repeat count in one step, stopping short of any
+// count the cursor lists, and feeds the rest token by token.
 type Builder struct {
 	first    int32
 	n        uint64
@@ -170,13 +180,18 @@ type Builder struct {
 	// The loop-body cursor: when cursor is set, ops[at] is a group whose
 	// body holds only leaves, the ops above it are a prefix of that body,
 	// and hazards are the repeat counts at which a copy of ops[at] below
-	// it could join a collapse. The cursor appends no op it matches
-	// outside a hazard: it counts them in pend (no op sits above ops[at]
-	// then) and settle appends them once the cursor breaks.
+	// it could join a collapse.
 	cursor  bool
 	at      int
-	pend    int
 	hazards []int64
+
+	// The held run: held spans heldFirst..heldLast that Span has counted
+	// and the fold has yet to see; release feeds them to it.
+	heldFirst, heldLast int32
+	held                int64
+	// tokenSpans counts the spans release fed token by token; a test
+	// bounds it.
+	tokenSpans int
 }
 
 // NewBuilder returns an empty trace builder.
@@ -184,7 +199,13 @@ func NewBuilder() *Builder { return &Builder{} }
 
 // Add records the next fetched text index.
 func (b *Builder) Add(idx int) {
-	i := int32(idx)
+	if b.held > 0 {
+		b.release()
+	}
+	b.add(int32(idx))
+}
+
+func (b *Builder) add(i int32) {
 	b.n++
 	if b.n == 1 {
 		b.first, b.lastIdx = i, i
@@ -198,12 +219,73 @@ func (b *Builder) Add(idx int) {
 // Span records the fetches of one straight-line span, first, first+1,
 // ..., last (last >= first): the same as calling Add for each in turn.
 func (b *Builder) Span(first, last int) {
-	b.Add(first)
-	if n := int64(last - first); n > 0 {
-		b.n += uint64(n)
-		b.lastIdx = int32(last)
-		b.run(1, n)
+	if int32(first) == b.heldFirst && int32(last) == b.heldLast {
+		b.held++
+		return
 	}
+	b.release()
+	b.heldFirst, b.heldLast, b.held = int32(first), int32(last), 1
+}
+
+// release feeds the held run of spans to the fold: as many as absorb
+// takes in one step at a time, the others token by token.
+func (b *Builder) release() {
+	first, last := b.heldFirst, b.heldLast
+	r := b.held
+	b.held = 0
+	for r > 0 {
+		if m := b.absorb(first, last, r); m > 0 {
+			r -= m
+			continue
+		}
+		b.tokenSpans++
+		b.add(first)
+		if n := int64(last - first); n > 0 {
+			b.n += uint64(n)
+			b.lastIdx = last
+			b.run(1, n)
+		}
+		r--
+	}
+}
+
+// absorb adds up to r spans first..last to the cursor's group in one step
+// and returns how many it added. The group must be the span's two-token
+// loop body in either rotation, and the fold must stand where a span just
+// left it: the open run is the span's straight run and, when the body
+// opens with the jump, the jump sits above the group. Each span then
+// completes one pass of the body, so pushing m of them would check the
+// group's counts from its current one up to m more; absorb takes the
+// largest m ≤ r that meets no hazard there.
+func (b *Builder) absorb(first, last int32, r int64) int64 {
+	n := int64(last - first)
+	if !b.cursor || n == 0 || b.lastIdx != last || b.curDelta != 1 || b.curCount != n {
+		return 0
+	}
+	g := &b.ops[b.at]
+	if len(g.Body) != 2 {
+		return 0
+	}
+	// The jump closes the body, or opens it and sits above the group.
+	j, s := &g.Body[1], &g.Body[0]
+	if len(b.ops)-b.at-1 == 1 {
+		j, s = s, j
+	}
+	if j.Delta != -int32(n) || j.Count != 1 || s.Delta != 1 || s.Count != n {
+		return 0
+	}
+	m := r
+	for _, h := range b.hazards {
+		if h >= g.Repeat {
+			m = min(m, h-g.Repeat-1)
+		}
+	}
+	if m <= 0 {
+		return 0
+	}
+	g.Repeat += m
+	b.n += uint64(m) * uint64(n+1)
+	return m
 }
 
 // run appends count fetches, each stepping delta from its predecessor.
@@ -235,7 +317,7 @@ func (b *Builder) push(delta int32, count int64) {
 	next := false // the leaf continues the cursor's body
 	if b.cursor {
 		g := &b.ops[b.at]
-		t := len(b.ops) - b.at - 1 + b.pend
+		t := len(b.ops) - b.at - 1
 		e := &g.Body[t] // a leaf: the cursor's body holds only leaves
 		next = e.Delta == delta && e.Count == count
 		if next {
@@ -248,14 +330,12 @@ func (b *Builder) push(delta int32, count int64) {
 				if done {
 					g.Repeat = r
 					b.ops = b.ops[:b.at+1]
-					b.pend = 0
 				} else {
-					b.pend++
+					b.ops = append(b.ops, Op{Delta: delta, Count: count})
 				}
 				return
 			}
 		}
-		b.settle()
 	}
 	b.ops = append(b.ops, Op{Delta: delta, Count: count})
 	if !b.collapseTail() {
@@ -265,14 +345,6 @@ func (b *Builder) push(delta int32, count int64) {
 	for b.collapseTail() {
 	}
 	b.aim()
-}
-
-// settle appends the body ops the cursor has matched but not pushed.
-func (b *Builder) settle() {
-	if b.pend > 0 {
-		b.ops = append(b.ops, b.ops[b.at].Body[:b.pend]...)
-		b.pend = 0
-	}
 }
 
 // aim points the cursor at the top op if it is a group whose body holds
@@ -342,7 +414,7 @@ func (b *Builder) collapseTail() bool {
 // Trace finalises and returns the compressed trace. The builder must not
 // be used afterwards.
 func (b *Builder) Trace() *Trace {
+	b.release()
 	b.flushRun()
-	b.settle()
 	return &Trace{First: b.first, N: b.n, Ops: b.ops}
 }
