@@ -28,14 +28,13 @@ type AddressBusReport struct {
 // whose setup contract applies) through the registered gray and t0 fleet
 // schemes, whose baseline is the binary address bus.
 func MeasureAddressBus(p *Program, setup func(Memory) error) (*AddressBusReport, error) {
-	return measureAddressBus(p, setup, "")
+	return measureAddressBus(target{p: p, setup: setup})
 }
 
-// measureAddressBus is MeasureAddressBus over the capture cached under
-// salt.
-func measureAddressBus(p *Program, setup func(Memory) error, salt string) (*AddressBusReport, error) {
+// measureAddressBus is MeasureAddressBus over the target's capture.
+func measureAddressBus(t target) (*AddressBusReport, error) {
 	ctx := context.Background()
-	cap, err := captureProgram(ctx, p, setup, salt)
+	cap, err := captureProgram(ctx, t)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +60,7 @@ func (b Benchmark) MeasureAddressBus() (*AddressBusReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := measureAddressBus(p, b.setup, b.captureSalt())
+	r, err := measureAddressBus(b.target(p))
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

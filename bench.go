@@ -138,15 +138,39 @@ func (b Benchmark) setup(m Memory) error {
 	return b.w.Setup(m.m, b.params())
 }
 
-// Run executes the benchmark at its configured scale, validates the
-// numerical result against the golden reference, and returns the baseline
-// bus statistics.
+// target is the capture target of p, the benchmark's program or a variant
+// of it: the kernel's memory setup, its (kernel, scale) salt and its
+// golden check. It is the only place a target gets a salt or a check.
+func (b Benchmark) target(p *Program) target {
+	check := func(m Memory) error { return b.w.Check(m.m, b.params()) }
+	return target{p: p, setup: b.setup, salt: b.captureSalt(), check: check}
+}
+
+// Run executes the benchmark at its configured scale on a Machine, checks
+// the numerical result against the kernel's golden reference, and returns
+// the run's RunResult: the per-line baseline bus, the profile and the
+// instruction mix. The measuring methods do not call it: they read the
+// benchmark's capture, whose one profiling run passes the same check.
 func (b Benchmark) Run() (*RunResult, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
-	return b.RunProgram(p)
+	mc, err := NewMachine(p)
+	if err == nil {
+		err = b.setup(mc.Memory())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
+	}
+	res, err := mc.Run()
+	if err != nil {
+		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
+	}
+	if err := b.w.Check(mc.c.Mem, b.params()); err != nil {
+		return nil, fmt.Errorf("imtrans: %s: golden check: %w", b.Name, err)
+	}
+	return res, nil
 }
 
 // MeasureWithCache runs the cached-system study (see MeasureWithCache)
@@ -156,7 +180,7 @@ func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasur
 	if err != nil {
 		return nil, err
 	}
-	cm, err := measureWithCache(p, b.setup, b.captureSalt(), cache, enc)
+	cm, err := measureWithCache(b.target(p), cache, enc)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
@@ -165,15 +189,17 @@ func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasur
 
 // Measure runs the full pipeline (profile, encode, decoder-in-the-loop
 // measurement) for each configuration — the machinery behind the paper's
-// Figure 6. Every restored instruction word is verified against the
-// original during the measurement run; use Run to additionally validate
-// the kernel's numerical output against its golden reference.
+// Figure 6. The profiling run is checked: the kernel's numerical output
+// must match its golden reference, or Measure fails with a golden-check
+// error. Every restored instruction word is then verified against the
+// original during the replay.
 //
 // Measure goes through the capture/replay engine: the benchmark is
 // simulated once per (kernel, scale) across the whole process and every
 // configuration is replayed from the cached fetch trace, in memory
 // proportional to the covered-block count rather than the program —
-// bit-identical to MeasureProgram (see ReplayMeasure). Use
+// bit-identical to MeasureProgram (see ReplayMeasure). Every Benchmark
+// method that reads the capture shares that one checked run. Use
 // SimulateMeasure to force the two-run reference pipeline.
 func (b Benchmark) Measure(cfgs ...Config) ([]Measurement, error) {
 	return b.MeasureCtx(context.Background(), cfgs...)
@@ -193,7 +219,7 @@ func (b Benchmark) MeasureCtx(ctx context.Context, cfgs ...Config) ([]Measuremen
 	if err != nil {
 		return nil, err
 	}
-	ms, err := replayMeasureCtx(ctx, p, b.setup, b.captureSalt(), cols)
+	ms, err := replayMeasureCtx(ctx, b.target(p), cols)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

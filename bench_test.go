@@ -274,15 +274,15 @@ func BenchmarkExtensionScheduling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base, err := bench.Run()
+		base, err := bench.Measure()
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := bench.RunProgram(p2)
+		res, err := bench.MeasureModified(p2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		schedOnly = 100 * (1 - float64(res.Transitions)/float64(base.Transitions))
+		schedOnly = 100 * (1 - float64(res[0].Baseline)/float64(base[0].Baseline))
 	}
 	b.ReportMetric(schedOnly, "sched_only_%")
 }

@@ -57,17 +57,17 @@ type CacheMeasurement struct {
 // fetch addresses feeds both refill buses, since the miss sequence
 // depends on the addresses alone.
 func MeasureWithCache(p *Program, setup func(Memory) error, cacheCfg CacheConfig, encCfg Config) (*CacheMeasurement, error) {
-	return measureWithCache(p, setup, "", cacheCfg, encCfg)
+	return measureWithCache(target{p: p, setup: setup}, cacheCfg, encCfg)
 }
 
-// measureWithCache is MeasureWithCache over the capture cached under salt.
-func measureWithCache(p *Program, setup func(Memory) error, salt string, cacheCfg CacheConfig, encCfg Config) (*CacheMeasurement, error) {
+// measureWithCache is MeasureWithCache over the target's capture.
+func measureWithCache(t target, cacheCfg CacheConfig, encCfg Config) (*CacheMeasurement, error) {
 	ic := cacheCfg.internal()
 	cache, err := icache.New(ic)
 	if err != nil {
 		return nil, err
 	}
-	cap, out, err := capturePaper(context.Background(), p, setup, salt, encCfg)
+	cap, out, err := capturePaper(context.Background(), t, encCfg)
 	if err != nil {
 		return nil, err
 	}

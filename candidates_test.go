@@ -29,7 +29,7 @@ func TestSharedCandidatesMatchPrivateEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap, err := captureProgram(ctx, p, b.setup, b.captureSalt())
+		cap, err := captureProgram(ctx, b.target(p))
 		if err != nil {
 			t.Fatal(err)
 		}

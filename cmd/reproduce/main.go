@@ -514,16 +514,15 @@ func schedStudy(small bool) error {
 		if err != nil {
 			return err
 		}
-		if _, err := b.RunProgram(p2); err != nil {
-			return fmt.Errorf("%s: rescheduled program failed golden check: %w", b.Name, err)
-		}
 		base, err := b.Measure(imtrans.Config{BlockSize: 5})
 		if err != nil {
 			return err
 		}
+		// MeasureModified's capture checks the rescheduled program
+		// against the kernel's golden reference.
 		resched, err := b.MeasureModified(p2, imtrans.Config{BlockSize: 5})
 		if err != nil {
-			return err
+			return fmt.Errorf("rescheduled program: %w", err)
 		}
 		// Scheduling-only reduction: the rescheduled program's baseline
 		// stream vs the original baseline.

@@ -105,7 +105,7 @@ func (b Benchmark) DeploymentCtx(ctx context.Context, c Config) (*Deployment, er
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
-	cap, err := captureProgram(ctx, p, b.setup, b.captureSalt())
+	cap, err := captureProgram(ctx, b.target(p))
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -13,13 +13,16 @@
 //   - the application pipeline: profile a program (ProfileProgram), select
 //     hot basic blocks under a Transformation Table budget, encode the
 //     instruction image and measure dynamic bus transitions with the
-//     fetch-side decoder in the loop (Measure, MeasureProgram);
+//     fetch-side decoder in the loop, from one captured run per program
+//     (Measure, ReplayMeasure); MeasureProgram is the two-run reference
+//     the tests compare them with;
 //   - the paper's six DSP/numerical benchmarks with golden references
-//     (Benchmarks), a Bus-Invert comparator and an energy model.
+//     (Benchmarks), checked on the run every Benchmark measurement reads,
+//     a Bus-Invert comparator and an energy model.
 //
 // A minimal session:
 //
 //	prog, _ := imtrans.Assemble(src)
-//	res, _ := imtrans.MeasureProgram(prog, nil, imtrans.Config{BlockSize: 5})
-//	fmt.Printf("%.1f%% fewer bus transitions\n", res[0].ReductionPercent)
+//	res, _ := imtrans.ReplayMeasure(prog, nil, imtrans.Config{BlockSize: 5})
+//	fmt.Printf("%.1f%% fewer bus transitions\n", res[0].ReductionPercent())
 package imtrans

@@ -133,7 +133,7 @@ func (b Benchmark) EncodeCtx(ctx context.Context, c Config) (*EncodingReport, er
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
-	cap, err := captureProgram(ctx, p, b.setup, b.captureSalt())
+	cap, err := captureProgram(ctx, b.target(p))
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -75,24 +76,26 @@ func main() {
 		return m.StoreFloats(imtrans.DataBase+0x100, x)
 	}
 
-	// Step 1-2: profile and plan.
-	mc, err := imtrans.NewMachine(prog)
+	// Step 1-2: profile and plan. A bare profiling run yields the
+	// per-instruction execution counts the plan is made from.
+	profile, err := imtrans.ProfileProgram(context.Background(), prog, setup)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := setup(mc.Memory()); err != nil {
-		log.Fatal(err)
-	}
-	run, err := mc.Run()
+	rep, err := imtrans.EncodeProgram(prog, profile, imtrans.Config{BlockSize: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := imtrans.EncodeProgram(prog, run.Profile, imtrans.Config{BlockSize: 5})
+	// Step 3: measure. One captured run, replayed against each encoded
+	// image with every restored word checked; its baseline is the
+	// firmware's unencoded bus.
+	ms, err := imtrans.ReplayMeasure(prog, setup,
+		imtrans.Config{BlockSize: 4}, imtrans.Config{BlockSize: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("firmware: %d instructions executed, %d bus transitions\n",
-		run.Instructions, run.Transitions)
+		ms[0].Instructions, ms[0].Baseline)
 	fmt.Printf("encoding plan (k=5): %d basic blocks covered, %d TT entries, %.1f%% of fetches\n",
 		len(rep.Plans), rep.TTEntriesUsed, rep.CoveragePercent)
 	for _, p := range rep.Plans {
@@ -107,12 +110,6 @@ func main() {
 		fmt.Printf("  entry %d: %s ...\n", hot.TTStart+e, strings.Join(lines[:8], " "))
 	}
 
-	// Step 3: measure.
-	ms, err := imtrans.MeasureProgram(prog, setup,
-		imtrans.Config{BlockSize: 4}, imtrans.Config{BlockSize: 5})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println()
 	for _, m := range ms {
 		fmt.Printf("%v: %.1f%% of bus transitions removed (bus-invert manages %.1f%%)\n",

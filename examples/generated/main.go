@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ms, err := imtrans.MeasureProgram(prog, nil, imtrans.Config{BlockSize: 5})
+		ms, err := imtrans.ReplayMeasure(prog, nil, imtrans.Config{BlockSize: 5})
 		if err != nil {
 			log.Fatal(err)
 		}

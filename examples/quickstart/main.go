@@ -95,7 +95,9 @@ func programDemo() {
 		}
 		return m.StoreFloats(imtrans.DataBase+0x100, y)
 	}
-	ms, err := imtrans.MeasureProgram(prog, setup,
+	// One profiling run, its fetch stream replayed against each encoded
+	// image with every restored word checked.
+	ms, err := imtrans.ReplayMeasure(prog, setup,
 		imtrans.Config{BlockSize: 4},
 		imtrans.Config{BlockSize: 5},
 	)

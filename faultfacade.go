@@ -137,22 +137,16 @@ func (d *Deployment) FaultCampaign(p *Program, setup func(Memory) error, c Fault
 	return out, nil
 }
 
-// FaultCampaign profiles and encodes the benchmark, then runs a fault
-// campaign over the resulting deployment with the benchmark's memory
-// setup. It returns the report together with the deployment it stressed.
+// FaultCampaign plans the benchmark's deployment (see Deployment: the
+// profile comes from the shared, golden-checked capture), then runs a
+// fault campaign over it with the benchmark's memory setup. It returns
+// the report together with the deployment it stressed.
 func (b Benchmark) FaultCampaign(cfg Config, fc FaultCampaignConfig) (*FaultReport, *Deployment, error) {
-	if err := cfg.validate(); err != nil {
+	d, err := b.Deployment(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
 	p, err := b.Program()
-	if err != nil {
-		return nil, nil, err
-	}
-	run, err := b.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := BuildDeployment(p, run.Profile, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -105,3 +105,24 @@ func TestBenchmarkFaultCampaign(t *testing.T) {
 		t.Errorf("empty campaign: %+v", rep)
 	}
 }
+
+// TestBenchmarkFaultCampaignReadsCapture requires a benchmark's fault
+// campaign to plan from the benchmark's one checked capture: on a
+// cleared cache it takes the capture miss, and a following Measure takes
+// none.
+func TestBenchmarkFaultCampaignReadsCapture(t *testing.T) {
+	b := mustBench(t, "tri").WithScale(8, 1)
+	ClearCaptureCache()
+	if _, _, err := b.FaultCampaign(Config{BlockSize: 4}, FaultCampaignConfig{Seed: 3, PerSite: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := CaptureCacheStats(); misses != 1 {
+		t.Errorf("campaign: %d capture misses, want 1", misses)
+	}
+	if _, err := b.Measure(Config{BlockSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := CaptureCacheStats(); misses != 1 {
+		t.Errorf("Measure after the campaign: %d capture misses in all, want 1", misses)
+	}
+}

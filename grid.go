@@ -427,7 +427,7 @@ func benchCapture(benchmarks []Benchmark) func(ctx context.Context, row int) (*r
 		if err != nil {
 			return nil, err
 		}
-		return captureProgram(ctx, p, b.setup, b.captureSalt())
+		return captureProgram(ctx, b.target(p))
 	}
 }
 

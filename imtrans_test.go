@@ -623,7 +623,7 @@ func TestLeadingFetchesIsIndicesPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := captureProgram(context.Background(), p, nil, "")
+	cap, err := captureProgram(context.Background(), target{p: p})
 	if err != nil {
 		t.Fatal(err)
 	}

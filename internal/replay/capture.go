@@ -19,7 +19,9 @@ type Key [sha256.Size]byte
 // programs with the same key are assumed to produce the same fetch stream,
 // which holds whenever the run's memory setup is a deterministic function
 // of the salted identity — the same contract MeasureProgram already
-// imposes on its setup callback.
+// imposes on its setup callback. The imtrans facade salts only benchmark
+// captures, and each of their profiling runs passes the kernel's golden
+// check: a failed check is cached as the salted key's error.
 func ProgramKey(textBase uint32, text []uint32, dataBase uint32, data []byte, salt string) Key {
 	h := sha256.New()
 	var word [4]byte

@@ -81,28 +81,3 @@ func (b *Bus) Reset() {
 		b.perLine[i] = 0
 	}
 }
-
-// Recorder captures a fetch stream verbatim for offline analysis. For long
-// simulations prefer Bus, which runs in constant memory; Recorder exists
-// for tests, examples and the static encoder, which need the stream itself.
-type Recorder struct {
-	PCs   []uint32
-	Words []uint32
-	// Limit, when positive, caps the number of recorded fetches; further
-	// fetches are counted in Dropped but not stored.
-	Limit   int
-	Dropped uint64
-}
-
-// OnFetch appends one fetch. It has the signature of the simulator hook.
-func (r *Recorder) OnFetch(pc, word uint32) {
-	if r.Limit > 0 && len(r.Words) >= r.Limit {
-		r.Dropped++
-		return
-	}
-	r.PCs = append(r.PCs, pc)
-	r.Words = append(r.Words, word)
-}
-
-// Len returns the number of recorded fetches.
-func (r *Recorder) Len() int { return len(r.Words) }

@@ -92,22 +92,3 @@ func TestBusReset(t *testing.T) {
 		t.Error("first transfer after reset counted transitions")
 	}
 }
-
-func TestRecorder(t *testing.T) {
-	var r Recorder
-	r.OnFetch(4, 10)
-	r.OnFetch(8, 20)
-	if r.Len() != 2 || r.PCs[1] != 8 || r.Words[0] != 10 {
-		t.Errorf("recorder = %+v", r)
-	}
-}
-
-func TestRecorderLimit(t *testing.T) {
-	r := Recorder{Limit: 2}
-	for i := 0; i < 5; i++ {
-		r.OnFetch(uint32(i), uint32(i))
-	}
-	if r.Len() != 2 || r.Dropped != 3 {
-		t.Errorf("len=%d dropped=%d", r.Len(), r.Dropped)
-	}
-}

@@ -56,24 +56,25 @@ func BenchmarkPerfCPUFetchLoop(b *testing.B) {
 	}
 }
 
-// benchPaperRuns times run over the six paper kernels at paper scale, one
-// pass per iteration, and reports the simulated instructions per second.
-func benchPaperRuns(b *testing.B, run func(p *Program, setup func(Memory) error) (insts uint64, err error)) {
+// benchPaperRuns times run over the six paper kernels' capture targets at
+// paper scale, one pass per iteration, and reports the simulated
+// instructions per second.
+func benchPaperRuns(b *testing.B, run func(t target) (insts uint64, err error)) {
 	b.ReportAllocs()
 	benches := Benchmarks()
-	progs := make([]*Program, len(benches))
+	targets := make([]target, len(benches))
 	for i, bm := range benches {
 		p, err := bm.Program()
 		if err != nil {
 			b.Fatal(err)
 		}
-		progs[i] = p
+		targets[i] = bm.target(p)
 	}
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, bm := range benches {
-			n, err := run(progs[j], bm.setup)
+			n, err := run(targets[j])
 			if err != nil {
 				b.Fatalf("%s: %v", bm.Name, err)
 			}
@@ -87,12 +88,12 @@ func benchPaperRuns(b *testing.B, run func(p *Program, setup func(Memory) error)
 
 // BenchmarkPerfCapture profiles the six paper-scale kernels through
 // captureRun, bypassing the capture cache: simulate and fold the CPU's
-// straight-line spans, then derive the configuration-independent totals
-// from the folded trace. It is the cold cost of the Figure 6
-// reproduction.
+// straight-line spans, run the kernel's golden check, then derive the
+// configuration-independent totals from the folded trace. It is the cold
+// cost of the Figure 6 reproduction.
 func BenchmarkPerfCapture(b *testing.B) {
-	benchPaperRuns(b, func(p *Program, setup func(Memory) error) (uint64, error) {
-		c, err := captureRun(context.Background(), p, setup)
+	benchPaperRuns(b, func(t target) (uint64, error) {
+		c, err := captureRun(context.Background(), t)
 		if err != nil {
 			return 0, err
 		}
@@ -104,8 +105,8 @@ func BenchmarkPerfCapture(b *testing.B) {
 // fetch or span hook: the floor BenchmarkPerfCapture approaches. CI fails
 // if a capture costs more than two bare simulations.
 func BenchmarkPerfCaptureSimulate(b *testing.B) {
-	benchPaperRuns(b, func(p *Program, setup func(Memory) error) (uint64, error) {
-		m, err := newMachine(p, setup)
+	benchPaperRuns(b, func(t target) (uint64, error) {
+		m, err := newMachine(t.p, t.setup)
 		if err != nil {
 			return 0, err
 		}

@@ -42,7 +42,7 @@ type PhasedMeasurement struct {
 // setup contract applies): the CFG, the profile, the baseline, the
 // single-deployment replay and the fetch stream the phased walk follows.
 func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasurement, error) {
-	cap, single, err := capturePaper(context.Background(), p, setup, "", c)
+	cap, single, err := capturePaper(context.Background(), target{p: p, setup: setup}, c)
 	if err != nil {
 		return nil, err
 	}

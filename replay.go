@@ -53,7 +53,7 @@ func ReplayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error,
 	if err != nil {
 		return nil, err
 	}
-	return replayMeasureCtx(ctx, p, setup, "", cols)
+	return replayMeasureCtx(ctx, target{p: p, setup: setup}, cols)
 }
 
 // CaptureCacheStats reports hits and misses of the process-wide fetch-trace
@@ -75,11 +75,11 @@ func PurgeCaptureCache() { replay.Shared.Purge() }
 // cache statistics.
 func ClearCaptureCache() { replay.Shared.Clear() }
 
-// replayMeasureCtx measures one program's paper columns as a one-row grid.
-func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, salt string, cols []gridColumn[Measurement]) ([]Measurement, error) {
+// replayMeasureCtx measures one target's paper columns as a one-row grid.
+func replayMeasureCtx(ctx context.Context, t target, cols []gridColumn[Measurement]) ([]Measurement, error) {
 	run, err := runGrid(ctx, &gridSpec[Measurement]{
 		rows:    1,
-		capture: func(ctx context.Context, _ int) (*replay.Capture, error) { return captureProgram(ctx, p, setup, salt) },
+		capture: func(ctx context.Context, _ int) (*replay.Capture, error) { return captureProgram(ctx, t) },
 		cols:    cols,
 	}, SweepOptions{})
 	if err != nil {
@@ -114,13 +114,26 @@ func SweepMeasure(benchmarks []Benchmark, cfgs []Config, parallelism int) ([][]M
 	return res.Measurements, nil
 }
 
-// captureProgram returns the (possibly cached) capture for a program,
-// profiling it at most once per content hash across the process. The
-// profiling run polls ctx; a cancelled capture is not cached.
-func captureProgram(ctx context.Context, p *Program, setup func(Memory) error, salt string) (*replay.Capture, error) {
-	key := replay.ProgramKey(p.TextBase, p.Text, p.DataBase, p.Data, salt)
+// A target is the run a capture profiles: a program and the setup of its
+// data memory. Only Benchmark.target sets the salt, which names the kernel
+// and scale in the capture key, and the golden check, which the capture
+// runs on the CPU's memory after the run; so every salted capture has
+// passed its kernel's golden check.
+type target struct {
+	p     *Program
+	setup func(Memory) error
+	salt  string
+	check func(Memory) error
+}
+
+// captureProgram returns the (possibly cached) capture for a target,
+// profiling it at most once per content hash and salt across the
+// process. The profiling run polls ctx; a cancelled capture is not
+// cached, and a failed golden check is cached like any other error.
+func captureProgram(ctx context.Context, t target) (*replay.Capture, error) {
+	key := replay.ProgramKey(t.p.TextBase, t.p.Text, t.p.DataBase, t.p.Data, t.salt)
 	return replay.Shared.GetOrCaptureCtx(ctx, key, func(ctx context.Context) (*replay.Capture, error) {
-		c, err := captureRun(ctx, p, setup)
+		c, err := captureRun(ctx, t)
 		if err != nil {
 			return nil, err
 		}
@@ -133,10 +146,12 @@ func captureProgram(ctx context.Context, p *Program, setup func(Memory) error, s
 // The run only simulates and folds: the CPU reports each straight-line
 // span of fetches at its control transfer, the trace builder folds the
 // spans (its loop-body cursor appends most tokens of a hot loop without
-// a tandem scan), and deriveTotals then fills the
-// configuration-independent totals from the folded trace.
-func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*replay.Capture, error) {
-	m1, err := newMachine(p, setup)
+// a tandem scan), the target's golden check, if any, reads the CPU's
+// memory, and deriveTotals then fills the configuration-independent
+// totals from the folded trace.
+func captureRun(ctx context.Context, t target) (*replay.Capture, error) {
+	p := t.p
+	m1, err := newMachine(p, t.setup)
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +160,11 @@ func captureRun(ctx context.Context, p *Program, setup func(Memory) error) (*rep
 	m1.OnSpan = func(first, last uint32) { builder.Span(int(first-base)/4, int(last-base)/4) }
 	if err := m1.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
+	}
+	if t.check != nil {
+		if err := t.check(Memory{m1.Mem}); err != nil {
+			return nil, fmt.Errorf("golden check: %w", err)
+		}
 	}
 	words := append([]uint32(nil), p.Text...)
 	g, err := cfg.Build(base, words)
@@ -204,16 +224,16 @@ func measureDefaults(ctx context.Context, c *replay.Capture, names ...string) ([
 	return res, nil
 }
 
-// capturePaper profiles the program through the shared capture cache and
+// capturePaper profiles the target through the shared capture cache and
 // runs the paper pipeline on the capture: the verified encoding, and a
 // strict-decoder replay of the whole fetch stream that checks every
 // restored word. A configuration outside the paper ConfigSpace is refused
 // before the profiling run.
-func capturePaper(ctx context.Context, p *Program, setup func(Memory) error, salt string, c Config) (*replay.Capture, scheme.PaperOutcome, error) {
+func capturePaper(ctx context.Context, t target, c Config) (*replay.Capture, scheme.PaperOutcome, error) {
 	if err := c.validate(); err != nil {
 		return nil, scheme.PaperOutcome{}, err
 	}
-	cap, err := captureProgram(ctx, p, setup, salt)
+	cap, err := captureProgram(ctx, t)
 	if err != nil {
 		return nil, scheme.PaperOutcome{}, err
 	}

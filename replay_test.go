@@ -153,7 +153,7 @@ func TestReplayMemoExercised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap, err := captureProgram(context.Background(), p, b.setup, b.captureSalt())
+		cap, err := captureProgram(context.Background(), b.target(p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func (d *Deployment) VerilogTestbench(p *Program, setup func(Memory) error, modu
 	if maxVectors <= 0 {
 		maxVectors = 1000
 	}
-	cap, err := captureProgram(context.Background(), p, setup, "")
+	cap, err := captureProgram(context.Background(), target{p: p, setup: setup})
 	if err != nil {
 		return "", err
 	}

@@ -53,38 +53,20 @@ func RescheduleProgram(p *Program) (*Program, *RescheduleStats, error) {
 		}, nil
 }
 
-// RunProgram executes a caller-supplied variant of the benchmark's program
-// (for example after RescheduleProgram) with the benchmark's memory setup,
-// and validates the numerical result against the golden reference — the
-// semantics check for program transformations.
-func (b Benchmark) RunProgram(p *Program) (*RunResult, error) {
-	mc, err := NewMachine(p)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	if err := b.setup(mc.Memory()); err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	res, err := mc.Run()
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	if err := b.w.Check(mc.Memory().m, b.params()); err != nil {
-		return nil, fmt.Errorf("imtrans: %s: golden check: %w", b.Name, err)
-	}
-	return res, nil
-}
-
 // MeasureModified runs the measurement pipeline on a caller-supplied
-// variant of the benchmark's program, using the benchmark's memory setup.
-// Like Measure, it goes through the capture/replay engine; the variant's
-// content hash keys its own cached capture.
+// variant of the benchmark's program (for example after
+// RescheduleProgram), using the benchmark's memory setup. Like Measure,
+// it goes through the capture/replay engine, and the variant's content
+// hash keys its own cached capture. Its one profiling run also checks the
+// variant's numerical output against the kernel's golden reference, with
+// no option to skip: a variant that computes something else fails with a
+// golden-check error, which the capture cache keeps like any other.
 func (b Benchmark) MeasureModified(p *Program, cfgs ...Config) ([]Measurement, error) {
 	cols, err := paperColumns(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	ms, err := replayMeasureCtx(context.Background(), p, b.setup, b.captureSalt(), cols)
+	ms, err := replayMeasureCtx(context.Background(), b.target(p), cols)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -27,7 +27,7 @@ type TraceEntry struct {
 // the output always re-loads; arbitrary edits to it fail the parser's
 // envelope and fetch-count checks instead of replaying short.
 func TraceText(p *Program, setup func(Memory) error) ([]byte, error) {
-	cap, err := captureProgram(context.Background(), p, setup, "")
+	cap, err := captureProgram(context.Background(), target{p: p, setup: setup})
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func TraceProgram(p *Program, setup func(Memory) error, c Config, maxFetches int
 	if maxFetches <= 0 {
 		maxFetches = 100
 	}
-	cap, out, err := capturePaper(context.Background(), p, setup, "", c)
+	cap, out, err := capturePaper(context.Background(), target{p: p, setup: setup}, c)
 	if err != nil {
 		return nil, err
 	}
