@@ -2,7 +2,6 @@ package imtrans
 
 import (
 	"context"
-	"fmt"
 
 	"imtrans/internal/power"
 )
@@ -56,13 +55,5 @@ func measureAddressBus(t target) (*AddressBusReport, error) {
 // MeasureAddressBus runs the address-bus study on the benchmark, over the
 // capture its Measure calls share.
 func (b Benchmark) MeasureAddressBus() (*AddressBusReport, error) {
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	r, err := measureAddressBus(b.target(p))
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return r, nil
+	return benchRun(b, measureAddressBus)
 }

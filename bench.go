@@ -2,7 +2,9 @@ package imtrans
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"imtrans/internal/workloads"
@@ -31,41 +33,13 @@ type progMemo struct {
 
 // Benchmarks returns the six paper benchmarks in the paper's column order:
 // mmul, sor, ej, fft, tri, lu.
-func Benchmarks() []Benchmark {
-	ws := workloads.All()
-	out := make([]Benchmark, len(ws))
-	for i, w := range ws {
-		out[i] = Benchmark{
-			Name:        w.Name,
-			Description: w.Description,
-			N:           w.Defaults.N,
-			Iters:       w.Defaults.Iters,
-			w:           w,
-			prog:        &progMemo{},
-		}
-	}
-	return out
-}
+func Benchmarks() []Benchmark { return benchmarksOf(workloads.All()) }
 
 // ExtraBenchmarks returns kernels beyond the paper's suite — a
 // table-driven CRC-32 (integer-only), a biquad IIR cascade and a 3x3
 // convolution with an unrolled tap body — used to check the technique
 // generalises across opcode mixes and basic-block shapes.
-func ExtraBenchmarks() []Benchmark {
-	ws := workloads.Extras()
-	out := make([]Benchmark, len(ws))
-	for i, w := range ws {
-		out[i] = Benchmark{
-			Name:        w.Name,
-			Description: w.Description,
-			N:           w.Defaults.N,
-			Iters:       w.Defaults.Iters,
-			w:           w,
-			prog:        &progMemo{},
-		}
-	}
-	return out
-}
+func ExtraBenchmarks() []Benchmark { return benchmarksOf(workloads.Extras()) }
 
 // BenchmarkByName returns one benchmark (paper suite or extra) by name.
 func BenchmarkByName(name string) (Benchmark, error) {
@@ -73,14 +47,24 @@ func BenchmarkByName(name string) (Benchmark, error) {
 	if err != nil {
 		return Benchmark{}, err
 	}
-	return Benchmark{
-		Name:        w.Name,
-		Description: w.Description,
-		N:           w.Defaults.N,
-		Iters:       w.Defaults.Iters,
-		w:           w,
-		prog:        &progMemo{},
-	}, nil
+	return benchmarksOf([]*workloads.Workload{w})[0], nil
+}
+
+// benchmarksOf returns the workloads as benchmarks at their default
+// scales.
+func benchmarksOf(ws []*workloads.Workload) []Benchmark {
+	out := make([]Benchmark, len(ws))
+	for i, w := range ws {
+		out[i] = Benchmark{
+			Name:        w.Name,
+			Description: w.Description,
+			N:           w.Defaults.N,
+			Iters:       w.Defaults.Iters,
+			w:           w,
+			prog:        &progMemo{},
+		}
+	}
+	return out
 }
 
 // WithScale returns a copy of the benchmark at a different problem size
@@ -113,24 +97,31 @@ func (b Benchmark) params() workloads.Params {
 // Program renders and assembles the benchmark kernel. The result is
 // memoised per (kernel, scale): repeated measurements of one benchmark
 // assemble once and share the *Program. A scale outside the kernel's
-// domain is an error before anything is assembled: each kernel has a
-// smallest problem size (fft takes only powers of two), at least one
-// iteration, and a largest scale whose run fits the simulator's default
-// instruction cap.
+// domain is an error before anything is assembled (see resolve).
 func (b Benchmark) Program() (*Program, error) {
+	return benchRun(b, func(t target) (*Program, error) { return t.p, nil })
+}
+
+// resolve is the one step every Benchmark method, and every benchmark
+// row of a grid, gets its program and capture target from. It refuses a
+// zero Benchmark and a scale outside the kernel's domain before anything
+// is assembled or captured: each kernel has a smallest problem size (fft
+// takes only powers of two), at least one iteration, and a largest scale
+// whose run fits the simulator's default instruction cap.
+func (b Benchmark) resolve() (target, error) {
 	if b.w == nil {
-		return nil, fmt.Errorf("imtrans: use Benchmarks or BenchmarkByName to obtain benchmarks")
+		return target{}, errors.New("imtrans: use Benchmarks or BenchmarkByName to obtain benchmarks")
 	}
 	if err := b.w.Validate(b.params()); err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	if b.prog == nil {
-		return Assemble(b.w.Source(b.params()))
+		return target{}, err
 	}
 	b.prog.once.Do(func() {
 		b.prog.p, b.prog.err = Assemble(b.w.Source(b.params()))
 	})
-	return b.prog.p, b.prog.err
+	if b.prog.err != nil {
+		return target{}, b.prog.err
+	}
+	return b.target(b.prog.p), nil
 }
 
 // setup initialises data memory for the kernel.
@@ -142,8 +133,49 @@ func (b Benchmark) setup(m Memory) error {
 // of it: the kernel's memory setup, its (kernel, scale) salt and its
 // golden check. It is the only place a target gets a salt or a check.
 func (b Benchmark) target(p *Program) target {
-	check := func(m Memory) error { return b.w.Check(m.m, b.params()) }
+	check := func(m Memory) error {
+		if err := b.w.Check(m.m, b.params()); err != nil {
+			return fmt.Errorf("golden check: %w", err)
+		}
+		return nil
+	}
 	return target{p: p, setup: b.setup, salt: b.captureSalt(), check: check}
+}
+
+// benchRun runs f on the benchmark's resolved target and names the
+// kernel in any error, once: every Benchmark method that can fail runs
+// through it, and it is the only place that names the kernel. The
+// package prefix stays in front ("imtrans: mmul: profiling run: …").
+func benchRun[T any](b Benchmark, f func(t target) (T, error)) (T, error) {
+	t, err := b.resolve()
+	if err == nil {
+		var v T
+		if v, err = f(t); err == nil {
+			return v, nil
+		}
+	}
+	if b.Name != "" {
+		err = &contextError{context: b.Name, err: err}
+	}
+	var zero T
+	return zero, err
+}
+
+// contextError is err with context added after the package prefix: a
+// kernel's name, a configuration.
+type contextError struct {
+	context string
+	err     error
+}
+
+func (e *contextError) Error() string { return withContext(e.context, e.err) }
+func (e *contextError) Unwrap() error { return e.err }
+
+// withContext renders err behind "imtrans: <context>: ", the package
+// prefix once: an error this package made already carries the prefix,
+// and it moves to the front instead of repeating.
+func withContext(context string, err error) string {
+	return "imtrans: " + context + ": " + strings.TrimPrefix(err.Error(), "imtrans: ")
 }
 
 // Run executes the benchmark at its configured scale on a Machine, checks
@@ -152,39 +184,26 @@ func (b Benchmark) target(p *Program) target {
 // instruction mix. The measuring methods do not call it: they read the
 // benchmark's capture, whose one profiling run passes the same check.
 func (b Benchmark) Run() (*RunResult, error) {
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	mc, err := NewMachine(p)
-	if err == nil {
-		err = b.setup(mc.Memory())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	res, err := mc.Run()
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	if err := b.w.Check(mc.c.Mem, b.params()); err != nil {
-		return nil, fmt.Errorf("imtrans: %s: golden check: %w", b.Name, err)
-	}
-	return res, nil
+	return benchRun(b, func(t target) (*RunResult, error) {
+		mc, err := NewMachine(t.p)
+		if err == nil {
+			err = t.setup(mc.Memory())
+		}
+		if err != nil {
+			return nil, err
+		}
+		res, err := mc.Run()
+		if err != nil {
+			return nil, err
+		}
+		return res, t.check(mc.Memory())
+	})
 }
 
 // MeasureWithCache runs the cached-system study (see MeasureWithCache)
 // on the benchmark, over the capture its Measure calls share.
 func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasurement, error) {
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	cm, err := measureWithCache(b.target(p), cache, enc)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return cm, nil
+	return benchRun(b, func(t target) (*CacheMeasurement, error) { return measureWithCache(t, cache, enc) })
 }
 
 // Measure runs the full pipeline (profile, encode, decoder-in-the-loop
@@ -215,27 +234,11 @@ func (b Benchmark) MeasureCtx(ctx context.Context, cfgs ...Config) ([]Measuremen
 	if err != nil {
 		return nil, err
 	}
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	ms, err := replayMeasureCtx(ctx, b.target(p), cols)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return ms, nil
+	return benchRun(b, func(t target) ([]Measurement, error) { return replayMeasureCtx(ctx, t, cols) })
 }
 
 // SimulateMeasure is Measure without the capture/replay engine: the
 // reference two-run MeasureProgram pipeline, simulating the kernel anew.
 func (b Benchmark) SimulateMeasure(cfgs ...Config) ([]Measurement, error) {
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	ms, err := MeasureProgram(p, b.setup, cfgs...)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return ms, nil
+	return benchRun(b, func(t target) ([]Measurement, error) { return MeasureProgram(t.p, t.setup, cfgs...) })
 }

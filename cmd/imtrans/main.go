@@ -169,7 +169,7 @@ func buildVerified(path string, c imtrans.Config) (*imtrans.Program, *imtrans.De
 		return nil, nil, err
 	}
 	if err := d.Verify(p, nil); err != nil {
-		return nil, nil, fmt.Errorf("deployment failed self-verification: %w", err)
+		return nil, nil, err
 	}
 	return p, d, nil
 }

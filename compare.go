@@ -35,12 +35,9 @@ func (s SchemeSpec) params() scheme.Params {
 func (s SchemeSpec) Validate() error {
 	sc, err := scheme.Get(s.Name)
 	if err != nil {
-		return fmt.Errorf("imtrans: %w", err)
+		return err
 	}
-	if err := scheme.Validate(sc, s.params()); err != nil {
-		return fmt.Errorf("imtrans: %w", err)
-	}
-	return nil
+	return scheme.Validate(sc, s.params())
 }
 
 // Label renders the spec as "name[knobs]" — the deterministic column
@@ -142,11 +139,7 @@ type CompareError struct {
 
 // Error implements the error interface.
 func (e *CompareError) Error() string {
-	where := e.Benchmark
-	if e.SchemeIndex >= 0 {
-		where += " [" + e.Scheme + "]"
-	}
-	return fmt.Sprintf("imtrans: compare %s stage, %s: %v", e.Stage, where, e.Err)
+	return gridErrorText("compare", e.Stage, e.Benchmark, e.Scheme, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is / errors.As.

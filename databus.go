@@ -56,13 +56,5 @@ func MeasureDataBus(p *Program, setup func(Memory) error) (*DataBusReport, error
 
 // MeasureDataBus runs the data-bus study on the benchmark.
 func (b Benchmark) MeasureDataBus() (*DataBusReport, error) {
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	r, err := MeasureDataBus(p, b.setup)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return r, nil
+	return benchRun(b, func(t target) (*DataBusReport, error) { return MeasureDataBus(t.p, t.setup) })
 }

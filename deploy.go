@@ -11,8 +11,12 @@ import (
 )
 
 // Save serialises the program (text, data, symbols) as a versioned JSON
-// artifact readable by LoadProgram and the CLI.
+// artifact readable by LoadProgram and the CLI. An empty program, which
+// LoadProgram would refuse, is refused here.
 func (p *Program) Save(w io.Writer) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
 	return objfile.SaveProgram(w, &objfile.Program{
 		TextBase: p.TextBase,
 		Text:     p.Text,
@@ -80,7 +84,7 @@ func BuildDeployment(p *Program, profile []uint64, c Config) (*Deployment, error
 // Knapsack set it maximises the static transition savings under the table
 // budgets.
 func BuildDeploymentStatic(p *Program, c Config) (*Deployment, error) {
-	profile := make([]uint64, len(p.Text))
+	profile := make([]uint64, p.Instructions())
 	for i := range profile {
 		profile[i] = 1
 	}
@@ -98,22 +102,21 @@ func (b Benchmark) Deployment(c Config) (*Deployment, error) {
 // run it has to make polls ctx, and a cancelled one returns ctx.Err()
 // wrapped.
 func (b Benchmark) DeploymentCtx(ctx context.Context, c Config) (*Deployment, error) {
+	return benchRun(b, func(t target) (*Deployment, error) { return deploy(ctx, t, c) })
+}
+
+// deploy profiles the target through the shared capture cache and
+// packages the encoding of its program. A configuration outside the
+// paper ConfigSpace is refused before the profiling run.
+func deploy(ctx context.Context, t target, c Config) (*Deployment, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	p, err := b.Program()
+	cap, err := captureProgram(ctx, t)
 	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
+		return nil, err
 	}
-	cap, err := captureProgram(ctx, b.target(p))
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	d, err := BuildDeployment(p, cap.Profile, c)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return d, nil
+	return BuildDeployment(t.p, cap.Profile, c)
 }
 
 // VerifyDeployment re-runs the benchmark fetching from the deployment's
@@ -127,14 +130,10 @@ func (b Benchmark) VerifyDeployment(d *Deployment) error {
 // VerifyDeploymentCtx is VerifyDeployment with cooperative cancellation
 // of its verification run.
 func (b Benchmark) VerifyDeploymentCtx(ctx context.Context, d *Deployment) error {
-	p, err := b.Program()
-	if err != nil {
-		return fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	if err := d.VerifyCtx(ctx, p, b.setup); err != nil {
-		return fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return nil
+	_, err := benchRun(b, func(t target) (struct{}, error) {
+		return struct{}{}, d.VerifyCtx(ctx, t.p, t.setup)
+	})
+	return err
 }
 
 // Save serialises the deployment as a versioned JSON artifact.
@@ -159,6 +158,9 @@ func (d *Deployment) Save(w io.Writer) error {
 }
 
 // LoadDeployment reads a deployment artifact written by Deployment.Save.
+// The objfile loader is the artifact's one gate: it refuses a corrupt or
+// malformed artifact (checksum, bus width, selector counts and codes,
+// table indices) before any table is built from it.
 func LoadDeployment(r io.Reader) (*Deployment, error) {
 	f, err := objfile.LoadDeployment(r)
 	if err != nil {
@@ -170,27 +172,14 @@ func LoadDeployment(r io.Reader) (*Deployment, error) {
 		TextBase:  f.TextBase,
 		Encoded:   f.Encoded,
 	}
-	if f.BusWidth < 1 || f.BusWidth > 32 {
-		return nil, fmt.Errorf("imtrans: deployment bus width %d out of range [1, 32]", f.BusWidth)
-	}
-	for i, e := range f.TT {
-		// objfile validates these on load; re-check here so a Deployment
-		// can never be built from a malformed table, whatever the source.
-		if len(e.Sel) != f.BusWidth {
-			return nil, fmt.Errorf("imtrans: TT entry %d has %d selectors, want bus width %d", i, len(e.Sel), f.BusWidth)
-		}
-		var he hw.TTEntry
+	for _, e := range f.TT {
+		he := hw.TTEntry{E: e.E, CT: e.CT}
 		for line := range he.Sel {
 			he.Sel[line] = transform.Identity
 		}
-		for line := 0; line < f.BusWidth; line++ {
-			fn := transform.Func(e.Sel[line])
-			if !fn.Valid() {
-				return nil, fmt.Errorf("imtrans: TT entry %d line %d has invalid selector %d", i, line, e.Sel[line])
-			}
-			he.Sel[line] = fn
+		for line, sel := range e.Sel {
+			he.Sel[line] = transform.Func(sel)
 		}
-		he.E, he.CT = e.E, e.CT
 		d.tt = append(d.tt, he)
 	}
 	for _, e := range f.BBIT {
@@ -210,8 +199,8 @@ func (d *Deployment) Verify(p *Program, setup func(Memory) error) error {
 // VerifyCtx is Verify with cooperative cancellation: the verification
 // run polls ctx between bounded chunks of instructions.
 func (d *Deployment) VerifyCtx(ctx context.Context, p *Program, setup func(Memory) error) error {
-	if d.TextBase != p.TextBase || len(d.Encoded) != len(p.Text) {
-		return fmt.Errorf("imtrans: deployment does not match program layout")
+	if err := d.matches(p); err != nil {
+		return err
 	}
 	dec, err := hw.NewDecoderFromTables(d.tt, d.bbit, d.BlockSize, d.BusWidth)
 	if err != nil {
@@ -241,8 +230,7 @@ func (d *Deployment) VerifyCtx(ctx context.Context, p *Program, setup func(Memor
 		if restored != word {
 			mismatches++
 			if firstErr == nil {
-				firstErr = fmt.Errorf("imtrans: deployment restored %#08x at pc %#x, want %#08x",
-					restored, pc, word)
+				firstErr = fmt.Errorf("restored %#08x at pc %#x, want %#08x", restored, pc, word)
 			}
 		}
 	}
@@ -251,6 +239,19 @@ func (d *Deployment) VerifyCtx(ctx context.Context, p *Program, setup func(Memor
 	}
 	if mismatches > 0 {
 		return fmt.Errorf("imtrans: deployment verification: %d corrupted fetches (first: %w)", mismatches, firstErr)
+	}
+	return nil
+}
+
+// matches is the deployment layout check of Verify, FaultCampaign and
+// VerilogTestbench: p passes the program gate, and the deployment's
+// image covers exactly p's text.
+func (d *Deployment) matches(p *Program) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
+	if d.TextBase != p.TextBase || len(d.Encoded) != len(p.Text) {
+		return fmt.Errorf("imtrans: deployment does not match program layout")
 	}
 	return nil
 }

@@ -91,9 +91,12 @@ func EncodeProgram(p *Program, profile []uint64, c Config) (*EncodingReport, err
 }
 
 // planProgram is the planning step behind EncodeProgram, BuildDeployment
-// and MeasurePhased: it checks c, encodes p's text under profile,
+// and MeasurePhased: it checks p and c, encodes p's text under profile,
 // statically verifies the encoding and builds its decoder.
 func planProgram(p *Program, profile []uint64, c Config) (*core.Encoding, *hw.Decoder, error) {
+	if err := p.validate(); err != nil {
+		return nil, nil, err
+	}
 	if err := c.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -129,19 +132,13 @@ func (b Benchmark) EncodeCtx(ctx context.Context, c Config) (*EncodingReport, er
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	p, err := b.Program()
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	cap, err := captureProgram(ctx, b.target(p))
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	rep, err := EncodeProgram(p, cap.Profile, c)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return rep, nil
+	return benchRun(b, func(t target) (*EncodingReport, error) {
+		cap, err := captureProgram(ctx, t)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeProgram(t.p, cap.Profile, c)
+	})
 }
 
 // TransformationNames returns the canonical 8-function set in hardware

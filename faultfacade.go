@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -90,8 +91,8 @@ func (r *FaultReport) String() string {
 // TT/BBIT fault must be detected with execution degrading to the recovery
 // image instead of corrupting.
 func (d *Deployment) FaultCampaign(p *Program, setup func(Memory) error, c FaultCampaignConfig) (*FaultReport, error) {
-	if d.TextBase != p.TextBase || len(d.Encoded) != len(p.Text) {
-		return nil, fmt.Errorf("imtrans: deployment does not match program layout")
+	if err := d.matches(p); err != nil {
+		return nil, err
 	}
 	perSite := c.PerSite
 	if perSite <= 0 {
@@ -142,17 +143,15 @@ func (d *Deployment) FaultCampaign(p *Program, setup func(Memory) error, c Fault
 // fault campaign over it with the benchmark's memory setup. It returns
 // the report together with the deployment it stressed.
 func (b Benchmark) FaultCampaign(cfg Config, fc FaultCampaignConfig) (*FaultReport, *Deployment, error) {
-	d, err := b.Deployment(cfg)
+	var d *Deployment
+	rep, err := benchRun(b, func(t target) (rep *FaultReport, err error) {
+		if d, err = deploy(context.Background(), t, cfg); err != nil {
+			return nil, err
+		}
+		return d.FaultCampaign(t.p, t.setup, fc)
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	p, err := b.Program()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := d.FaultCampaign(p, b.setup, fc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
 	return rep, d, nil
 }

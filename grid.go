@@ -159,7 +159,7 @@ func runGrid[T any](ctx context.Context, g *gridSpec[T], opts SweepOptions) (*gr
 		grid, rowNames, colNames := g.identity()
 		j, prev, err := checkpoint.Open(opts.Checkpoint, grid, rowNames, colNames)
 		if err != nil {
-			return nil, fmt.Errorf("imtrans: %w", err)
+			return nil, err
 		}
 		j.SetDurable(opts.CheckpointSync)
 		journal = j
@@ -419,16 +419,29 @@ func (r *gridRun[T]) interrupted(family string) error {
 		family, r.restored+r.completed, r.cells, r.ctxErr)
 }
 
-// benchCapture is the row capture of a benchmark grid.
+// benchCapture is the row capture of a benchmark grid. The grid's
+// errors name the benchmark, so a row resolves without benchRun.
 func benchCapture(benchmarks []Benchmark) func(ctx context.Context, row int) (*replay.Capture, error) {
 	return func(ctx context.Context, row int) (*replay.Capture, error) {
-		b := benchmarks[row]
-		p, err := b.Program()
+		t, err := benchmarks[row].resolve()
 		if err != nil {
 			return nil, err
 		}
-		return captureProgram(ctx, b.target(p))
+		return captureProgram(ctx, t)
 	}
+}
+
+// gridErrorText renders an isolated grid failure of a family ("sweep",
+// "compare"): "imtrans: sweep measure stage, fft [column]: <err>".
+func gridErrorText(family, stage, bench, col string, err error) string {
+	where := family + " " + stage + " stage"
+	if bench != "" {
+		where += ", " + bench
+	}
+	if col != "" {
+		where += " [" + col + "]"
+	}
+	return withContext(where, err)
 }
 
 func isCtxErr(err error) bool {

@@ -462,12 +462,15 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 
 	// Crash run: submit, SIGKILL strictly mid-sweep, restart, resume.
 	// The cells burst in a few milliseconds once the captures are done,
-	// so a poll can miss the window; a daemon whose job finished first
-	// proves nothing, and the crash run starts over in a fresh store.
-	var dir string
-	killed := false
-	for attempt := 0; attempt < 20 && !killed; attempt++ {
-		dir = t.TempDir()
+	// so a poll can miss the window, and the last cells can finish
+	// between the poll and the kill. A daemon whose job finished first
+	// proves nothing: when the job is done before the poll sees it
+	// mid-run, or the restarted daemon reads it done with no resume, the
+	// kill missed and the crash run starts over in a fresh store.
+	var cmd2 *exec.Cmd
+	var base2 string
+	for attempt := 0; attempt < 20 && cmd2 == nil; attempt++ {
+		dir := t.TempDir()
 		cmd, base := startHelperDaemon(t, dir)
 		if code := httpJSON(t, http.MethodPost, base+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
 			cmd.Process.Kill()
@@ -477,6 +480,7 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 			cmd.Process.Kill()
 			t.Fatalf("content address differs across daemons: %s vs %s", sub.Job.ID, id)
 		}
+		killed := false
 		deadline := time.Now().Add(60 * time.Second)
 		for time.Now().Before(deadline) {
 			var rec jobs.Record
@@ -492,18 +496,28 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 		}
 		cmd.Process.Kill() // SIGKILL: no drain, no flush, no goodbye
 		cmd.Wait()
+		if !killed {
+			continue
+		}
+		restarted, restartedBase := startHelperDaemon(t, dir)
+		var rec jobs.Record
+		httpJSON(t, http.MethodGet, restartedBase+"/v1/jobs/"+id, "", &rec)
+		switch {
+		case rec.Resumes >= 1:
+			cmd2, base2 = restarted, restartedBase
+		case rec.State == jobs.StateDone:
+			t.Logf("attempt %d: the job finished before the kill; retrying in a fresh store", attempt)
+			restarted.Process.Kill()
+			restarted.Wait()
+		default:
+			restarted.Process.Kill()
+			t.Fatalf("restarted daemon reports %d resumes for a %s job, want >= 1", rec.Resumes, rec.State)
+		}
 	}
-	if !killed {
+	if cmd2 == nil {
 		t.Fatal("never caught the job mid-run to kill it in 20 tries (machine too fast for the grid?)")
 	}
-
-	cmd2, base2 := startHelperDaemon(t, dir)
 	defer cmd2.Process.Kill()
-	var rec jobs.Record
-	httpJSON(t, http.MethodGet, base2+"/v1/jobs/"+id, "", &rec)
-	if rec.Resumes < 1 {
-		t.Fatalf("restarted daemon reports %d resumes, want >= 1", rec.Resumes)
-	}
 	waitHTTPJobDone(t, base2, id)
 	resumedResult := fetchResult(t, base2, id)
 

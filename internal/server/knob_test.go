@@ -93,6 +93,10 @@ func schemeParams(sp imtrans.SchemeSpec) scheme.Params {
 // bleed as a *SpecError (TestSubmitRejectsUnknownScheme), so POST
 // /v1/compare answers 400 for both. Accepted values go through the
 // parsers only, so no grid runs.
+//
+// Every refusal also keeps the one error vocabulary: no 400 body and no
+// spec error carries "imtrans:" after its field path ("schemes[0]: "),
+// or more than once.
 func TestKnobTable(t *testing.T) {
 	s := mustNew(t, Config{})
 	if n, want := len(wireKnobs(&jobs.SchemeRef{})), reflect.TypeOf(scheme.Params{}).NumField(); n != want {
@@ -136,10 +140,20 @@ func TestKnobTable(t *testing.T) {
 			} else {
 				f.SetInt(int64(pr.v))
 			}
+			vocabulary := func(layer, msg string) {
+				t.Helper()
+				_, afterPath, _ := strings.Cut(msg, "]: ")
+				if strings.Count(msg, "imtrans:") > 1 || strings.Contains(afterPath, "imtrans:") {
+					t.Errorf("%s %s=%d: %s error %q repeats the package prefix or puts it after a field path", sc.Name(), pr.knob, pr.v, layer, msg)
+				}
+			}
 			verdict := func(layer string, err error, ok bool) {
 				t.Helper()
 				if (err == nil) != ok {
 					t.Errorf("%s %s=%d: %s accepted=%v, want %v (%v)", sc.Name(), pr.knob, pr.v, layer, err == nil, ok, err)
+				}
+				if err != nil {
+					vocabulary(layer, err.Error())
 				}
 			}
 			parseOK := pr.ok || !listed[pr.knob]
@@ -160,6 +174,8 @@ func TestKnobTable(t *testing.T) {
 					t.Errorf("%s %s=%d: POST /v1/compare status %d, want 400", sc.Name(), pr.knob, pr.v, w.Code)
 				} else if msg := w.Body.String(); !strings.Contains(msg, sc.Name()) || !strings.Contains(msg, pr.knob) {
 					t.Errorf("%s %s=%d: 400 body %s does not name the scheme and the knob", sc.Name(), pr.knob, pr.v, msg)
+				} else {
+					vocabulary("POST /v1/compare", msg)
 				}
 			}
 			if sc.Name() != "paper" || !listed[pr.knob] {
@@ -174,6 +190,8 @@ func TestKnobTable(t *testing.T) {
 			if !pr.ok {
 				if w := post(t, s.Handler(), "/v1/encode", string(enc)); w.Code != http.StatusBadRequest {
 					t.Errorf("paper %s=%d: POST /v1/encode status %d, want 400", pr.knob, pr.v, w.Code)
+				} else {
+					vocabulary("POST /v1/encode", w.Body.String())
 				}
 			}
 		}

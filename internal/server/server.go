@@ -117,8 +117,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is one daemon instance. Construct with New, serve with Serve or
-// ListenAndServe, stop with Shutdown.
+// Server is one daemon instance. Construct with New, serve with Serve,
+// stop with Shutdown.
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
@@ -261,15 +261,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, like net/http.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Shutdown drains the daemon: readiness goes false, queued requests are
 // released with 503, in-flight requests run to completion (bounded by

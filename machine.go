@@ -84,8 +84,8 @@ func ProfileProgram(ctx context.Context, p *Program, setup func(Memory) error) (
 // its data memory first. Every simulation in this package loads through
 // it.
 func newMachine(p *Program, setup func(Memory) error) (*cpu.CPU, error) {
-	if p == nil || len(p.Text) == 0 {
-		return nil, fmt.Errorf("imtrans: empty program")
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	m := mem.New()
 	for i, b := range p.Data {

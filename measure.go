@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"imtrans/internal/baseline"
-	"imtrans/internal/cfg"
 	"imtrans/internal/core"
 	"imtrans/internal/hw"
 	"imtrans/internal/power"
@@ -129,11 +128,6 @@ func MeasureProgram(p *Program, setup func(Memory) error, cfgs ...Config) ([]Mea
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
 	}
 	profile := m1.Profile()
-
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
 	dict := baseline.BuildDictionary(p.Text, profile, 256)
 
 	// Plan and statically verify every configuration.
@@ -145,16 +139,9 @@ func MeasureProgram(p *Program, setup func(Memory) error, cfgs ...Config) ([]Mea
 	}
 	sinks := make([]*sink, len(cfgs))
 	for i, c := range cfgs {
-		enc, err := core.Encode(g, profile, c.coreConfig())
+		enc, dec, err := planProgram(p, profile, c)
 		if err != nil {
-			return nil, fmt.Errorf("imtrans: %v: %w", c, err)
-		}
-		if err := enc.Verify(); err != nil {
-			return nil, fmt.Errorf("imtrans: %v: %w", c, err)
-		}
-		dec, err := hw.NewDecoder(enc)
-		if err != nil {
-			return nil, fmt.Errorf("imtrans: %v: %w", c, err)
+			return nil, &contextError{context: c.String(), err: err}
 		}
 		dec.Strict = true
 		sinks[i] = &sink{cfg: c, enc: enc, dec: dec, bus: trace.NewBus(32)}

@@ -1,6 +1,7 @@
 package imtrans
 
 import (
+	"errors"
 	"fmt"
 
 	"imtrans/internal/asm"
@@ -45,5 +46,22 @@ func (p *Program) Disassemble() []string {
 	return out
 }
 
-// Instructions returns the number of static instructions.
-func (p *Program) Instructions() int { return len(p.Text) }
+// Instructions returns the number of static instructions (0 for a nil
+// program).
+func (p *Program) Instructions() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.Text)
+}
+
+// validate is the program gate: newMachine, planProgram, captureProgram,
+// Deployment.matches, Save and RescheduleProgram call it, so every path
+// that loads, plans, captures, saves or reschedules a program refuses a
+// nil or empty one there, one way, before anything reads it.
+func (p *Program) validate() error {
+	if p.Instructions() == 0 {
+		return errors.New("imtrans: empty program")
+	}
+	return nil
+}

@@ -66,11 +66,6 @@ func CaptureCacheStats() (hits, misses uint64) { return replay.Shared.Stats() }
 // default bound is replay.DefaultCacheLimit (128 entries).
 func SetCaptureCacheLimit(n int) int { return replay.Shared.SetLimit(n) }
 
-// PurgeCaptureCache releases every cached fetch-trace capture while
-// keeping the cache statistics — the memory-pressure valve for long-lived
-// sweep services.
-func PurgeCaptureCache() { replay.Shared.Purge() }
-
 // ClearCaptureCache drops every cached fetch-trace capture and resets the
 // cache statistics.
 func ClearCaptureCache() { replay.Shared.Clear() }
@@ -128,9 +123,13 @@ type target struct {
 
 // captureProgram returns the (possibly cached) capture for a target,
 // profiling it at most once per content hash and salt across the
-// process. The profiling run polls ctx; a cancelled capture is not
-// cached, and a failed golden check is cached like any other error.
+// process. An empty program is refused before its text is hashed. The
+// profiling run polls ctx; a cancelled capture is not cached, and a
+// failed golden check is cached like any other error.
 func captureProgram(ctx context.Context, t target) (*replay.Capture, error) {
+	if err := t.p.validate(); err != nil {
+		return nil, err
+	}
 	key := replay.ProgramKey(t.p.TextBase, t.p.Text, t.p.DataBase, t.p.Data, t.salt)
 	return replay.Shared.GetOrCaptureCtx(ctx, key, func(ctx context.Context) (*replay.Capture, error) {
 		c, err := captureRun(ctx, t)
@@ -163,7 +162,7 @@ func captureRun(ctx context.Context, t target) (*replay.Capture, error) {
 	}
 	if t.check != nil {
 		if err := t.check(Memory{m1.Mem}); err != nil {
-			return nil, fmt.Errorf("golden check: %w", err)
+			return nil, err
 		}
 	}
 	words := append([]uint32(nil), p.Text...)

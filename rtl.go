@@ -2,7 +2,6 @@ package imtrans
 
 import (
 	"context"
-	"fmt"
 
 	"imtrans/internal/rtl"
 )
@@ -22,8 +21,8 @@ func (d *Deployment) Verilog(moduleName string) (string, error) {
 // ReplayMeasure, whose setup contract applies), so a Verilog simulator
 // reproduces exactly the behaviour measured by this library.
 func (d *Deployment) VerilogTestbench(p *Program, setup func(Memory) error, moduleName string, maxVectors int) (string, error) {
-	if d.TextBase != p.TextBase || len(d.Encoded) != len(p.Text) {
-		return "", fmt.Errorf("imtrans: deployment does not match program layout")
+	if err := d.matches(p); err != nil {
+		return "", err
 	}
 	if maxVectors <= 0 {
 		maxVectors = 1000

@@ -2,7 +2,6 @@ package imtrans
 
 import (
 	"context"
-	"fmt"
 
 	"imtrans/internal/sched"
 )
@@ -32,8 +31,8 @@ func (s RescheduleStats) ReductionPercent() float64 {
 // symbol-table entries pointing into the middle of a block (never branch
 // targets, which start blocks) may no longer name the same instruction.
 func RescheduleProgram(p *Program) (*Program, *RescheduleStats, error) {
-	if p == nil || len(p.Text) == 0 {
-		return nil, nil, fmt.Errorf("imtrans: empty program")
+	if err := p.validate(); err != nil {
+		return nil, nil, err
 	}
 	out, st, err := sched.Program(p.TextBase, p.Text)
 	if err != nil {
@@ -66,9 +65,8 @@ func (b Benchmark) MeasureModified(p *Program, cfgs ...Config) ([]Measurement, e
 	if err != nil {
 		return nil, err
 	}
-	ms, err := replayMeasureCtx(context.Background(), b.target(p), cols)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return ms, nil
+	return benchRun(b, func(t target) ([]Measurement, error) {
+		t.p = p // the variant takes the kernel program's place
+		return replayMeasureCtx(context.Background(), t, cols)
+	})
 }

@@ -62,11 +62,11 @@ type SweepError struct {
 
 // Error implements the error interface.
 func (e *SweepError) Error() string {
-	where := e.Benchmark
+	var col string
 	if e.ConfigIndex >= 0 {
-		where += " [" + e.Config.String() + "]"
+		col = e.Config.String()
 	}
-	return fmt.Sprintf("imtrans: sweep %s stage, %s: %v", e.Stage, where, e.Err)
+	return gridErrorText("sweep", e.Stage, e.Benchmark, col, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is / errors.As.

@@ -1,6 +1,9 @@
 package imtrans
 
 import (
+	"fmt"
+	"slices"
+
 	"imtrans/internal/code"
 	"imtrans/internal/transform"
 )
@@ -82,16 +85,14 @@ type StreamEncoding struct {
 // the canonical transformations and the paper's greedy chaining. It is the
 // simplest entry point to the technique (see examples/quickstart).
 func EncodeBitStream(stream []uint8, k int) (*StreamEncoding, error) {
+	if err := checkBitStream(stream, k); err != nil {
+		return nil, err
+	}
 	ch, err := code.EncodeChain(stream, k, transform.Canonical8, code.Greedy)
 	if err != nil {
 		return nil, err
 	}
-	before := 0
-	for i := 1; i < len(stream); i++ {
-		if stream[i]&1 != stream[i-1]&1 {
-			before++
-		}
-	}
+	before := code.Chain{Code: stream}.Transitions() // transitions in the input
 	se := &StreamEncoding{Code: ch.Code, Before: before, After: ch.Transitions()}
 	for _, tau := range ch.Taus {
 		se.Taus = append(se.Taus, tau.String())
@@ -105,27 +106,42 @@ func EncodeBitStream(stream []uint8, k int) (*StreamEncoding, error) {
 // DecodeBitStream restores the original stream from an encoded one, given
 // the block size and the per-block transformation names produced by
 // EncodeBitStream. It is the software model of the fetch-side restore.
+// It refuses what EncodeBitStream could not have produced: a block size
+// outside [2, 16], bits other than 0 and 1, and a transformation count
+// other than the stream's block count.
 func DecodeBitStream(encoded []uint8, k int, taus []string) ([]uint8, error) {
+	if err := checkBitStream(encoded, k); err != nil {
+		return nil, err
+	}
+	if want := code.NumBlocks(len(encoded), k); len(taus) != want {
+		return nil, fmt.Errorf("imtrans: %d transformations for %d blocks", len(taus), want)
+	}
+	all := transform.All()
 	fs := make([]transform.Func, len(taus))
 	for i, name := range taus {
-		found := false
-		for _, f := range transform.All() {
-			if f.String() == name {
-				fs[i], found = f, true
-				break
-			}
+		j := slices.IndexFunc(all, func(f transform.Func) bool { return f.String() == name })
+		if j < 0 {
+			return nil, fmt.Errorf("imtrans: unknown transformation %s", name)
 		}
-		if !found {
-			return nil, errUnknownTau(name)
-		}
+		fs[i] = all[j]
 	}
 	ch := code.Chain{K: k, Code: encoded, Taus: fs}
 	return ch.Decode(), nil
 }
 
-type errUnknownTau string
-
-func (e errUnknownTau) Error() string { return "imtrans: unknown transformation " + string(e) }
+// checkBitStream refuses a block size outside the encoder's range and a
+// stream bit other than 0 or 1.
+func checkBitStream(stream []uint8, k int) error {
+	if k < 2 || k > code.MaxBlockSize {
+		return fmt.Errorf("imtrans: block size %d out of range [2, %d]", k, code.MaxBlockSize)
+	}
+	for i, b := range stream {
+		if b > 1 {
+			return fmt.Errorf("imtrans: stream bit %d is %d, want 0 or 1", i, b)
+		}
+	}
+	return nil
+}
 
 // RandomStreams reproduces the Section 6 experiment: uniformly random
 // streams chain-encoded at block size k; the paper reports the mean
